@@ -23,6 +23,7 @@ from .evolution import (
 )
 from .experiments import (
     ExperimentError,
+    check_N_list,
     check_admissible_pair,
     ode_phase_profile,
     run_norm_inflation,

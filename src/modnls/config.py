@@ -13,7 +13,7 @@ import re
 from dataclasses import dataclass
 
 from .evolution import EvolutionError
-from .experiments import ExperimentError, check_admissible_pair
+from .experiments import ExperimentError, check_N_list, check_admissible_pair
 from .scaling import ScalingError, compute_scaling
 from .singular import SingularProbeError
 from .spectral import SpectralError, make_grid
@@ -279,9 +279,7 @@ def _validate_ode_approx(params: dict) -> None:
 
 def _validate_strichartz(params: dict) -> None:
     check_admissible_pair(params["p"], params["q"], params["d"])
-    ns = params["N_list"]
-    if len(ns) < 2 or any(b <= a for a, b in zip(ns, ns[1:])):
-        raise ConfigError(f"N_list must be increasing with >= 2 entries, got {list(ns)}")
+    check_N_list(params["N_list"])
     if not params["t_end"] > 0:
         raise ConfigError(f"t_end must be positive, got {params['t_end']}")
     if params["symbol"].dims is not None and params["symbol"].dims != params["d"]:

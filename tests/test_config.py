@@ -5,6 +5,7 @@ import math
 import pytest
 
 from modnls.config import ConfigError, parse_config, parse_config_text, render_config
+from modnls.experiments import ExperimentError, check_N_list
 
 INFLATE_OK = """
 [equation]
@@ -146,6 +147,14 @@ class TestInvalidTable:
 
     def test_table_is_big_enough(self):
         assert len(INVALID_CASES) >= 12
+
+    def test_N_list_rejected_with_the_probes_message(self):
+        text = "[equation]\nsymbol = arctan_step(h=1)\n[strichartz]\np = 8\nq = 4\nN_list = 8\n"
+        with pytest.raises(ExperimentError) as probe:
+            check_N_list([8.0])
+        with pytest.raises(ConfigError) as config:
+            parse_config("strichartz", text)
+        assert str(config.value) == str(probe.value)
 
     def test_bounded_violation_message_names_the_bound(self):
         with pytest.raises(ConfigError, match="d/2"):

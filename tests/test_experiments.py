@@ -10,7 +10,9 @@ from modnls import (
     ExperimentError,
     Field,
     check_admissible_pair,
+    check_N_list,
     compute_scaling,
+    free_propagate,
     make_grid,
     make_symbol,
     ode_phase_profile,
@@ -18,8 +20,10 @@ from modnls import (
     run_ode_approx,
     run_strichartz_probe,
     sobolev_norm,
+    spacetime_norm,
     strichartz_probe_data,
 )
+from modnls import experiments
 
 
 @pytest.fixture
@@ -240,3 +244,46 @@ class TestStrichartzProbe:
         )
         assert rep.fitted["claim_applies"] == 0.0
         assert rep.verdict
+
+    @pytest.mark.parametrize("time_samples", [0, 1, -4, 2.5, 17.0])
+    def test_time_samples_rejected_before_any_sweep(self, time_samples, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before time_samples was checked")
+
+        monkeypatch.setattr(experiments, "_probe_sweep", no_sweep)
+        with pytest.raises(ExperimentError, match="integer >= 2"):
+            run_strichartz_probe(
+                make_symbol("constant", c=0.0), 8.0, 4.0, [0.0], [8, 16],
+                include_contrast=False, time_samples=time_samples,
+            )
+
+    def test_N_list_check(self):
+        assert check_N_list([8, 16]) == [8.0, 16.0]
+        for bad in ([8], [16, 8], [8, 8]):
+            with pytest.raises(ExperimentError, match="strictly increasing"):
+                check_N_list(bad)
+
+
+class TestProbeBatching:
+    """The batched probe sweep against one free_propagate per time sample."""
+
+    @pytest.mark.parametrize("name, params", [("arctan_step", {"h": 1.0}), ("laplacian", {})])
+    @pytest.mark.parametrize("d, p, q, N_list, time_samples", [
+        # N = 8 runs 512 rows per batch: two full batches and a ragged one
+        (1, 8.0, 4.0, [4, 8], 1100),
+        (1, 20.0 / 3.0, 5.0, [4, 8], 1100),
+        (1, 4.0, np.inf, [4, 8], 1100),
+        # N = 2 runs 16 rows per batch: two full batches and a single row
+        (2, 4.0, 4.0, [1, 2], 33),
+    ])
+    def test_batched_Q_matches_per_sample_reference(self, name, params, d, p, q, N_list,
+                                                     time_samples):
+        symbol = make_symbol(name, **params)
+        rep = run_strichartz_probe(symbol, p, q, [0.0], N_list, d=d,
+                                   include_contrast=False, time_samples=time_samples)
+        times = np.linspace(0.0, 1.0, time_samples)
+        for row in rep.rows:
+            grid = make_grid(d, row["grid_n"], 4.0)
+            u0 = strichartz_probe_data(grid, row["N"])
+            reference = spacetime_norm([(t, free_propagate(u0, symbol, t)) for t in times], p, q)
+            assert row["Q"] == pytest.approx(reference, rel=1e-12)
