@@ -19,12 +19,13 @@ from .evolution import (
     nonlinear_phase_step,
     picard_solve,
     sigma_is_admissible,
-    strang_step,
 )
 from .experiments import (
     ExperimentError,
     check_N_list,
     check_admissible_pair,
+    check_h_list,
+    check_ode_approx_args,
     ode_phase_profile,
     run_norm_inflation,
     run_ode_approx,
@@ -36,6 +37,7 @@ from .reports import ExperimentReport, write_report
 from .scaling import H_MAX, ScalingError, ScalingPlan, build_concentrated_data, compute_scaling
 from .singular import (
     SingularProbeError,
+    check_probe_args,
     log_singular_profile,
     run_singular_probe,
     singular_alpha,

@@ -28,7 +28,6 @@ from .scaling import ScalingError
 from .singular import SingularProbeError, run_singular_probe
 from .spectral import Field, SpectralError, make_grid, sobolev_norm
 from .symbols import SymbolError
-from .config import _plan_from_params  # shared hypothesis checks
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -77,20 +76,18 @@ def _run_simulate(cfg: RunConfig) -> ExperimentReport:
 
 def _run_inflate(cfg: RunConfig) -> ExperimentReport:
     p = cfg.params
-    plan = _plan_from_params(p, p["symbol"])
     grid = make_grid(p["d"], p["grid_n"], p["grid_L"])
     return run_norm_inflation(
-        plan, p["symbol"], grid, p["h_list"], lam=p["lambda"],
+        cfg.plan, p["symbol"], grid, p["h_list"], lam=p["lambda"],
         rotation_budget=p["rotation_budget"], min_ratio_growth=p["min_ratio_growth"],
     )
 
 
 def _run_ode_approx(cfg: RunConfig) -> ExperimentReport:
     p = cfg.params
-    plan = _plan_from_params(p, p["symbol"])
     grid = make_grid(p["d"], p["grid_n"], p["grid_L"])
     return run_ode_approx(
-        plan, p["symbol"], grid, p["eps_list"], p["r"], lam=p["lambda"],
+        cfg.plan, p["symbol"], grid, p["eps_list"], p["r"], lam=p["lambda"],
         rotation_budget=p["rotation_budget"],
     )
 

@@ -12,15 +12,20 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .evolution import EvolutionError
-from .experiments import ExperimentError, check_N_list, check_admissible_pair
-from .scaling import ScalingError, compute_scaling
-from .singular import SingularProbeError
+from .evolution import EvolutionError, SolveConfig
+from .experiments import (
+    ExperimentError,
+    check_N_list,
+    check_admissible_pair,
+    check_h_list,
+    check_ode_approx_args,
+)
+from .scaling import ScalingError, ScalingPlan, compute_scaling
+from .singular import SingularProbeError, check_probe_args, singular_alpha
 from .spectral import SpectralError, make_grid
 from .symbols import (
     BOUNDED,
     HOMOGENEOUS,
-    Symbol,
     SymbolError,
     parse_number,
     parse_symbol_spec,
@@ -37,12 +42,12 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """A fully validated driver configuration."""
+    """A fully validated driver configuration; ``plan`` is set for inflate and ode-approx."""
 
     subcommand: str
     params: dict
     outdir: str = "out"
-    seed: int = 0
+    plan: ScalingPlan | None = None
 
 
 @dataclass(frozen=True)
@@ -54,11 +59,7 @@ class _Key:
     default: object = None
 
 
-def _common_keys():
-    return (
-        _Key("output", "dir", "str", default="out"),
-        _Key("output", "seed", "int", default=0),
-    )
+_OUTPUT_DIR = _Key("output", "dir", "str", default="out")
 
 
 _SCHEMAS: dict[str, tuple[_Key, ...]] = {
@@ -75,7 +76,7 @@ _SCHEMAS: dict[str, tuple[_Key, ...]] = {
         _Key("simulate", "snapshot_every", "int", default=1),
         _Key("simulate", "dealias", "int", default=0),
         _Key("simulate", "initial", "str", default="gaussian(amplitude=1,width=1)"),
-        *_common_keys(),
+        _OUTPUT_DIR,
     ),
     "inflate": (
         _Key("equation", "symbol", "symbol", required=True),
@@ -91,7 +92,7 @@ _SCHEMAS: dict[str, tuple[_Key, ...]] = {
         _Key("inflate", "grid_L", "float", default=8.0),
         _Key("inflate", "rotation_budget", "float", default=0.02),
         _Key("inflate", "min_ratio_growth", "float", default=3.0),
-        *_common_keys(),
+        _OUTPUT_DIR,
     ),
     "ode-approx": (
         _Key("equation", "symbol", "symbol", required=True),
@@ -107,7 +108,7 @@ _SCHEMAS: dict[str, tuple[_Key, ...]] = {
         _Key("ode-approx", "grid_n", "int", default=256),
         _Key("ode-approx", "grid_L", "float", default=8.0),
         _Key("ode-approx", "rotation_budget", "float", default=0.02),
-        *_common_keys(),
+        _OUTPUT_DIR,
     ),
     "strichartz": (
         _Key("equation", "symbol", "symbol", required=True),
@@ -120,7 +121,7 @@ _SCHEMAS: dict[str, tuple[_Key, ...]] = {
         _Key("strichartz", "box_L", "float", default=4.0),
         _Key("strichartz", "n_ceiling", "int", default=16384),
         _Key("strichartz", "contrast", "int", default=1),
-        *_common_keys(),
+        _OUTPUT_DIR,
     ),
     "singular": (
         _Key("singular", "sigma", "float", required=True),
@@ -129,7 +130,7 @@ _SCHEMAS: dict[str, tuple[_Key, ...]] = {
         _Key("singular", "rho_list", "float_list", required=True),
         _Key("singular", "quad_tol", "float", default=1e-9),
         _Key("singular", "amplitude", "float", default=1.0),
-        *_common_keys(),
+        _OUTPUT_DIR,
     ),
 }
 
@@ -209,7 +210,8 @@ def parse_initial_spec(text: str) -> tuple[float, float]:
     return amplitude, width
 
 
-def _plan_from_params(params: dict, symbol: Symbol):
+def _plan_from_params(params: dict) -> ScalingPlan:
+    symbol = params["symbol"]
     if symbol.kind == HOMOGENEOUS:
         if params.get("omega") is None:
             raise ConfigError(
@@ -228,53 +230,36 @@ def _plan_from_params(params: dict, symbol: Symbol):
     )
 
 
+def _check_symbol_dims(params: dict) -> None:
+    symbol = params["symbol"]
+    if symbol.dims is not None and symbol.dims != params["d"]:
+        raise ConfigError(f"symbol {symbol.spec_string()} is restricted to d = {symbol.dims}")
+
+
 def _validate_simulate(params: dict) -> None:
     make_grid(params["d"], params["n"], params["L"])
-    if not params["sigma"] > 0:
-        raise ConfigError(f"sigma must be positive, got {params['sigma']}")
-    if not params["dt"] > 0:
-        raise ConfigError(f"dt must be positive, got {params['dt']}")
-    if not params["T"] >= 0:
-        raise ConfigError(f"T must be >= 0, got {params['T']}")
-    if not 0 < params["eps"] <= 1:
-        raise ConfigError(f"eps must lie in (0, 1], got {params['eps']}")
-    if params["symbol"].dims is not None and params["symbol"].dims != params["d"]:
-        raise ConfigError(
-            f"symbol {params['symbol'].spec_string()} is restricted to "
-            f"d = {params['symbol'].dims}"
-        )
+    SolveConfig(params["symbol"], params["lambda"], params["sigma"], params["dt"], params["T"],
+                params["eps"], params["snapshot_every"], bool(params["dealias"]))
+    _check_symbol_dims(params)
     parse_initial_spec(params["initial"])
 
 
-def _validate_sweep_common(params: dict) -> None:
-    plan = _plan_from_params(params, params["symbol"])
+def _validate_sweep_common(params: dict) -> ScalingPlan:
+    plan = _plan_from_params(params)
     make_grid(params["d"], params["grid_n"], params["grid_L"])
-    params["_plan"] = plan
+    return plan
 
 
-def _validate_inflate(params: dict) -> None:
-    _validate_sweep_common(params)
-    hs = params["h_list"]
-    if any(b >= a for a, b in zip(hs, hs[1:])):
-        raise ConfigError(f"h_list must be strictly decreasing, got {list(hs)}")
-    for h in hs:
-        params["_plan"].validate_h(h)
+def _validate_inflate(params: dict) -> ScalingPlan:
+    plan = _validate_sweep_common(params)
+    check_h_list(plan, params["h_list"])
+    return plan
 
 
-def _validate_ode_approx(params: dict) -> None:
-    _validate_sweep_common(params)
-    eps = params["eps_list"]
-    if any(b >= a for a, b in zip(eps, eps[1:])):
-        raise ConfigError(f"eps_list must be strictly decreasing, got {list(eps)}")
-    for e in eps:
-        if not 0 < e < 1:
-            raise ConfigError(f"eps values must lie in (0, 1), got {e}")
-        params["_plan"].validate_h(params["_plan"].h_for_eps(e))
-    r, d, sigma = params["r"], params["d"], params["sigma"]
-    if not r > d / 2:
-        raise ConfigError(f"regularity r must be an integer above d/2 = {d / 2}, got {r}")
-    if abs(sigma - round(sigma)) > 1e-12 and r > 2 * sigma:
-        raise ConfigError(f"for non-integer sigma, r <= 2*sigma = {2 * sigma} is required")
+def _validate_ode_approx(params: dict) -> ScalingPlan:
+    plan = _validate_sweep_common(params)
+    check_ode_approx_args(plan, params["eps_list"], params["r"])
+    return plan
 
 
 def _validate_strichartz(params: dict) -> None:
@@ -282,24 +267,12 @@ def _validate_strichartz(params: dict) -> None:
     check_N_list(params["N_list"])
     if not params["t_end"] > 0:
         raise ConfigError(f"t_end must be positive, got {params['t_end']}")
-    if params["symbol"].dims is not None and params["symbol"].dims != params["d"]:
-        raise ConfigError(
-            f"symbol {params['symbol'].spec_string()} is restricted to d = {params['symbol'].dims}"
-        )
+    _check_symbol_dims(params)
 
 
 def _validate_singular(params: dict) -> None:
-    if not params["sigma"] > 0:
-        raise ConfigError(f"sigma must be positive, got {params['sigma']}")
-    if not params["t"] >= 0:
-        raise ConfigError(f"t must be >= 0, got {params['t']}")
-    rhos = params["rho_list"]
-    if len(rhos) < 2 or any(b >= a for a, b in zip(rhos, rhos[1:])):
-        raise ConfigError(f"rho_list must be strictly decreasing with >= 2 entries, got {list(rhos)}")
-    if rhos[0] >= 1 or rhos[-1] <= 0:
-        raise ConfigError("rho values must lie in (0, 1)")
-    if not params["quad_tol"] > 0:
-        raise ConfigError(f"quad_tol must be positive, got {params['quad_tol']}")
+    singular_alpha(params["sigma"])
+    check_probe_args(params["t"], params["rho_list"], params["quad_tol"])
 
 
 _VALIDATORS = {
@@ -339,15 +312,13 @@ def parse_config(subcommand: str, text: str) -> RunConfig:
         raise ConfigError(f"missing required keys for {subcommand}: {', '.join(missing)}")
 
     try:
-        _VALIDATORS[subcommand](params)
+        plan = _VALIDATORS[subcommand](params)
     except (ScalingError, SpectralError, SymbolError, ExperimentError,
             SingularProbeError, EvolutionError) as exc:
         raise ConfigError(str(exc)) from exc
 
-    params.pop("_plan", None)
     outdir = params.pop("dir")
-    seed = params.pop("seed")
-    return RunConfig(subcommand=subcommand, params=params, outdir=outdir, seed=seed)
+    return RunConfig(subcommand=subcommand, params=params, outdir=outdir, plan=plan)
 
 
 def _render_value(key: _Key, value) -> str:
@@ -368,7 +339,6 @@ def render_config(cfg: RunConfig) -> str:
     sections: dict[str, list[str]] = {}
     values = dict(cfg.params)
     values["dir"] = cfg.outdir
-    values["seed"] = cfg.seed
     for key in schema:
         value = values.get(key.name)
         if value is None:

@@ -21,7 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .spectral import Field, Grid, spatial_tail_mass, spectral_tail_mass
+from .spectral import (
+    Field,
+    Grid,
+    _max_abs,
+    _plancherel_scale,
+    _propagator,
+    spatial_tail_mass,
+    spectral_tail_mass,
+)
 from .symbols import Symbol
 
 __all__ = [
@@ -33,7 +41,6 @@ __all__ = [
     "sigma_is_admissible",
     "nonlinear_phase_step",
     "dealias_mask",
-    "strang_step",
     "evolve",
     "picard_solve",
 ]
@@ -134,29 +141,9 @@ def nonlinear_phase_step(f: Field, lam: float, sigma: float, dt: float, eps: flo
     return Field(f.grid, _phase_kick(f.values, lam, sigma, dt, eps))
 
 
-def _half_phase(pvals: np.ndarray, dt: float, eps: float) -> np.ndarray:
-    return np.exp(1j * pvals * (dt / (2.0 * eps)))
-
-
 def dealias_mask(grid: Grid) -> np.ndarray:
     """2/3-rule mask: True where every frequency component is below 2/3 of max."""
-    cut = (2.0 / 3.0) * grid.xi_max
-    keep = np.abs(grid.xi[0]) < cut
-    for a in range(1, grid.d):
-        keep = keep & (np.abs(grid.xi[a]) < cut)
-    return keep
-
-
-def strang_step(f: Field, cfg: SolveConfig) -> Field:
-    """One Strang step: free half-step, full phase kick, free half-step."""
-    grid = f.grid
-    phase = _half_phase(cfg.symbol.on_grid(grid), cfg.dt, cfg.eps)
-    if cfg.dealias:
-        phase = phase * dealias_mask(grid)
-    vals = np.fft.ifftn(np.fft.fftn(f.values) * phase)
-    vals = _phase_kick(vals, cfg.lam, cfg.sigma, cfg.dt, cfg.eps)
-    vals = np.fft.ifftn(np.fft.fftn(vals) * phase)
-    return Field(grid, vals)
+    return _max_abs(grid.xi) < (2.0 / 3.0) * grid.xi_max
 
 
 def _quadrature_l2(values: np.ndarray, grid: Grid) -> float:
@@ -166,6 +153,8 @@ def _quadrature_l2(values: np.ndarray, grid: Grid) -> float:
 
 def evolve(u0: Field, cfg: SolveConfig) -> Trajectory:
     """Integrate with repeated Strang steps, recording snapshots and diagnostics.
+
+    Each step is a free half-step, the full phase kick, and a free half-step.
 
     The final snapshot lands exactly on T (the last step is shortened when T
     is not a multiple of dt).  Aborts with the step index when values stop
@@ -192,14 +181,13 @@ def evolve(u0: Field, cfg: SolveConfig) -> Trajectory:
         if remainder > 1e-12 * cfg.dt:
             steps.append(remainder)
         mask = dealias_mask(grid) if cfg.dealias else None
-        phase_full = _half_phase(pvals, cfg.dt, cfg.eps)
-        if mask is not None:
-            phase_full = phase_full * mask
+        phases = {}  # free half-step multiplier per distinct step length
+        for step in set(steps):
+            phase = _propagator(pvals, step / (2.0 * cfg.eps))
+            phases[step] = phase if mask is None else phase * mask
         vals = u0.values
         for k, step in enumerate(steps):
-            phase = phase_full if step == cfg.dt else _half_phase(pvals, step, cfg.eps)
-            if mask is not None and phase is not phase_full:
-                phase = phase * mask
+            phase = phases[step]
             vals = np.fft.ifftn(np.fft.fftn(vals) * phase)
             vals = _phase_kick(vals, cfg.lam, cfg.sigma, step, cfg.eps)
             vals = np.fft.ifftn(np.fft.fftn(vals) * phase)
@@ -254,13 +242,13 @@ def picard_solve(
         return u0, PicardReport(True, (), (), 0, ())
     pvals = cfg.symbol.on_grid(grid)
     axes = tuple(range(1, grid.d + 1))
-    scale = math.sqrt(grid.cell / grid.n**grid.d)
+    scale = _plancherel_scale(grid)
     weight = (1.0 + grid.xi_sq) ** s
     u0_hat = np.fft.fftn(u0.values)
 
     def solve_on_mesh(intervals: int):
         times = np.linspace(0.0, cfg.T, intervals + 1)
-        prop = np.exp(1j * times.reshape((-1,) + (1,) * grid.d) * pvals / cfg.eps)
+        prop = _propagator(pvals, times / cfg.eps)
         u_hat = prop * u0_hat
         distances = []
         for _ in range(max_iter):

@@ -20,6 +20,7 @@ from .spectral import (
     Field,
     Grid,
     _lq_norms,
+    _propagator,
     make_grid,
     sobolev_norm,
     spacetime_norm_from_samples,
@@ -32,6 +33,8 @@ __all__ = [
     "window_symbol",
     "run_ode_approx",
     "run_norm_inflation",
+    "check_h_list",
+    "check_ode_approx_args",
     "check_admissible_pair",
     "check_N_list",
     "strichartz_probe_data",
@@ -83,6 +86,49 @@ def _check_strictly_decreasing(values, label: str) -> None:
         raise ExperimentError(f"{label} must be strictly decreasing, got {list(values)}")
 
 
+def check_h_list(plan: ScalingPlan, h_list) -> list[float]:
+    """Return h_list as floats; reject it unless strictly decreasing and valid for the plan."""
+    h_list = [float(h) for h in h_list]
+    _check_strictly_decreasing(h_list, "h_list")
+    for h in h_list:
+        plan.validate_h(h)
+    return h_list
+
+
+def check_ode_approx_args(plan: ScalingPlan, eps_list, r) -> tuple[list[float], int]:
+    """Return (eps_list as floats, int r); reject them before any evolution."""
+    if r != int(r) or not r > plan.d / 2.0:
+        raise ExperimentError(f"regularity r must be an integer above d/2 = {plan.d / 2}, got {r}")
+    r = int(r)
+    if abs(plan.sigma - round(plan.sigma)) > 1e-12 and r > 2.0 * plan.sigma:
+        raise ExperimentError(
+            f"for non-integer sigma the regularity must satisfy r <= 2*sigma = {2 * plan.sigma}"
+        )
+    eps_list = [float(e) for e in eps_list]
+    _check_strictly_decreasing(eps_list, "eps_list")
+    for eps in eps_list:
+        plan.validate_h(plan.h_for_eps(eps))
+    return eps_list, r
+
+
+def _window_run(plan: ScalingPlan, symbol: Symbol, grid: Grid, h: float, eps: float,
+                lam: float, rotation_budget: float, every_step: bool):
+    """Evolve kappa*a0 under the rescaled multiplier up to tau*(eps).
+
+    Returns (trajectory, kappa, n_steps, p_max).
+    """
+    kappa = plan.kappa(h)
+    tau_star = plan.tau_star_of_eps(eps)
+    sym_h = window_symbol(symbol, plan, h)
+    p_max = float(np.abs(sym_h.on_grid(grid)).max())
+    dt, n_steps = _window_steps(tau_star, eps, lam, kappa, plan.sigma,
+                                p_max, rotation_budget)
+    psi0 = Field(grid, kappa * _envelope(grid))
+    cfg = SolveConfig(sym_h, lam, plan.sigma, dt, tau_star, eps,
+                      snapshot_every=1 if every_step else n_steps)
+    return evolve(psi0, cfg), kappa, n_steps, p_max
+
+
 def run_ode_approx(plan: ScalingPlan, symbol: Symbol, grid: Grid, eps_list,
                    r: int, lam: float = 1.0,
                    rotation_budget: float = 0.02) -> ExperimentReport:
@@ -93,29 +139,13 @@ def run_ode_approx(plan: ScalingPlan, symbol: Symbol, grid: Grid, eps_list,
     times of |psi(tau) - phi(tau)|_{H^r}.  Verdict: E strictly decreasing
     along the (decreasing) eps sweep, with E(min)/E(max) < 0.5.
     """
-    if r != int(r) or not r > plan.d / 2.0:
-        raise ExperimentError(f"regularity r must be an integer above d/2 = {plan.d / 2}, got {r}")
-    r = int(r)
-    if abs(plan.sigma - round(plan.sigma)) > 1e-12 and r > 2.0 * plan.sigma:
-        raise ExperimentError(
-            f"for non-integer sigma the regularity must satisfy r <= 2*sigma = {2 * plan.sigma}"
-        )
-    eps_list = [float(e) for e in eps_list]
-    _check_strictly_decreasing(eps_list, "eps_list")
+    eps_list, r = check_ode_approx_args(plan, eps_list, r)
 
     rows = []
     for eps in eps_list:
         h = plan.h_for_eps(eps)
-        plan.validate_h(h)
-        kappa = plan.kappa(h)
-        tau_star = plan.tau_star_of_eps(eps)
-        sym_h = window_symbol(symbol, plan, h)
-        p_max = float(np.abs(sym_h.on_grid(grid)).max())
-        dt, n_steps = _window_steps(tau_star, eps, lam, kappa, plan.sigma,
-                                    p_max, rotation_budget)
-        psi0 = Field(grid, kappa * _envelope(grid))
-        cfg = SolveConfig(sym_h, lam, plan.sigma, dt, tau_star, eps, snapshot_every=1)
-        traj = evolve(psi0, cfg)
+        traj, kappa, n_steps, p_max = _window_run(plan, symbol, grid, h, eps, lam,
+                                                  rotation_budget, every_step=True)
         gap = 0.0
         for tau, snap in traj.snapshots:
             phi = ode_phase_profile(tau, grid, kappa, lam, plan.sigma, eps)
@@ -124,7 +154,7 @@ def run_ode_approx(plan: ScalingPlan, symbol: Symbol, grid: Grid, eps_list,
             "eps": eps,
             "h": h,
             "kappa": kappa,
-            "tau_star": tau_star,
+            "tau_star": traj.config.T,
             "n_steps": n_steps,
             "p_max": p_max,
             "E": gap,
@@ -158,10 +188,7 @@ def run_norm_inflation(plan: ScalingPlan, symbol: Symbol, grid_policy, h_list,
     sigma < 1: at sigma = 2 the exponent is s*(0.1 - 0.2) < 0 for every
     s > 0, and the verdict fails at any h; delta = 8 gives 1.95 at s = 0.25.
     """
-    h_list = [float(h) for h in h_list]
-    _check_strictly_decreasing(h_list, "h_list")
-    for h in h_list:
-        plan.validate_h(h)
+    h_list = check_h_list(plan, h_list)
     grid_for = grid_policy if callable(grid_policy) else (lambda _h: grid_policy)
 
     rows = []
@@ -169,19 +196,10 @@ def run_norm_inflation(plan: ScalingPlan, symbol: Symbol, grid_policy, h_list,
         grid = grid_for(h)
         if grid.d != plan.d:
             raise ExperimentError(f"grid dimension {grid.d} does not match plan dimension {plan.d}")
-        kappa = plan.kappa(h)
         eps = plan.eps(h)
-        tau_star = plan.tau_star_of_eps(eps)
-        t_h = plan.t_h(h)
-        sym_h = window_symbol(symbol, plan, h)
-        p_max = float(np.abs(sym_h.on_grid(grid)).max())
-        dt, n_steps = _window_steps(tau_star, eps, lam, kappa, plan.sigma,
-                                    p_max, rotation_budget)
-        psi0 = Field(grid, kappa * _envelope(grid))
-        cfg = SolveConfig(sym_h, lam, plan.sigma, dt, tau_star, eps,
-                          snapshot_every=max(n_steps, 1))
-        traj = evolve(psi0, cfg)
-        psi_end = traj.final
+        traj, kappa, n_steps, _ = _window_run(plan, symbol, grid, h, eps, lam,
+                                              rotation_budget, every_step=False)
+        psi0, psi_end = traj.snapshots[0][1], traj.final
 
         l2_0 = sobolev_norm(psi0, 0.0)
         hs_0 = sobolev_norm(psi0, plan.s, homogeneous=True)
@@ -194,8 +212,8 @@ def run_norm_inflation(plan: ScalingPlan, symbol: Symbol, grid_policy, h_list,
             "h": h,
             "kappa": kappa,
             "eps": eps,
-            "tau_star": tau_star,
-            "t_h": t_h,
+            "tau_star": traj.config.T,
+            "t_h": plan.t_h(h),
             "n_steps": n_steps,
             "u0_hs": u0_norm,
             "ut_hs": uT_norm,
@@ -279,21 +297,20 @@ def _probe_sweep(symbol: Symbol, p: float, q: float, k_grid, N_list, interval,
         pvals = symbol.on_grid(grid)
         u0_hat = np.fft.fftn(u0.values)
         axes = tuple(range(1, d + 1))
-        cell = grid.cell
         lq = np.empty(n_t)
         # On the uniform time grid exp(i t_{lo+j} P) = exp(i j dt P) * exp(i t_lo P):
         # one offset table per N serves every batch, and each batch pays one
         # exp per node for its start phase instead of one per sample and node.
         rows_per_batch = min(n_t, max(_PROBE_MIN_ROWS, _PROBE_BATCH_ELEMENTS // u0_hat.size))
         offsets = (t1 - t0) / (n_t - 1) * np.arange(rows_per_batch)
-        table = np.exp(1j * offsets.reshape((-1,) + (1,) * d) * pvals)
+        table = _propagator(pvals, offsets)
         buf = np.empty_like(table)  # one buffer per N: a fresh array per batch page-faults
         for lo in range(0, n_t, rows_per_batch):
             m = min(rows_per_batch, n_t - lo)
-            start = np.exp(1j * times[lo] * pvals) * u0_hat
+            start = _propagator(pvals, times[lo]) * u0_hat
             snaps = np.multiply(table[:m], start, out=buf[:m])
             np.fft.ifftn(snaps, axes=axes, out=snaps)
-            lq[lo:lo + m] = _lq_norms(snaps, q, cell, axes)
+            lq[lo:lo + m] = _lq_norms(snaps, q, grid.cell, axes)
         Q = spacetime_norm_from_samples(times, lq, p)
 
         row = {
@@ -303,10 +320,8 @@ def _probe_sweep(symbol: Symbol, p: float, q: float, k_grid, N_list, interval,
             "time_samples": n_t,
             "Q": Q,
         }
-        scale2 = cell / grid.n**grid.d
-        c2 = np.abs(u0_hat) ** 2 * scale2
         for k in k_grid:
-            row[f"hk_norm_{k:g}"] = float(np.sqrt(np.sum((1.0 + grid.xi_sq) ** k * c2)))
+            row[f"hk_norm_{k:g}"] = sobolev_norm(u0, k)
         rows.append(row)
     return rows
 

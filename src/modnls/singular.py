@@ -21,6 +21,7 @@ from .reports import ExperimentReport
 __all__ = [
     "SingularProbeError",
     "singular_alpha",
+    "check_probe_args",
     "log_singular_profile",
     "run_singular_probe",
 ]
@@ -126,6 +127,22 @@ def _segment_integral(fn, r_lo: float, r_hi: float, rel_tol: float) -> float:
     return value
 
 
+def check_probe_args(t: float, rho_list, quad_tol: float) -> list[float]:
+    """Return rho_list as floats; reject t < 0, a bad rho sweep, or quad_tol <= 0."""
+    if not t >= 0:
+        raise SingularProbeError(f"time must be >= 0, got {t}")
+    rho_list = [float(rho) for rho in rho_list]
+    if len(rho_list) < 2 or any(b >= a for a, b in zip(rho_list, rho_list[1:])):
+        raise SingularProbeError(
+            f"rho_list must be strictly decreasing with >= 2 entries, got {rho_list}"
+        )
+    if rho_list[0] >= 1.0 or rho_list[-1] <= 0.0:
+        raise SingularProbeError(f"rho values must lie in (0, 1), got {rho_list}")
+    if not quad_tol > 0:
+        raise SingularProbeError(f"quadrature tolerance must be positive, got {quad_tol}")
+    return rho_list
+
+
 def run_singular_probe(sigma: float, lam: float, t: float, rho_list,
                        quad_tol: float = 1e-9,
                        delta_amp: float = 1.0) -> ExperimentReport:
@@ -137,15 +154,7 @@ def run_singular_probe(sigma: float, lam: float, t: float, rho_list,
     consecutive ratios in [0.5, 1.0] (harmonic-type decay, never geometric).
     """
     alpha = singular_alpha(sigma)
-    if not t >= 0:
-        raise SingularProbeError(f"time must be >= 0, got {t}")
-    rho_list = [float(rho) for rho in rho_list]
-    if len(rho_list) < 2 or any(b >= a for a, b in zip(rho_list, rho_list[1:])):
-        raise SingularProbeError("rho_list must be strictly decreasing with >= 2 entries")
-    if rho_list[0] >= 1.0 or rho_list[-1] <= 0.0:
-        raise SingularProbeError("rho values must lie in (0, 1)")
-    if not quad_tol > 0:
-        raise SingularProbeError("quadrature tolerance must be positive")
+    rho_list = check_probe_args(t, rho_list, quad_tol)
 
     factor = 4.0 * sigma**2 * lam**2 * t**2
 

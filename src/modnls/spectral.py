@@ -156,6 +156,33 @@ def _plancherel_scale(grid: Grid) -> float:
     return math.sqrt(grid.cell / grid.n**grid.d)
 
 
+def _coeff_mass(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Squared moduli of the Plancherel-normalized coefficients of raw samples."""
+    return np.abs(np.fft.fftn(values) * _plancherel_scale(grid)) ** 2
+
+
+def _propagator(pvals: np.ndarray, t) -> np.ndarray:
+    """exp(i*t*P) on lattice values ``pvals``; a 1-D ``t`` gives one leading row per time."""
+    t = np.asarray(t)
+    return np.exp(1j * t.reshape(t.shape + (1,) * pvals.ndim) * pvals)
+
+
+def _max_abs(coords) -> np.ndarray:
+    """max_a |c_a| per node: a point lies beyond a box cut when any |c_a| does."""
+    out = np.abs(coords[0])
+    for c in coords[1:]:
+        out = np.maximum(out, np.abs(c))
+    return out
+
+
+def _mass_fraction(a2: np.ndarray, mask: np.ndarray) -> float:
+    """Share of sum(a2) on ``mask``; 0 when the total is zero or not finite."""
+    total = float(np.sum(a2))
+    if total == 0.0 or not math.isfinite(total):
+        return 0.0
+    return float(np.sum(a2[mask]) / total)
+
+
 def transform(f: Field) -> SpectralField:
     """Forward transform with Plancherel normalization."""
     return SpectralField(f.grid, np.fft.fftn(f.values) * _plancherel_scale(f.grid))
@@ -200,8 +227,7 @@ def free_propagate(f: Field, symbol, t: float) -> Field:
         raise SpectralError(f"propagation time must be finite, got {t}")
     if t == 0.0:
         return f
-    pvals = _multiplier_values(symbol, f.grid)
-    phase = np.exp(1j * t * pvals)
+    phase = _propagator(_multiplier_values(symbol, f.grid), t)
     return Field(f.grid, np.fft.ifftn(np.fft.fftn(f.values) * phase))
 
 
@@ -218,7 +244,7 @@ def sobolev_norm(f: Field, s: float, homogeneous: bool = False) -> float:
     """
     if not np.isfinite(s):
         raise SpectralError(f"regularity s must be finite, got {s}")
-    c2 = np.abs(transform(f).coeffs) ** 2
+    c2 = _coeff_mass(f.values, f.grid)
     grid = f.grid
     if not homogeneous:
         return float(np.sqrt(np.sum((1.0 + grid.xi_sq) ** s * c2)))
@@ -283,28 +309,12 @@ def spacetime_norm(snapshots, p: float, q: float) -> float:
 def spectral_tail_mass(f: Field) -> float:
     """Fraction of the squared L2 mass in the top octave of frequencies."""
     with np.errstate(over="ignore"):
-        c2 = np.abs(transform(f).coeffs) ** 2
-    grid = f.grid
-    cut = grid.xi_max / 2.0
-    mask = np.abs(grid.xi[0]) >= cut
-    for a in range(1, grid.d):
-        mask = mask | (np.abs(grid.xi[a]) >= cut)
-    total = float(np.sum(c2))
-    if total == 0.0 or not math.isfinite(total):
-        return 0.0
-    return float(np.sum(c2[mask]) / total)
+        c2 = _coeff_mass(f.values, f.grid)
+    return _mass_fraction(c2, _max_abs(f.grid.xi) >= f.grid.xi_max / 2.0)
 
 
 def spatial_tail_mass(f: Field) -> float:
     """Fraction of the squared L2 mass outside the half box |x|_inf <= L/2."""
     with np.errstate(over="ignore"):
         a2 = np.abs(f.values) ** 2
-    grid = f.grid
-    cut = grid.L / 2.0
-    mask = np.abs(grid.x[0]) > cut
-    for a in range(1, grid.d):
-        mask = mask | (np.abs(grid.x[a]) > cut)
-    total = float(np.sum(a2))
-    if total == 0.0 or not math.isfinite(total):
-        return 0.0
-    return float(np.sum(a2[mask]) / total)
+    return _mass_fraction(a2, _max_abs(f.grid.x) > f.grid.L / 2.0)

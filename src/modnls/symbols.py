@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +63,8 @@ class Symbol:
         self.bound = bound
         self.dims = dims
         self.params = dict(params or {})
-        self._lattice_cache: dict[Grid, np.ndarray] = {}
+        # Grid -> lattice values, keyed weakly so an entry goes with its grid
+        self._lattice_cache = weakref.WeakKeyDictionary()
 
     def __call__(self, *xi):
         if self.dims is not None and len(xi) != self.dims:

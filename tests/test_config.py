@@ -4,8 +4,16 @@ import math
 
 import pytest
 
+from modnls import BOUNDED, compute_scaling
 from modnls.config import ConfigError, parse_config, parse_config_text, render_config
-from modnls.experiments import ExperimentError, check_N_list
+from modnls.experiments import (
+    ExperimentError,
+    check_h_list,
+    check_N_list,
+    check_ode_approx_args,
+)
+from modnls.scaling import ScalingError
+from modnls.singular import SingularProbeError, check_probe_args
 
 INFLATE_OK = """
 [equation]
@@ -128,6 +136,8 @@ INVALID_CASES = [
     ("grid L <= 0", "simulate", _swap(SIMULATE_OK, "L = 8", "L = -1")),
     ("dt <= 0", "simulate", _swap(SIMULATE_OK, "dt = 0.001", "dt = 0")),
     ("eps outside (0,1]", "simulate", _swap(SIMULATE_OK, "sigma = 1", "sigma = 1\neps = 2")),
+    ("snapshot_every = 0", "simulate", SIMULATE_OK + "snapshot_every = 0\n"),
+    ("removed [output] seed key", "simulate", SIMULATE_OK + "[output]\nseed = 0\n"),
     ("r below d/2", "ode-approx", _swap(ODE_OK, "r = 1", "r = 0")),
     ("r above 2*sigma for fractional sigma", "ode-approx",
      _swap(_swap(ODE_OK, "sigma = 2", "sigma = 1.2"), "r = 1", "r = 3")),
@@ -136,6 +146,30 @@ INVALID_CASES = [
      "[singular]\nsigma = 1\nt = 1\nrho_list = 1e-4, 1e-3\n"),
     ("singular t < 0", "singular",
      "[singular]\nsigma = 1\nt = -1\nrho_list = 1e-3, 1e-4\n"),
+]
+
+# the plan INFLATE_OK and ODE_OK describe
+_PLAN = compute_scaling(1, 2.0, 0.25, BOUNDED, theta=0.05, delta=0.1)
+
+# config rejects these through the driver's own check, so the messages match
+DRIVER_CHECK_CASES = [
+    ("N_list", "strichartz",
+     "[equation]\nsymbol = arctan_step(h=1)\n[strichartz]\np = 8\nq = 4\nN_list = 8\n",
+     lambda: check_N_list([8.0])),
+    ("h_list not decreasing", "inflate", _swap(INFLATE_OK, "e^-2, e^-3, e^-4", "e^-3, e^-2"),
+     lambda: check_h_list(_PLAN, [math.exp(-3), math.exp(-2)])),
+    ("h above e^-1", "inflate", _swap(INFLATE_OK, "e^-2, e^-3, e^-4", "0.5, e^-3"),
+     lambda: check_h_list(_PLAN, [0.5, math.exp(-3)])),
+    ("eps_list not decreasing", "ode-approx", _swap(ODE_OK, "0.1, 0.03, 0.01", "0.01, 0.1"),
+     lambda: check_ode_approx_args(_PLAN, [0.01, 0.1], 1)),
+    ("eps not positive", "ode-approx", _swap(ODE_OK, "0.1, 0.03, 0.01", "0.1, 0.05, -1"),
+     lambda: check_ode_approx_args(_PLAN, [0.1, 0.05, -1.0], 1)),
+    ("r below d/2", "ode-approx", _swap(ODE_OK, "r = 1", "r = 0"),
+     lambda: check_ode_approx_args(_PLAN, [0.1, 0.03, 0.01], 0)),
+    ("rho_list increasing", "singular", "[singular]\nsigma = 1\nt = 1\nrho_list = 1e-4, 1e-3\n",
+     lambda: check_probe_args(1.0, [1e-4, 1e-3], 1e-9)),
+    ("rho above 1", "singular", "[singular]\nsigma = 1\nt = 1\nrho_list = 2, 1e-3\n",
+     lambda: check_probe_args(1.0, [2.0, 1e-3], 1e-9)),
 ]
 
 
@@ -148,13 +182,14 @@ class TestInvalidTable:
     def test_table_is_big_enough(self):
         assert len(INVALID_CASES) >= 12
 
-    def test_N_list_rejected_with_the_probes_message(self):
-        text = "[equation]\nsymbol = arctan_step(h=1)\n[strichartz]\np = 8\nq = 4\nN_list = 8\n"
-        with pytest.raises(ExperimentError) as probe:
-            check_N_list([8.0])
+    @pytest.mark.parametrize("label,sub,text,driver_check", DRIVER_CHECK_CASES,
+                             ids=[c[0] for c in DRIVER_CHECK_CASES])
+    def test_rejected_with_the_drivers_message(self, label, sub, text, driver_check):
+        with pytest.raises((ExperimentError, ScalingError, SingularProbeError)) as driver:
+            driver_check()
         with pytest.raises(ConfigError) as config:
-            parse_config("strichartz", text)
-        assert str(config.value) == str(probe.value)
+            parse_config(sub, text)
+        assert str(config.value) == str(driver.value)
 
     def test_bounded_violation_message_names_the_bound(self):
         with pytest.raises(ConfigError, match="d/2"):

@@ -19,7 +19,6 @@ from modnls import (
     picard_solve,
     sigma_is_admissible,
     sobolev_norm,
-    strang_step,
 )
 from conftest import random_smooth_field
 
@@ -67,22 +66,23 @@ class TestPhaseStep:
 
 
 class TestStrangStep:
+    # one step of evolve (T = dt) is one Strang step: half free, kick, half free
     def test_lambda_zero_equals_free_flow(self, grid, gaussian):
         cfg = SolveConfig(make_symbol("laplacian"), 0.0, 1.0, dt=0.05, T=0.05)
-        out = strang_step(gaussian, cfg)
+        out = evolve(gaussian, cfg).final
         ref = free_propagate(gaussian, make_symbol("laplacian"), 0.05)
         assert np.abs(out.values - ref.values).max() <= 1e-12
 
     def test_zero_symbol_equals_phase_step(self, grid, gaussian):
         cfg = SolveConfig(make_symbol("constant", c=0.0), 1.0, 1.0, dt=0.05, T=0.05)
-        out = strang_step(gaussian, cfg)
+        out = evolve(gaussian, cfg).final
         ref = nonlinear_phase_step(gaussian, 1.0, 1.0, 0.05)
         assert np.abs(out.values - ref.values).max() <= 1e-14
 
     def test_constant_symbol_commutes(self, grid, gaussian):
         c, dt, eps = 1.7, 0.05, 0.5
         cfg = SolveConfig(make_symbol("constant", c=c), -1.0, 2.0, dt=dt, T=dt, eps=eps)
-        out = strang_step(gaussian, cfg)
+        out = evolve(gaussian, cfg).final
         ref = nonlinear_phase_step(gaussian, -1.0, 2.0, dt, eps)
         expected = np.exp(1j * c * dt / eps) * ref.values
         assert np.abs(out.values - expected).max() <= 1e-13

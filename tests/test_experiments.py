@@ -9,6 +9,7 @@ from modnls import (
     BOUNDED,
     ExperimentError,
     Field,
+    ScalingError,
     check_admissible_pair,
     check_N_list,
     compute_scaling,
@@ -118,6 +119,15 @@ class TestRunOdeApprox:
         with pytest.raises(ExperimentError, match="decreasing"):
             run_ode_approx(bounded_plan, make_symbol("arctan_step", h=1.0), grid,
                            [0.01, 0.1], r=1)
+
+    def test_every_eps_checked_before_any_evolution(self, bounded_plan, grid, monkeypatch):
+        def no_evolve(*args, **kwargs):
+            raise AssertionError("evolve ran before the last eps was checked")
+
+        monkeypatch.setattr(experiments, "evolve", no_evolve)
+        with pytest.raises(ScalingError, match="eps must lie in"):
+            run_ode_approx(bounded_plan, make_symbol("arctan_step", h=1.0), grid,
+                           [0.1, 0.05, -1.0], r=1)
 
 
 class TestRunNormInflation:

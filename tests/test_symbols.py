@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import math
 
 import numpy as np
@@ -126,6 +127,13 @@ class TestCacheAndRescale:
         b = sym.on_grid(grid)
         assert a is b
         assert not a.flags.writeable
+
+    def test_lattice_cache_drops_dead_grids(self):
+        sym = make_symbol("laplacian")
+        for n in (8, 16, 32):
+            sym.on_grid(make_grid(1, n, 2.0))
+        gc.collect()
+        assert len(sym._lattice_cache) == 0
 
     def test_rescaled_values_and_metadata(self):
         base = make_symbol("arctan_step", h=1.0)
