@@ -26,7 +26,7 @@ from .experiments import (
 from .reports import ExperimentReport, write_report
 from .scaling import ScalingError
 from .singular import SingularProbeError, run_singular_probe
-from .spectral import Field, SpectralError, make_grid, sobolev_norm
+from .spectral import Field, SpectralError, _coeff_sobolev_norm, make_grid
 from .symbols import SymbolError
 
 EXIT_PASS = 0
@@ -60,13 +60,15 @@ def _run_simulate(cfg: RunConfig) -> ExperimentReport:
         snapshot_every=p["snapshot_every"],
         dealias=bool(p["dealias"]),
     )
-    traj = evolve(u0, solve)
+    h1_norms = []
+    traj = evolve(u0, solve,
+                  lambda t, coeffs: h1_norms.append(_coeff_sobolev_norm(coeffs, grid, 1.0)))
     rows = []
-    for (t, snap), l2, tail in zip(traj.snapshots, traj.l2_norms, traj.tail_masses):
+    for t, l2, h1, tail in zip(traj.times, traj.l2_norms, h1_norms, traj.tail_masses):
         rows.append({
             "t": t,
             "l2_norm": l2,
-            "h1_norm": sobolev_norm(snap, 1.0),
+            "h1_norm": h1,
             "spectral_tail_mass": tail,
         })
     drift = abs(traj.l2_norms[-1] - traj.l2_norms[0]) / traj.l2_norms[0] if traj.l2_norms[0] else 0.0

@@ -5,7 +5,12 @@ Two independent discretizations of the same flow:
 * :func:`evolve` composes the two exactly solvable sub-flows (free
   propagation in spectral space, pointwise phase rotation in physical
   space) in a Strang splitting.  Both halves preserve the L2 norm
-  exactly, so only rounding accumulates.
+  exactly, so only rounding accumulates.  The state lives in Fourier
+  space between kicks: a step is two half-step multiplications and one
+  inverse/forward transform pair around the kick, so it costs 2 FFTs
+  whatever the snapshot cadence.  Snapshots are not stored; each one is
+  handed, as raw coefficients, to an optional reducer that keeps what the
+  caller needs.
 * :func:`picard_solve` iterates the integral fixed-point map
   Phi(u)(t) = S(t)u0 - i*(lambda/eps) * int_0^t S(t-tau) |u|^(2sigma)u dtau
   on a stored time mesh with trapezoid quadrature, and serves as a
@@ -24,9 +29,12 @@ from scipy.integrate import cumulative_trapezoid
 from .spectral import (
     Field,
     Grid,
+    _coeff_mass,
+    _mass_fraction,
     _max_abs,
     _plancherel_scale,
     _propagator,
+    _top_octave,
     spatial_tail_mass,
     spectral_tail_mass,
 )
@@ -107,28 +115,39 @@ class SolveConfig:
 
 @dataclass(frozen=True)
 class Trajectory:
+    """Snapshot times and per-snapshot diagnostics of one run, and its final state."""
+
     config: SolveConfig
-    snapshots: tuple
+    times: np.ndarray
+    final: Field
     l2_norms: np.ndarray
     tail_masses: np.ndarray
     sigma_admissible: bool
 
     @property
-    def final(self) -> Field:
-        return self.snapshots[-1][1]
-
-    @property
     def final_time(self) -> float:
-        return self.snapshots[-1][0]
+        return float(self.times[-1])
 
 
-def _phase_kick(values: np.ndarray, lam: float, sigma: float, dt: float, eps: float) -> np.ndarray:
+def _phase_kick(values: np.ndarray, lam: float, sigma: float, dt: float, eps: float,
+                work: np.ndarray) -> None:
+    """Multiply ``values`` in place by exp(-i*(lam*dt/eps)*|values|^(2*sigma)).
+
+    |values|^(2*sigma) is (re^2 + im^2)^sigma, which numpy squares directly
+    for sigma = 2, and the rotation is written as a real cos and sin into
+    ``work``, a complex scratch array shaped like ``values``.
+    """
     if lam == 0.0 or dt == 0.0:
-        return values
+        return
     # overflow is anticipated for blow-up data; the caller checks finiteness
     with np.errstate(over="ignore", invalid="ignore"):
-        amp2s = np.abs(values) ** (2.0 * sigma)
-        return values * np.exp(-1j * (lam * dt / eps) * amp2s)
+        angle = np.square(values.real)
+        angle += np.square(values.imag)
+        angle **= sigma
+        angle *= -(lam * dt / eps)
+        np.cos(angle, out=work.real)
+        np.sin(angle, out=work.imag)
+        values *= work
 
 
 def nonlinear_phase_step(f: Field, lam: float, sigma: float, dt: float, eps: float = 1.0) -> Field:
@@ -138,7 +157,9 @@ def nonlinear_phase_step(f: Field, lam: float, sigma: float, dt: float, eps: flo
     """
     if not sigma > 0:
         raise EvolutionError(f"sigma must be positive, got {sigma}")
-    return Field(f.grid, _phase_kick(f.values, lam, sigma, dt, eps))
+    vals = np.array(f.values)
+    _phase_kick(vals, lam, sigma, dt, eps, np.empty_like(vals))
+    return Field(f.grid, vals)
 
 
 def dealias_mask(grid: Grid) -> np.ndarray:
@@ -151,14 +172,28 @@ def _quadrature_l2(values: np.ndarray, grid: Grid) -> float:
         return float(np.sqrt(np.sum(np.abs(values) ** 2) * grid.cell))
 
 
-def evolve(u0: Field, cfg: SolveConfig) -> Trajectory:
-    """Integrate with repeated Strang steps, recording snapshots and diagnostics.
+def evolve(u0: Field, cfg: SolveConfig, on_snapshot=None) -> Trajectory:
+    """Integrate with repeated Strang steps, streaming snapshots to ``on_snapshot``.
 
     Each step is a free half-step, the full phase kick, and a free half-step.
+    The state is kept as its raw ``np.fft.fftn`` coefficients u_hat between
+    steps, so one step is ``u_hat *= half; v = ifftn(u_hat); v = kick(v);
+    u_hat = fftn(v); u_hat *= half``: 2 FFTs, with no round trip to
+    physical space at a snapshot.
+
+    A snapshot is taken at t = 0, after every ``snapshot_every`` steps, and
+    at T.  For each one the trajectory records its time, its L2 norm and its
+    spectral tail mass, both read from |u_hat|^2, and, when given,
+    ``on_snapshot(t, coeffs)`` is called with the coefficients: raw
+    ``np.fft.fftn`` scaling (multiply by sqrt(cell / n^d) for the
+    Plancherel-normalized ones), read-only, and valid only during the call,
+    since the stepper overwrites them in place afterwards.  A reducer that
+    needs them later must copy them.
 
     The final snapshot lands exactly on T (the last step is shortened when T
-    is not a multiple of dt).  Aborts with the step index when values stop
-    being finite.
+    is not a multiple of dt); ``final`` is the state there, transformed back
+    once (``u0`` itself when T = 0).  Aborts with the step index when values
+    stop being finite.
     """
     grid = u0.grid
     for label, mass in (("spatial", spatial_tail_mass(u0)), ("spectral", spectral_tail_mass(u0))):
@@ -168,11 +203,24 @@ def evolve(u0: Field, cfg: SolveConfig) -> Trajectory:
                 f"{TAIL_WARN_THRESHOLD:.0e}; box or resolution may be too small",
                 stacklevel=2,
             )
-    snapshots = [(0.0, u0)]
-    l2 = [_quadrature_l2(u0.values, grid)]
-    tails = [spectral_tail_mass(u0)]
     admissible = sigma_is_admissible(cfg.sigma, grid.d)
+    top = _top_octave(grid)
+    times, l2, tails = [], [], []
 
+    def snapshot(t: float, u_hat: np.ndarray) -> None:
+        with np.errstate(over="ignore"):
+            c2 = _coeff_mass(u_hat, grid)
+        times.append(t)
+        l2.append(math.sqrt(float(np.sum(c2))))
+        tails.append(_mass_fraction(c2, top))
+        if on_snapshot is not None:
+            coeffs = u_hat.view()
+            coeffs.flags.writeable = False
+            on_snapshot(t, coeffs)
+
+    u_hat = np.fft.fftn(u0.values)
+    snapshot(0.0, u_hat)
+    final = u0
     if cfg.T > 0:
         pvals = cfg.symbol.on_grid(grid)
         n_full = int(math.floor(cfg.T / cfg.dt + 1e-9))
@@ -181,29 +229,30 @@ def evolve(u0: Field, cfg: SolveConfig) -> Trajectory:
         if remainder > 1e-12 * cfg.dt:
             steps.append(remainder)
         mask = dealias_mask(grid) if cfg.dealias else None
-        phases = {}  # free half-step multiplier per distinct step length
+        halves = {}  # free half-step multiplier per distinct step length
         for step in set(steps):
-            phase = _propagator(pvals, step / (2.0 * cfg.eps))
-            phases[step] = phase if mask is None else phase * mask
-        vals = u0.values
+            half = _propagator(pvals, step / (2.0 * cfg.eps))
+            halves[step] = half if mask is None else half * mask
+        v = np.empty_like(u_hat)
+        rot = np.empty_like(u_hat)
         for k, step in enumerate(steps):
-            phase = phases[step]
-            vals = np.fft.ifftn(np.fft.fftn(vals) * phase)
-            vals = _phase_kick(vals, cfg.lam, cfg.sigma, step, cfg.eps)
-            vals = np.fft.ifftn(np.fft.fftn(vals) * phase)
-            if not np.all(np.isfinite(vals)):
+            half = halves[step]
+            u_hat *= half
+            np.fft.ifftn(u_hat, out=v)
+            _phase_kick(v, cfg.lam, cfg.sigma, step, cfg.eps, work=rot)
+            np.fft.fftn(v, out=u_hat)
+            u_hat *= half
+            if not np.all(np.isfinite(u_hat)):
                 raise EvolutionError(f"non-finite values at step {k + 1} of {len(steps)}")
             last = k + 1 == len(steps)
             if (k + 1) % cfg.snapshot_every == 0 or last:
-                t = cfg.T if last else (k + 1) * cfg.dt
-                snap = Field(grid, vals)
-                snapshots.append((t, snap))
-                l2.append(_quadrature_l2(vals, grid))
-                tails.append(spectral_tail_mass(snap))
+                snapshot(cfg.T if last else (k + 1) * cfg.dt, u_hat)
+        final = Field(grid, np.fft.ifftn(u_hat))
 
     return Trajectory(
         config=cfg,
-        snapshots=tuple(snapshots),
+        times=np.array(times),
+        final=final,
         l2_norms=np.array(l2),
         tail_masses=np.array(tails),
         sigma_admissible=admissible,

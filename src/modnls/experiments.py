@@ -19,6 +19,7 @@ from .scaling import ScalingPlan
 from .spectral import (
     Field,
     Grid,
+    _coeff_sobolev_norm,
     _lq_norms,
     _propagator,
     make_grid,
@@ -60,8 +61,14 @@ def ode_phase_profile(tau: float, grid: Grid, kappa: float, lam: float,
     if not eps > 0:
         raise ExperimentError(f"eps must be positive, got {eps}")
     a0 = _envelope(grid)
-    phase = -(lam * tau / eps) * kappa ** (2.0 * sigma) * a0 ** (2.0 * sigma)
-    return Field(grid, kappa * a0 * np.exp(1j * phase))
+    return Field(grid, _phase_profile(tau, a0, a0 ** (2.0 * sigma), kappa, lam, sigma, eps))
+
+
+def _phase_profile(tau: float, a0: np.ndarray, a0_2s: np.ndarray, kappa: float,
+                   lam: float, sigma: float, eps: float) -> np.ndarray:
+    """Samples of :func:`ode_phase_profile` from a0 and a0^(2*sigma)."""
+    phase = -(lam * tau / eps) * kappa ** (2.0 * sigma) * a0_2s
+    return kappa * a0 * np.exp(1j * phase)
 
 
 def window_symbol(symbol: Symbol, plan: ScalingPlan, h: float) -> Symbol:
@@ -86,9 +93,15 @@ def _check_strictly_decreasing(values, label: str) -> None:
         raise ExperimentError(f"{label} must be strictly decreasing, got {list(values)}")
 
 
+def _check_not_empty(values, label: str) -> None:
+    if not values:
+        raise ExperimentError(f"{label} must hold at least one value, got {list(values)}")
+
+
 def check_h_list(plan: ScalingPlan, h_list) -> list[float]:
-    """Return h_list as floats; reject it unless strictly decreasing and valid for the plan."""
+    """Return h_list as floats; reject it unless non-empty, strictly decreasing and valid for the plan."""
     h_list = [float(h) for h in h_list]
+    _check_not_empty(h_list, "h_list")
     _check_strictly_decreasing(h_list, "h_list")
     for h in h_list:
         plan.validate_h(h)
@@ -105,19 +118,21 @@ def check_ode_approx_args(plan: ScalingPlan, eps_list, r) -> tuple[list[float], 
             f"for non-integer sigma the regularity must satisfy r <= 2*sigma = {2 * plan.sigma}"
         )
     eps_list = [float(e) for e in eps_list]
+    _check_not_empty(eps_list, "eps_list")
     _check_strictly_decreasing(eps_list, "eps_list")
     for eps in eps_list:
         plan.validate_h(plan.h_for_eps(eps))
     return eps_list, r
 
 
-def _window_run(plan: ScalingPlan, symbol: Symbol, grid: Grid, h: float, eps: float,
-                lam: float, rotation_budget: float, every_step: bool):
-    """Evolve kappa*a0 under the rescaled multiplier up to tau*(eps).
+def _window_run(plan: ScalingPlan, symbol: Symbol, grid: Grid, h: float, kappa: float,
+                eps: float, lam: float, rotation_budget: float, every_step: bool,
+                on_snapshot=None):
+    """Evolve psi0 = kappa*a0 under the rescaled multiplier up to tau*(eps).
 
-    Returns (trajectory, kappa, n_steps, p_max).
+    ``on_snapshot`` is passed on to :func:`evolve`.  Returns
+    (psi0, trajectory, n_steps, p_max).
     """
-    kappa = plan.kappa(h)
     tau_star = plan.tau_star_of_eps(eps)
     sym_h = window_symbol(symbol, plan, h)
     p_max = float(np.abs(sym_h.on_grid(grid)).max())
@@ -126,7 +141,7 @@ def _window_run(plan: ScalingPlan, symbol: Symbol, grid: Grid, h: float, eps: fl
     psi0 = Field(grid, kappa * _envelope(grid))
     cfg = SolveConfig(sym_h, lam, plan.sigma, dt, tau_star, eps,
                       snapshot_every=1 if every_step else n_steps)
-    return evolve(psi0, cfg), kappa, n_steps, p_max
+    return psi0, evolve(psi0, cfg, on_snapshot), n_steps, p_max
 
 
 def run_ode_approx(plan: ScalingPlan, symbol: Symbol, grid: Grid, eps_list,
@@ -136,20 +151,29 @@ def run_ode_approx(plan: ScalingPlan, symbol: Symbol, grid: Grid, eps_list,
 
     The rescaled equation is integrated from kappa*a0 up to
     tau* = eps*log(1/eps)^delta, and E(eps) is the maximum over snapshot
-    times of |psi(tau) - phi(tau)|_{H^r}.  Verdict: E strictly decreasing
-    along the (decreasing) eps sweep, with E(min)/E(max) < 0.5.
+    times (every step) of |psi(tau) - phi(tau)|_{H^r}, reduced while the
+    stepper runs.  Verdict: E strictly decreasing along the (decreasing)
+    eps sweep, with E(min)/E(max) < 0.5.
     """
     eps_list, r = check_ode_approx_args(plan, eps_list, r)
 
+    a0 = _envelope(grid)
+    a0_2s = a0 ** (2.0 * plan.sigma)
     rows = []
     for eps in eps_list:
         h = plan.h_for_eps(eps)
-        traj, kappa, n_steps, p_max = _window_run(plan, symbol, grid, h, eps, lam,
-                                                  rotation_budget, every_step=True)
-        gap = 0.0
-        for tau, snap in traj.snapshots:
-            phi = ode_phase_profile(tau, grid, kappa, lam, plan.sigma, eps)
-            gap = max(gap, sobolev_norm(Field(grid, snap.values - phi.values), r))
+        kappa = plan.kappa(h)
+        gaps = []
+
+        def reduce_gap(tau, coeffs):
+            # one exponential and one FFT of phi per snapshot; the gap is taken on coefficients
+            diff = np.fft.fftn(_phase_profile(tau, a0, a0_2s, kappa, lam, plan.sigma, eps))
+            np.subtract(coeffs, diff, out=diff)
+            gaps.append(_coeff_sobolev_norm(diff, grid, r))
+
+        _, traj, n_steps, p_max = _window_run(plan, symbol, grid, h, kappa, eps, lam,
+                                              rotation_budget, every_step=True,
+                                              on_snapshot=reduce_gap)
         rows.append({
             "eps": eps,
             "h": h,
@@ -157,7 +181,7 @@ def run_ode_approx(plan: ScalingPlan, symbol: Symbol, grid: Grid, eps_list,
             "tau_star": traj.config.T,
             "n_steps": n_steps,
             "p_max": p_max,
-            "E": gap,
+            "E": max(gaps),
             "tail_mass": float(traj.tail_masses[-1]),
         })
 
@@ -197,9 +221,10 @@ def run_norm_inflation(plan: ScalingPlan, symbol: Symbol, grid_policy, h_list,
         if grid.d != plan.d:
             raise ExperimentError(f"grid dimension {grid.d} does not match plan dimension {plan.d}")
         eps = plan.eps(h)
-        traj, kappa, n_steps, _ = _window_run(plan, symbol, grid, h, eps, lam,
-                                              rotation_budget, every_step=False)
-        psi0, psi_end = traj.snapshots[0][1], traj.final
+        kappa = plan.kappa(h)
+        psi0, traj, n_steps, _ = _window_run(plan, symbol, grid, h, kappa, eps, lam,
+                                             rotation_budget, every_step=False)
+        psi_end = traj.final
 
         l2_0 = sobolev_norm(psi0, 0.0)
         hs_0 = sobolev_norm(psi0, plan.s, homogeneous=True)

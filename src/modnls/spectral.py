@@ -156,9 +156,9 @@ def _plancherel_scale(grid: Grid) -> float:
     return math.sqrt(grid.cell / grid.n**grid.d)
 
 
-def _coeff_mass(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Squared moduli of the Plancherel-normalized coefficients of raw samples."""
-    return np.abs(np.fft.fftn(values) * _plancherel_scale(grid)) ** 2
+def _coeff_mass(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
+    """Squared moduli of the Plancherel-normalized coefficients, from raw ``np.fft.fftn`` output."""
+    return np.abs(coeffs * _plancherel_scale(grid)) ** 2
 
 
 def _propagator(pvals: np.ndarray, t) -> np.ndarray:
@@ -173,6 +173,11 @@ def _max_abs(coords) -> np.ndarray:
     for c in coords[1:]:
         out = np.maximum(out, np.abs(c))
     return out
+
+
+def _top_octave(grid: Grid) -> np.ndarray:
+    """Frequencies in the top octave: some component at or above xi_max / 2."""
+    return _max_abs(grid.xi) >= grid.xi_max / 2.0
 
 
 def _mass_fraction(a2: np.ndarray, mask: np.ndarray) -> float:
@@ -244,8 +249,13 @@ def sobolev_norm(f: Field, s: float, homogeneous: bool = False) -> float:
     """
     if not np.isfinite(s):
         raise SpectralError(f"regularity s must be finite, got {s}")
-    c2 = _coeff_mass(f.values, f.grid)
-    grid = f.grid
+    return _coeff_sobolev_norm(np.fft.fftn(f.values), f.grid, s, homogeneous)
+
+
+def _coeff_sobolev_norm(coeffs: np.ndarray, grid: Grid, s: float,
+                        homogeneous: bool = False) -> float:
+    """:func:`sobolev_norm` of the field whose raw ``np.fft.fftn`` output is ``coeffs``."""
+    c2 = _coeff_mass(coeffs, grid)
     if not homogeneous:
         return float(np.sqrt(np.sum((1.0 + grid.xi_sq) ** s * c2)))
     zero = (0,) * grid.d
@@ -309,8 +319,8 @@ def spacetime_norm(snapshots, p: float, q: float) -> float:
 def spectral_tail_mass(f: Field) -> float:
     """Fraction of the squared L2 mass in the top octave of frequencies."""
     with np.errstate(over="ignore"):
-        c2 = _coeff_mass(f.values, f.grid)
-    return _mass_fraction(c2, _max_abs(f.grid.xi) >= f.grid.xi_max / 2.0)
+        c2 = _coeff_mass(np.fft.fftn(f.values), f.grid)
+    return _mass_fraction(c2, _top_octave(f.grid))
 
 
 def spatial_tail_mass(f: Field) -> float:

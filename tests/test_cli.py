@@ -1,5 +1,12 @@
 from __future__ import annotations
 
+import csv
+import dataclasses
+
+import numpy as np
+import pytest
+
+from modnls import Field, SolveConfig, evolve, make_grid, make_symbol, sobolev_norm
 from modnls.cli import EXIT_ERROR, EXIT_FAIL, EXIT_PASS, main
 
 SINGULAR_CFG = """
@@ -24,6 +31,8 @@ sigma = 1
 dt = 0.001
 T = 0
 """
+
+SIMULATE_CFG = SIMULATE_T0_CFG.replace("T = 0", "T = 0.01\nsnapshot_every = 3")
 
 INFLATE_LAM0_CFG = """
 [equation]
@@ -80,6 +89,27 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_PASS
         lines = (out / "report.csv").read_text().strip().splitlines()
         assert len(lines) == 2  # header + the t = 0 snapshot
+
+    def test_simulate_rows_at_every_snapshot(self, tmp_path):
+        cfg = write(tmp_path, "sim.cfg", SIMULATE_CFG)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_PASS
+        with (out / "report.csv").open() as f:
+            rows = list(csv.DictReader(f))
+        times = [float(row["t"]) for row in rows]
+        assert times == pytest.approx([0.0, 0.003, 0.006, 0.009, 0.01], rel=1e-12, abs=0.0)
+        assert all(b > a for a, b in zip(times, times[1:]))
+        assert times[-1] == 0.01
+        summary = (out / "summary.txt").read_text()
+        drift = float(summary.split("fitted.l2_relative_drift = ")[1].split()[0])
+        assert drift <= 1e-10
+        # each row's H^1 norm is that of a run stopped at the row's time
+        grid = make_grid(1, 64, 8.0)
+        u0 = Field(grid, np.exp(-grid.x[0] ** 2))  # gaussian(amplitude=1,width=1)
+        solve = SolveConfig(make_symbol("laplacian"), -1.0, 1.0, dt=0.001, T=0.01)
+        for t, row in zip(times, rows):
+            ref = sobolev_norm(evolve(u0, dataclasses.replace(solve, T=t)).final, 1.0)
+            assert float(row["h1_norm"]) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
 ODE_CFG = """

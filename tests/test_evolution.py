@@ -10,6 +10,7 @@ from modnls import (
     Field,
     PicardDivergenceError,
     SolveConfig,
+    dealias_mask,
     evolve,
     field_from_function,
     free_propagate,
@@ -19,8 +20,41 @@ from modnls import (
     picard_solve,
     sigma_is_admissible,
     sobolev_norm,
+    spectral_tail_mass,
 )
+from modnls.evolution import _phase_kick
 from conftest import random_smooth_field
+
+
+def reference_strang(u0, cfg):
+    """Oracle: the Strang loop in physical space, 4 FFTs per step.
+
+    Each half-step transforms to Fourier space and back, so the state is in
+    physical space at every kick and every snapshot.  Returns the snapshots
+    as a list of (t, samples).
+    """
+    grid = u0.grid
+    pvals = cfg.symbol.on_grid(grid)
+    n_full = int(math.floor(cfg.T / cfg.dt + 1e-9))
+    steps = [cfg.dt] * n_full
+    if cfg.T - n_full * cfg.dt > 1e-12 * cfg.dt:
+        steps.append(cfg.T - n_full * cfg.dt)
+    mask = dealias_mask(grid) if cfg.dealias else 1.0
+    vals = u0.values
+    snaps = [(0.0, vals)]
+    for k, step in enumerate(steps):
+        phase = np.exp(1j * (step / (2.0 * cfg.eps)) * pvals) * mask
+        vals = np.fft.ifftn(np.fft.fftn(vals) * phase)
+        vals = vals * np.exp(-1j * (cfg.lam * step / cfg.eps) * np.abs(vals) ** (2.0 * cfg.sigma))
+        vals = np.fft.ifftn(np.fft.fftn(vals) * phase)
+        last = k + 1 == len(steps)
+        if (k + 1) % cfg.snapshot_every == 0 or last:
+            snaps.append((cfg.T if last else (k + 1) * cfg.dt, vals))
+    return snaps
+
+
+def rel_gap(a, b) -> float:
+    return float(np.abs(a - b).max() / np.abs(b).max())
 
 
 @pytest.fixture
@@ -65,6 +99,20 @@ class TestPhaseStep:
         assert np.abs(twice.values - once.values).max() <= 1e-13 * scale
 
 
+class TestPhaseKick:
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 1.5, 2.0])
+    def test_matches_complex_exponential(self, grid, sigma):
+        # unit peak modulus and a peak rotation of 2 rad
+        f = random_smooth_field(grid, 3).values
+        v = f / np.abs(f).max()
+        c = 0.8 * 1.25 / 0.5
+        ref = v * np.exp(-1j * c * np.abs(v) ** (2.0 * sigma))
+        out = v.copy()
+        _phase_kick(out, 0.8, sigma, 1.25, 0.5, np.empty_like(v))
+        assert np.abs(out - ref).max() <= 1e-14
+        assert np.abs(np.abs(out) - np.abs(v)).max() <= 1e-14
+
+
 class TestStrangStep:
     # one step of evolve (T = dt) is one Strang step: half free, kick, half free
     def test_lambda_zero_equals_free_flow(self, grid, gaussian):
@@ -92,8 +140,8 @@ class TestEvolve:
     def test_T_zero_single_snapshot(self, grid, gaussian):
         cfg = SolveConfig(make_symbol("laplacian"), 1.0, 1.0, dt=0.01, T=0.0)
         traj = evolve(gaussian, cfg)
-        assert len(traj.snapshots) == 1
-        assert traj.snapshots[0][0] == 0.0
+        assert len(traj.times) == 1
+        assert traj.times[0] == 0.0
         assert traj.final is gaussian
 
     def test_lambda_zero_matches_free_propagator(self, grid, gaussian):
@@ -108,7 +156,7 @@ class TestEvolve:
         cfg = SolveConfig(make_symbol("laplacian"), 1.0, 1.0, dt=0.0003, T=0.01, snapshot_every=7)
         traj = evolve(gaussian, cfg)
         assert traj.final_time == 0.01
-        times = [t for t, _ in traj.snapshots]
+        times = list(traj.times)
         assert all(b > a for a, b in zip(times, times[1:]))
 
     def test_l2_conservation(self, grid, gaussian):
@@ -134,6 +182,13 @@ class TestEvolve:
         factor = errs[0] / errs[1]
         assert 3.2 <= factor <= 4.8
 
+    def test_blow_up_aborts_at_first_step(self, grid):
+        # |u|^4 = 1e400 overflows in the first kick
+        big = field_from_function(grid, lambda x: 1e100 * np.exp(-(x**2)))
+        cfg = SolveConfig(make_symbol("laplacian"), 1.0, 2.0, dt=0.01, T=0.1)
+        with pytest.raises(EvolutionError, match="non-finite values at step 1 of 10"):
+            evolve(big, cfg)
+
     def test_aborts_on_non_finite_with_step_index(self, grid):
         huge = Field(grid, np.full(grid.shape, 1e200 + 0j))
         cfg = SolveConfig(make_symbol("laplacian"), 1.0, 2.0, dt=0.01, T=0.1)
@@ -155,6 +210,44 @@ class TestEvolve:
             SolveConfig(sym, 1.0, -1.0, dt=0.1, T=1.0)
         with pytest.raises(EvolutionError):
             SolveConfig(sym, 1.0, 1.0, dt=0.1, T=1.0, eps=1.5)
+
+
+class TestFourierResidentStepper:
+    @pytest.mark.parametrize("snapshot_every", [1, 7])
+    @pytest.mark.parametrize("dealias", [False, True])
+    @pytest.mark.parametrize("sigma", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_four_fft_reference(self, d, sigma, dealias, snapshot_every):
+        grid = make_grid(d, 128 if d == 1 else 64, 6.0)
+        u0 = Field(grid, 0.8 * np.exp(-sum(c * c for c in grid.x)) * np.exp(1j * grid.x[0]))
+        # 23 whole steps and a shortened last one
+        cfg = SolveConfig(make_symbol("fourth_order"), -1.0, sigma, dt=0.004, T=0.093,
+                          eps=0.7, snapshot_every=snapshot_every, dealias=dealias)
+        seen = []
+        traj = evolve(u0, cfg, lambda t, coeffs: seen.append((t, coeffs.copy())))
+        ref = reference_strang(u0, cfg)
+        assert [t for t, _ in seen] == [t for t, _ in ref] == list(traj.times)
+        assert traj.final_time == 0.093
+        for (_, coeffs), (_, vals) in zip(seen, ref):
+            assert rel_gap(coeffs, np.fft.fftn(vals)) <= 1e-12
+        assert rel_gap(traj.final.values, ref[-1][1]) <= 1e-12
+        ref_l2 = [math.sqrt(float(np.sum(np.abs(vals) ** 2)) * grid.cell) for _, vals in ref]
+        assert np.allclose(traj.l2_norms, ref_l2, rtol=1e-12, atol=0.0)
+
+    def test_reducer_sees_read_only_coefficients(self, grid, gaussian):
+        cfg = SolveConfig(make_symbol("laplacian"), 1.0, 1.0, dt=0.01, T=0.05, snapshot_every=2)
+        flags = []
+        traj = evolve(gaussian, cfg, lambda t, coeffs: flags.append(coeffs.flags.writeable))
+        assert flags == [False] * len(traj.times) and len(flags) == 4
+
+    def test_diagnostics_read_from_coefficients(self, grid, gaussian):
+        cfg = SolveConfig(make_symbol("laplacian"), -1.0, 1.0, dt=0.01, T=0.05, snapshot_every=5)
+        seen = []
+        traj = evolve(gaussian, cfg, lambda t, coeffs: seen.append(Field(grid, np.fft.ifftn(coeffs))))
+        tails = [spectral_tail_mass(f) for f in seen]
+        l2s = [sobolev_norm(f, 0.0) for f in seen]
+        assert np.allclose(traj.tail_masses, tails, rtol=1e-10, atol=1e-30)
+        assert np.allclose(traj.l2_norms, l2s, rtol=1e-13, atol=0.0)
 
 
 class TestDealias:

@@ -10,9 +10,11 @@ from modnls import (
     ExperimentError,
     Field,
     ScalingError,
+    SolveConfig,
     check_admissible_pair,
     check_N_list,
     compute_scaling,
+    evolve,
     free_propagate,
     make_grid,
     make_symbol,
@@ -23,6 +25,7 @@ from modnls import (
     sobolev_norm,
     spacetime_norm,
     strichartz_probe_data,
+    window_symbol,
 )
 from modnls import experiments
 
@@ -129,6 +132,34 @@ class TestRunOdeApprox:
             run_ode_approx(bounded_plan, make_symbol("arctan_step", h=1.0), grid,
                            [0.1, 0.05, -1.0], r=1)
 
+    def test_empty_eps_list_rejected_before_any_evolution(self, bounded_plan, grid, monkeypatch):
+        def no_evolve(*args, **kwargs):
+            raise AssertionError("evolve ran on an empty sweep")
+
+        monkeypatch.setattr(experiments, "evolve", no_evolve)
+        with pytest.raises(ExperimentError, match="eps_list must hold at least one value"):
+            run_ode_approx(bounded_plan, make_symbol("arctan_step", h=1.0), grid, [], r=1)
+
+    def test_gap_streamed_from_every_step(self, bounded_plan, grid):
+        # E is the max over every step's H^r gap, recomputed here from a stored run
+        eps, lam, r = 0.1, 1.0, 1
+        sym = make_symbol("arctan_step", h=1.0)
+        rep = run_ode_approx(bounded_plan, sym, grid, [eps], r=r, lam=lam)
+        row = rep.rows[0]
+        n_steps, tau_star = row["n_steps"], row["tau_star"]
+        cfg = SolveConfig(window_symbol(sym, bounded_plan, row["h"]), lam, bounded_plan.sigma,
+                          tau_star / n_steps, tau_star, eps)
+        psi0 = ode_phase_profile(0.0, grid, row["kappa"], lam, bounded_plan.sigma, eps)
+        stored = []
+        evolve(psi0, cfg, lambda t, c: stored.append((t, np.fft.ifftn(c))))
+        assert len(stored) == n_steps + 1
+        expected = max(
+            sobolev_norm(Field(grid, vals - ode_phase_profile(t, grid, row["kappa"], lam,
+                                                              bounded_plan.sigma, eps).values), r)
+            for t, vals in stored
+        )
+        assert row["E"] == pytest.approx(expected, rel=1e-12)
+
 
 class TestRunNormInflation:
     def test_lambda_zero_control_fails_with_unit_ratios(self, bounded_plan, grid):
@@ -179,6 +210,14 @@ class TestRunNormInflation:
         hs = [math.exp(-2), math.exp(-3)]
         run_norm_inflation(bounded_plan, make_symbol("arctan_step", h=1.0), policy, hs)
         assert policy_calls == hs
+
+    def test_empty_h_list_rejected_before_any_evolution(self, bounded_plan, grid, monkeypatch):
+        def no_evolve(*args, **kwargs):
+            raise AssertionError("evolve ran on an empty sweep")
+
+        monkeypatch.setattr(experiments, "evolve", no_evolve)
+        with pytest.raises(ExperimentError, match="h_list must hold at least one value"):
+            run_norm_inflation(bounded_plan, make_symbol("arctan_step", h=1.0), grid, [])
 
     def test_rejects_h_above_cap(self, bounded_plan, grid):
         with pytest.raises(Exception, match="e\\^-1"):
