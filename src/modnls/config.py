@@ -272,7 +272,7 @@ def _validate_strichartz(params: dict) -> None:
 
 def _validate_singular(params: dict) -> None:
     singular_alpha(params["sigma"])
-    check_probe_args(params["t"], params["rho_list"], params["quad_tol"])
+    check_probe_args(params["t"], params["rho_list"], params["quad_tol"], params["amplitude"])
 
 
 _VALIDATORS = {

@@ -266,6 +266,9 @@ class PicardReport:
     ratios: tuple
     n_time: int
     mesh_refinements: tuple  # (intervals, final-field L2 change) per refinement
+    # the last refinement moved the final field by less than tol/10; False
+    # when it did not, or when no refinement fit under max_time_intervals
+    quadrature_met: bool
 
 
 def picard_solve(
@@ -282,13 +285,14 @@ def picard_solve(
     Iterates from u^(0) = S(.)u0 until the sup-in-time H^s distance between
     successive iterates drops below tol.  The time mesh starts at ``n_time``
     uniform intervals on [0, T] and doubles until the quadrature moves the
-    final field by less than tol/10.  Raises :class:`PicardDivergenceError`
+    final field by less than tol/10; ``report.quadrature_met`` says whether
+    that happened within ``max_time_intervals``.  Raises :class:`PicardDivergenceError`
     (with the contraction-ratio history) when the iteration fails to
     contract within max_iter sweeps.
     """
     grid = u0.grid
     if cfg.T <= 0:
-        return u0, PicardReport(True, (), (), 0, ())
+        return u0, PicardReport(True, (), (), 0, (), quadrature_met=True)
     pvals = cfg.symbol.on_grid(grid)
     axes = tuple(range(1, grid.d + 1))
     scale = _plancherel_scale(grid)
@@ -331,13 +335,13 @@ def picard_solve(
         final_vals, distances = finer_vals, finer_dists
         if change < tol / 10.0:
             break
-    else:
-        if refinements and refinements[-1][1] >= tol / 10.0:
-            warnings.warn(
-                f"Duhamel quadrature still moving the answer by {refinements[-1][1]:.3e} "
-                f"at {intervals} time intervals",
-                stacklevel=2,
-            )
+    quadrature_met = bool(refinements) and refinements[-1][1] < tol / 10.0
+    if refinements and not quadrature_met:
+        warnings.warn(
+            f"Duhamel quadrature still moving the answer by {refinements[-1][1]:.3e} "
+            f"at {intervals} time intervals",
+            stacklevel=2,
+        )
 
     report = PicardReport(
         converged=True,
@@ -345,5 +349,6 @@ def picard_solve(
         ratios=tuple(_ratios(distances)),
         n_time=intervals,
         mesh_refinements=tuple(refinements),
+        quadrature_met=quadrature_met,
     )
     return Field(grid, final_vals), report

@@ -3,10 +3,12 @@
 The data u0(x) = delta * log(1/|x|)^alpha * chi(|x|^2), with alpha =
 1/(4*sigma + 2), lies in H^1(R^2), but the phase-ODE flow
 v(t) = u0 * exp(-i*lambda*t*|u0|^(2*sigma)) leaves H^1 instantly: the
-gradient picks up the factor 1 + 4*sigma^2*lambda^2*t^2*u0^(4*sigma),
+gradient picks up the factor 1 + 4*sigma^2*lambda^2*t^2*|u0|^(4*sigma),
 whose radial H^1 integrand decays only like 1/(r^2 * log(1/r)) near the
-origin.  No grid can resolve that, so everything here is an exact radial
-integrand fed to adaptive quadrature in u = log(1/r) coordinates.
+origin.  No grid can resolve that, so the probe integrates the exact radial
+integrands: in closed form in u = log(1/r) on the chi plateau r <= 1/2, by
+adaptive quadrature only on the chi transition 1/2 < r < 3/4; beyond
+r = 3/4 both vanish.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ __all__ = [
 # with a smooth exp(-1/t) transition in between
 CHI_INNER = 0.25
 CHI_OUTER = 0.5625
+# the same edges as radii: chi(r^2) == 1 for r <= 1/2 and u0 == 0 for r >= 3/4
+R_PLATEAU = 0.5
+R_CUT = 0.75
 
 
 class SingularProbeError(ValueError):
@@ -43,43 +48,35 @@ def singular_alpha(sigma: float) -> float:
     return 1.0 / (4.0 * sigma + 2.0)
 
 
-def _bump(t):
-    t = np.asarray(t, dtype=np.float64)
-    out = np.zeros_like(t)
-    pos = t > 0
-    out[pos] = np.exp(-1.0 / t[pos])
-    return out
+def _chi_pair(z):
+    """(chi(z), chi'(z)) from one evaluation of the bump f(t) = exp(-1/t).
 
-
-def _bump_prime(t):
-    t = np.asarray(t, dtype=np.float64)
-    out = np.zeros_like(t)
-    pos = t > 0
-    out[pos] = np.exp(-1.0 / t[pos]) / t[pos] ** 2
-    return out
+    chi = f(1-t) / (f(t) + f(1-t)) with t = (z - 1/4) / (9/16 - 1/4), and
+    f'(s) = f(s) / s^2 gives the derivative without a second pass.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    t = (z - CHI_INNER) / (CHI_OUTER - CHI_INNER)
+    c = np.where(t <= 0, 1.0, np.where(t >= 1, 0.0, np.nan))
+    cp = np.zeros_like(t)
+    mid = (t > 0) & (t < 1)
+    if np.any(mid):
+        tm = t[mid]
+        sm = 1.0 - tm
+        f_t, f_1t = np.exp(-1.0 / tm), np.exp(-1.0 / sm)
+        total = f_t + f_1t
+        c[mid] = f_1t / total
+        cp[mid] = -(f_1t / sm**2 * f_t + f_t / tm**2 * f_1t) / total**2
+    return c, cp / (CHI_OUTER - CHI_INNER)
 
 
 def chi(z):
     """Smooth cutoff: 1 on [0, 1/4], 0 outside [0, 9/16]."""
-    z = np.asarray(z, dtype=np.float64)
-    t = (z - CHI_INNER) / (CHI_OUTER - CHI_INNER)
-    f_t, f_1t = _bump(t), _bump(1.0 - t)
-    with np.errstate(invalid="ignore"):
-        out = np.where(t <= 0, 1.0, np.where(t >= 1, 0.0, f_1t / (f_t + f_1t)))
-    return out
+    return _chi_pair(z)[0]
 
 
 def chi_prime(z):
     """Derivative of :func:`chi` with respect to z."""
-    z = np.asarray(z, dtype=np.float64)
-    t = (z - CHI_INNER) / (CHI_OUTER - CHI_INNER)
-    f_t, f_1t = _bump(t), _bump(1.0 - t)
-    fp_t, fp_1t = _bump_prime(t), _bump_prime(1.0 - t)
-    denom = (f_t + f_1t) ** 2
-    with np.errstate(invalid="ignore", divide="ignore"):
-        core = -(fp_1t * f_t + fp_t * f_1t) / np.where(denom > 0, denom, 1.0)
-    out = np.where((t <= 0) | (t >= 1), 0.0, core)
-    return out / (CHI_OUTER - CHI_INNER)
+    return _chi_pair(z)[1]
 
 
 def log_singular_profile(delta_amp: float, sigma: float, r_values):
@@ -91,8 +88,8 @@ def log_singular_profile(delta_amp: float, sigma: float, r_values):
     """
     alpha = singular_alpha(sigma)
     r = np.atleast_1d(np.asarray(r_values, dtype=np.float64))
-    if np.any(r <= 0) or np.any(r >= 1):
-        raise SingularProbeError("radii must lie strictly inside (0, 1)")
+    if not np.all((r > 0) & (r < 1)):
+        raise SingularProbeError(f"radii must be finite and lie strictly inside (0, 1), got {r}")
     u0 = np.zeros_like(r)
     du0 = np.zeros_like(r)
     live = r * r < CHI_OUTER
@@ -100,7 +97,7 @@ def log_singular_profile(delta_amp: float, sigma: float, r_values):
         rl = r[live]
         logs = np.log(1.0 / rl)
         z = rl * rl
-        c, cp = chi(z), chi_prime(z)
+        c, cp = _chi_pair(z)
         u0[live] = delta_amp * logs**alpha * c
         du0[live] = delta_amp * (
             -alpha * logs ** (alpha - 1.0) / rl * c + logs**alpha * cp * 2.0 * rl
@@ -127,12 +124,16 @@ def _segment_integral(fn, r_lo: float, r_hi: float, rel_tol: float) -> float:
     return value
 
 
-def check_probe_args(t: float, rho_list, quad_tol: float) -> list[float]:
-    """Return rho_list as floats; reject t < 0, a bad rho sweep, or quad_tol <= 0."""
+def check_probe_args(t: float, rho_list, quad_tol: float,
+                     delta_amp: float = 1.0) -> list[float]:
+    """Return rho_list as floats; reject t < 0, a bad rho sweep, quad_tol <= 0,
+    or a zero or non-finite amplitude."""
     if not t >= 0:
         raise SingularProbeError(f"time must be >= 0, got {t}")
+    if not (math.isfinite(delta_amp) and delta_amp != 0):
+        raise SingularProbeError(f"amplitude must be finite and nonzero, got {delta_amp}")
     rho_list = [float(rho) for rho in rho_list]
-    if len(rho_list) < 2 or any(b >= a for a, b in zip(rho_list, rho_list[1:])):
+    if len(rho_list) < 2 or not all(b < a for a, b in zip(rho_list, rho_list[1:])):
         raise SingularProbeError(
             f"rho_list must be strictly decreasing with >= 2 entries, got {rho_list}"
         )
@@ -149,14 +150,22 @@ def run_singular_probe(sigma: float, lam: float, t: float, rho_list,
     """Compare the radial H^1 mass of the data and of the evolved field.
 
     Per rho: I0(rho) = 2*pi * int_rho^1 |d(u0)/dr|^2 r dr and Iv(rho) the
-    same integral for v(t).  Verdict: I0 Cauchy-converges (last increment
-    below 1% of the total) while the Iv increments stay positive with
-    consecutive ratios in [0.5, 1.0] (harmonic-type decay, never geometric).
+    same integral for v(t).  Every segment is split at r = 1/2: below it the
+    increments are exact, on the chi transition up to r = 3/4 they come from
+    adaptive quadrature to ``quad_tol``, and beyond 3/4 the integrands
+    vanish.  ``fitted.iv_loglog_rate`` is the plateau law's rate:
+    Iv_inc - I0_inc = rate * log(u_j / u_(j-1)) with u = log(1/rho).
+    Verdict: I0 Cauchy-converges (last increment below 1% of the total)
+    while the Iv increments stay positive with consecutive ratios in
+    [0.5, 1.0] (harmonic-type decay, never geometric).
     """
     alpha = singular_alpha(sigma)
-    rho_list = check_probe_args(t, rho_list, quad_tol)
+    rho_list = check_probe_args(t, rho_list, quad_tol, delta_amp)
 
     factor = 4.0 * sigma**2 * lam**2 * t**2
+    c0 = 2.0 * math.pi * delta_amp**2 * alpha**2
+    rate = c0 * factor * abs(delta_amp) ** (4.0 * sigma)
+    e = 2.0 * alpha - 1.0
 
     def base_integrand(r):
         _, du0 = log_singular_profile(delta_amp, sigma, r)
@@ -164,15 +173,25 @@ def run_singular_probe(sigma: float, lam: float, t: float, rho_list,
 
     def evolved_integrand(r):
         u0, du0 = log_singular_profile(delta_amp, sigma, r)
-        return 2.0 * math.pi * du0**2 * r * (1.0 + factor * u0 ** (4.0 * sigma))
+        return 2.0 * math.pi * du0**2 * r * (1.0 + factor * np.abs(u0) ** (4.0 * sigma))
 
-    # top segment split at the chi plateau edges; the integrand vanishes
-    # identically beyond r = 3/4
-    top_breaks = [rho_list[0], 0.5, math.sqrt(CHI_OUTER)]
-    i0 = sum(_segment_integral(base_integrand, a, b, quad_tol)
-             for a, b in zip(top_breaks, top_breaks[1:]))
-    iv = sum(_segment_integral(evolved_integrand, a, b, quad_tol)
-             for a, b in zip(top_breaks, top_breaks[1:]))
+    def shell(r_lo, r_hi):
+        # (I0, Iv) over [r_lo, r_hi].  Below r = 1/2, u0 = delta * u^alpha in
+        # u = log(1/r): the data's integrand is c0 * u^(2*alpha - 2) du, and
+        # 4*sigma*alpha = 1 - 2*alpha makes the evolved excess exactly rate / u.
+        # The chi transition goes to quadrature; beyond r = 3/4 u0 vanishes.
+        i0 = iv = 0.0
+        if r_lo < R_PLATEAU:
+            u_lo, u_hi = math.log(1.0 / min(r_hi, R_PLATEAU)), math.log(1.0 / r_lo)
+            i0 = c0 * (u_hi**e - u_lo**e) / e
+            iv = i0 + rate * math.log(u_hi / u_lo)
+        lo, hi = max(r_lo, R_PLATEAU), min(r_hi, R_CUT)
+        if lo < hi:
+            i0 += _segment_integral(base_integrand, lo, hi, quad_tol)
+            iv += _segment_integral(evolved_integrand, lo, hi, quad_tol)
+        return i0, iv
+
+    i0, iv = shell(rho_list[0], R_CUT)
 
     rows = []
     i0_values, iv_values = [i0], [iv]
@@ -185,8 +204,7 @@ def run_singular_probe(sigma: float, lam: float, t: float, rho_list,
         "Iv_increment_ratio": math.nan,
     })
     for j in range(1, len(rho_list)):
-        inc0 = _segment_integral(base_integrand, rho_list[j], rho_list[j - 1], quad_tol)
-        incv = _segment_integral(evolved_integrand, rho_list[j], rho_list[j - 1], quad_tol)
+        inc0, incv = shell(rho_list[j], rho_list[j - 1])
         i0 += inc0
         iv += incv
         i0_values.append(i0)
@@ -219,6 +237,7 @@ def run_singular_probe(sigma: float, lam: float, t: float, rho_list,
         "i0_scaled_increment_min_over_max": min(scaled0) / max(scaled0),
         "iv_scaled_increment_min_over_max": min(scaledv) / max(scaledv),
         "alpha": alpha,
+        "iv_loglog_rate": rate,
     }
     verdict = i0_converged and iv_diverging
     return ExperimentReport("singular", rows, fitted, verdict,

@@ -170,6 +170,12 @@ DRIVER_CHECK_CASES = [
      lambda: check_probe_args(1.0, [1e-4, 1e-3], 1e-9)),
     ("rho above 1", "singular", "[singular]\nsigma = 1\nt = 1\nrho_list = 2, 1e-3\n",
      lambda: check_probe_args(1.0, [2.0, 1e-3], 1e-9)),
+    ("amplitude zero", "singular",
+     "[singular]\nsigma = 1\nt = 1\nrho_list = 1e-3, 1e-4\namplitude = 0\n",
+     lambda: check_probe_args(1.0, [1e-3, 1e-4], 1e-9, 0.0)),
+    ("amplitude not finite", "singular",
+     "[singular]\nsigma = 1\nt = 1\nrho_list = 1e-3, 1e-4\namplitude = inf\n",
+     lambda: check_probe_args(1.0, [1e-3, 1e-4], 1e-9, math.inf)),
 ]
 
 

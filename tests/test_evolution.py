@@ -322,6 +322,25 @@ class TestPicard:
         assert len(err.value.distances) == 12
         assert len(err.value.ratios) == 11
 
+    def test_quadrature_met_once_the_mesh_settles(self, grid, gaussian):
+        cfg = SolveConfig(make_symbol("laplacian"), 1.0, 1.0, dt=1e-3, T=0.1)
+        _, report = picard_solve(gaussian, cfg, tol=1e-8)
+        assert report.mesh_refinements[-1][1] < 1e-9
+        assert report.converged and report.quadrature_met
+
+    def test_quadrature_not_met_while_the_mesh_still_moves(self, grid, gaussian):
+        cfg = SolveConfig(make_symbol("laplacian"), 1.0, 1.0, dt=1e-3, T=0.1)
+        with pytest.warns(UserWarning, match="still moving"):
+            _, report = picard_solve(gaussian, cfg, tol=1e-12, n_time=16, max_time_intervals=32)
+        assert report.mesh_refinements[-1][1] >= 1e-13
+        assert report.converged and not report.quadrature_met
+
+    def test_quadrature_not_met_without_a_refinement(self, grid, gaussian):
+        cfg = SolveConfig(make_symbol("laplacian"), 1.0, 1.0, dt=1e-3, T=0.1)
+        _, report = picard_solve(gaussian, cfg, tol=1e-8, n_time=64, max_time_intervals=64)
+        assert report.mesh_refinements == ()
+        assert report.converged and not report.quadrature_met
+
     def test_T_zero_returns_data(self, grid, gaussian):
         cfg = SolveConfig(make_symbol("laplacian"), 1.0, 1.0, dt=0.01, T=0.0)
         out, report = picard_solve(gaussian, cfg)

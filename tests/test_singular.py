@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
 from modnls import (
     SingularProbeError,
@@ -11,10 +13,82 @@ from modnls import (
     run_singular_probe,
     singular_alpha,
 )
-from modnls.singular import chi, chi_prime
+from modnls.singular import _chi_pair, chi, chi_prime
 
 
 RHOS = [10.0 ** (-k) for k in range(3, 9)]
+# crosses both chi edges, r = 3/4 and r = 1/2, before reaching the plateau
+STRADDLE = [0.8, 0.7, 0.6, 0.3, 1e-3, 1e-6]
+
+
+def _old_bump(t):
+    t = np.asarray(t, dtype=np.float64)
+    out = np.zeros_like(t)
+    pos = t > 0
+    out[pos] = np.exp(-1.0 / t[pos])
+    return out
+
+
+def _old_bump_prime(t):
+    t = np.asarray(t, dtype=np.float64)
+    out = np.zeros_like(t)
+    pos = t > 0
+    out[pos] = np.exp(-1.0 / t[pos]) / t[pos] ** 2
+    return out
+
+
+def old_chi(z):
+    """Oracle: the cutoff from four separate bump passes."""
+    t = (np.asarray(z, dtype=np.float64) - 0.25) / (0.5625 - 0.25)
+    f_t, f_1t = _old_bump(t), _old_bump(1.0 - t)
+    with np.errstate(invalid="ignore"):
+        return np.where(t <= 0, 1.0, np.where(t >= 1, 0.0, f_1t / (f_t + f_1t)))
+
+
+def old_chi_prime(z):
+    """Oracle: chi' from separate bump and bump-derivative passes."""
+    t = (np.asarray(z, dtype=np.float64) - 0.25) / (0.5625 - 0.25)
+    f_t, f_1t = _old_bump(t), _old_bump(1.0 - t)
+    fp_t, fp_1t = _old_bump_prime(t), _old_bump_prime(1.0 - t)
+    denom = (f_t + f_1t) ** 2
+    with np.errstate(invalid="ignore", divide="ignore"):
+        core = -(fp_1t * f_t + fp_t * f_1t) / np.where(denom > 0, denom, 1.0)
+    return np.where((t <= 0) | (t >= 1), 0.0, core) / (0.5625 - 0.25)
+
+
+def quad_probe_rows(sigma, lam, t, rho_list, quad_tol=1e-9, delta_amp=1.0):
+    """Oracle: the all-quadrature probe, one adaptive quad per segment.
+
+    Every segment is integrated in u = log(1/r) on the exact profile, with no
+    closed form.  The top row covers [rho_0, 3/4], split at 1/2 when
+    rho_0 < 1/2; each increment is one quad over [rho_j, rho_(j-1)], so a
+    segment straddling 1/2 or 3/4 is not split.
+    """
+    factor = 4.0 * sigma**2 * lam**2 * t**2
+
+    def integral(evolved, r_lo, r_hi):
+        def integrand(u):
+            r = math.exp(-u)
+            u0, du0 = log_singular_profile(delta_amp, sigma, np.array([r]))
+            dens = 2.0 * math.pi * du0[0] ** 2 * r
+            if evolved:
+                dens *= 1.0 + factor * abs(u0[0]) ** (4.0 * sigma)
+            return dens * r
+
+        value, _ = quad(integrand, math.log(1.0 / r_hi), math.log(1.0 / r_lo),
+                        epsabs=0.0, epsrel=quad_tol, limit=200)
+        return value
+
+    top = sorted({rho_list[0], min(max(rho_list[0], 0.5), 0.75), 0.75})
+    i0 = sum(integral(False, a, b) for a, b in zip(top, top[1:]))
+    iv = sum(integral(True, a, b) for a, b in zip(top, top[1:]))
+    rows = [{"I0": i0, "Iv": iv, "I0_increment": math.nan, "Iv_increment": math.nan}]
+    for lo, hi in zip(rho_list[1:], rho_list):
+        inc0, incv = integral(False, lo, hi), integral(True, lo, hi)
+        i0 += inc0
+        iv += incv
+        rows.append({"I0": i0, "Iv": iv, "I0_increment": inc0, "Iv_increment": incv})
+    return rows
 
 
 class TestProfile:
@@ -44,6 +118,9 @@ class TestProfile:
             log_singular_profile(1.0, 1.0, [0.0])
         with pytest.raises(SingularProbeError):
             log_singular_profile(1.0, 1.0, [1.5])
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(SingularProbeError, match="finite"):
+                log_singular_profile(1.0, 1.0, [0.3, bad])
 
     def test_chi_plateaus(self):
         z = np.array([0.0, 0.2, 0.25])
@@ -58,6 +135,22 @@ class TestProfile:
         step = 1e-7
         numeric = (chi(z + step) - chi(z - step)) / (2 * step)
         assert np.abs(chi_prime(z) - numeric).max() <= 1e-5
+
+    def test_chi_pair_matches_separate_bump_passes(self):
+        z = np.linspace(0.0, 1.0, 2001)
+        c, cp = _chi_pair(z)
+        np.testing.assert_allclose(c, old_chi(z), rtol=1e-14, atol=0.0)
+        np.testing.assert_allclose(cp, old_chi_prime(z), rtol=1e-14, atol=0.0)
+        np.testing.assert_array_equal(chi(z), c)
+        np.testing.assert_array_equal(chi_prime(z), cp)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-1.0, 2.0), st.floats(-1.0, 2.0))
+    def test_chi_is_a_nonincreasing_unit_cutoff(self, za, zb):
+        lo, hi = min(za, zb), max(za, zb)
+        (c_lo, c_hi), (cp_lo, cp_hi) = _chi_pair(np.array([lo, hi]))
+        assert 0.0 <= c_hi <= c_lo <= 1.0
+        assert cp_lo <= 0.0 and cp_hi <= 0.0
 
     def test_derivative_matches_finite_difference_in_transition(self):
         r = np.linspace(0.55, 0.7, 11)
@@ -102,6 +195,60 @@ class TestProbe:
         a = run_singular_probe(1.0, 1.0, 1.0, RHOS)
         b = run_singular_probe(1.0, 1.0, 1.0, RHOS)
         assert a.to_csv() == b.to_csv()
+
+    @pytest.mark.parametrize("rhos", [RHOS, STRADDLE], ids=["plateau", "straddle"])
+    @pytest.mark.parametrize("sigma,lam,t,amp", [
+        (0.5, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, 1.0), (2.0, 1.0, 1.0, 1.0),
+        (0.5, 1.7, 0.6, 2.3), (1.0, 0.3, 2.5, 0.4), (2.0, 2.0, 0.35, 1.6),
+    ])
+    def test_matches_all_quadrature_oracle(self, sigma, lam, t, amp, rhos):
+        rep = run_singular_probe(sigma, lam, t, rhos, delta_amp=amp)
+        oracle = quad_probe_rows(sigma, lam, t, rhos, delta_amp=amp)
+        for row, want in zip(rep.rows, oracle, strict=True):
+            for key, value in want.items():
+                if math.isnan(value):
+                    assert math.isnan(row[key])
+                else:
+                    assert abs(row[key] - value) <= 1e-12 * abs(value), (row["rho"], key)
+
+    def test_rows_beyond_the_cutoff_are_exactly_zero(self):
+        rep = run_singular_probe(1.0, 1.0, 1.0, STRADDLE)
+        assert rep.rows[0]["I0"] == 0.0 and rep.rows[0]["Iv"] == 0.0
+        assert rep.rows[1]["I0"] > 0.0
+
+    @pytest.mark.parametrize("sigma,lam,t,amp", [(0.5, 1.0, 1.0, 1.0), (2.0, 1.7, 0.6, 2.3)])
+    def test_plateau_increments_follow_the_loglog_law(self, sigma, lam, t, amp):
+        rhos = [0.5, 0.3] + [10.0 ** (-k) for k in range(2, 13)]
+        rep = run_singular_probe(sigma, lam, t, rhos, delta_amp=amp)
+        alpha = singular_alpha(sigma)
+        rate = 2 * math.pi * amp**2 * alpha**2 * 4 * sigma**2 * lam**2 * t**2 * amp ** (4 * sigma)
+        assert rep.fitted["iv_loglog_rate"] == pytest.approx(rate, rel=1e-14)
+        for prev, row in zip(rep.rows, rep.rows[1:]):
+            loglog = math.log(math.log(1.0 / row["rho"]) / math.log(1.0 / prev["rho"]))
+            excess = row["Iv_increment"] - row["I0_increment"]
+            assert excess == pytest.approx(rep.fitted["iv_loglog_rate"] * loglog, rel=1e-12)
+
+    def test_summary_prints_the_law(self):
+        rep = run_singular_probe(1.0, 1.0, 1.0, RHOS)
+        assert "fitted.iv_loglog_rate = " in rep.summary_text()
+        assert rep.columns == ["rho", "I0", "Iv", "I0_increment", "Iv_increment",
+                               "Iv_increment_ratio"]
+
+    @pytest.mark.parametrize("sigma", [0.3, 1.0])
+    def test_negative_amplitude_mirrors_positive(self, sigma):
+        # the flow sees |u0|^(4 sigma), so the sign of delta changes nothing
+        pos = run_singular_probe(sigma, 1.0, 1.0, STRADDLE, delta_amp=1.0)
+        neg = run_singular_probe(sigma, 1.0, 1.0, STRADDLE, delta_amp=-1.0)
+        assert neg.to_csv() == pos.to_csv()
+
+    @pytest.mark.parametrize("amp", [0.0, math.nan, math.inf, -math.inf])
+    def test_rejects_zero_or_non_finite_amplitude(self, amp, monkeypatch):
+        def no_compute(*args, **kwargs):
+            raise AssertionError("quadrature ran before the amplitude check")
+
+        monkeypatch.setattr("modnls.singular.quad", no_compute)
+        with pytest.raises(SingularProbeError, match="amplitude must be finite and nonzero"):
+            run_singular_probe(1.0, 1.0, 1.0, RHOS, delta_amp=amp)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(SingularProbeError):
