@@ -127,18 +127,29 @@ def _segment_integral(fn, r_lo: float, r_hi: float, rel_tol: float) -> float:
 def check_probe_args(t: float, rho_list, quad_tol: float,
                      delta_amp: float = 1.0) -> list[float]:
     """Return rho_list as floats; reject t < 0, a bad rho sweep, quad_tol <= 0,
-    or a zero or non-finite amplitude."""
+    or a zero or non-finite amplitude.
+
+    The fitted ratios divide each increment by the one before it, so the
+    sweep needs three radii, and the first increment, over
+    [rho_list[1], rho_list[0]], must not vanish: rho_list[1] must lie below
+    R_CUT, where u0 ends.
+    """
     if not t >= 0:
         raise SingularProbeError(f"time must be >= 0, got {t}")
     if not (math.isfinite(delta_amp) and delta_amp != 0):
         raise SingularProbeError(f"amplitude must be finite and nonzero, got {delta_amp}")
     rho_list = [float(rho) for rho in rho_list]
-    if len(rho_list) < 2 or not all(b < a for a, b in zip(rho_list, rho_list[1:])):
+    if len(rho_list) < 3 or not all(b < a for a, b in zip(rho_list, rho_list[1:])):
         raise SingularProbeError(
-            f"rho_list must be strictly decreasing with >= 2 entries, got {rho_list}"
+            f"rho_list must be strictly decreasing with >= 3 entries, got {rho_list}"
         )
     if rho_list[0] >= 1.0 or rho_list[-1] <= 0.0:
         raise SingularProbeError(f"rho values must lie in (0, 1), got {rho_list}")
+    if rho_list[1] >= R_CUT:
+        raise SingularProbeError(
+            f"rho_list[1] must lie below the cutoff radius {R_CUT}, where the data "
+            f"vanish, got {rho_list}"
+        )
     if not quad_tol > 0:
         raise SingularProbeError(f"quadrature tolerance must be positive, got {quad_tol}")
     return rho_list

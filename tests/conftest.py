@@ -2,8 +2,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from modnls import Field, Grid, SpectralField, inverse_transform, make_grid
+
+# the same examples on every run, independent of the .hypothesis/ database
+# and of how long an example takes on a loaded machine
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 def random_smooth_field(grid: Grid, seed: int, decay: float = 4.0) -> Field:

@@ -166,10 +166,16 @@ DRIVER_CHECK_CASES = [
      lambda: check_ode_approx_args(_PLAN, [0.1, 0.05, -1.0], 1)),
     ("r below d/2", "ode-approx", _swap(ODE_OK, "r = 1", "r = 0"),
      lambda: check_ode_approx_args(_PLAN, [0.1, 0.03, 0.01], 0)),
-    ("rho_list increasing", "singular", "[singular]\nsigma = 1\nt = 1\nrho_list = 1e-4, 1e-3\n",
-     lambda: check_probe_args(1.0, [1e-4, 1e-3], 1e-9)),
-    ("rho above 1", "singular", "[singular]\nsigma = 1\nt = 1\nrho_list = 2, 1e-3\n",
-     lambda: check_probe_args(1.0, [2.0, 1e-3], 1e-9)),
+    ("rho_list increasing", "singular",
+     "[singular]\nsigma = 1\nt = 1\nrho_list = 1e-5, 1e-4, 1e-3\n",
+     lambda: check_probe_args(1.0, [1e-5, 1e-4, 1e-3], 1e-9)),
+    ("rho above 1", "singular", "[singular]\nsigma = 1\nt = 1\nrho_list = 2, 1e-3, 1e-4\n",
+     lambda: check_probe_args(1.0, [2.0, 1e-3, 1e-4], 1e-9)),
+    ("rho_list too short", "singular", "[singular]\nsigma = 1\nt = 1\nrho_list = 1e-3, 1e-4\n",
+     lambda: check_probe_args(1.0, [1e-3, 1e-4], 1e-9)),
+    ("second rho beyond the cutoff", "singular",
+     "[singular]\nsigma = 1\nt = 1\nrho_list = 0.9, 0.8, 1e-3\n",
+     lambda: check_probe_args(1.0, [0.9, 0.8, 1e-3], 1e-9)),
     ("amplitude zero", "singular",
      "[singular]\nsigma = 1\nt = 1\nrho_list = 1e-3, 1e-4\namplitude = 0\n",
      lambda: check_probe_args(1.0, [1e-3, 1e-4], 1e-9, 0.0)),

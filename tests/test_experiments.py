@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from modnls import (
     BOUNDED,
@@ -146,19 +148,129 @@ class TestRunOdeApprox:
         sym = make_symbol("arctan_step", h=1.0)
         rep = run_ode_approx(bounded_plan, sym, grid, [eps], r=r, lam=lam)
         row = rep.rows[0]
-        n_steps, tau_star = row["n_steps"], row["tau_star"]
-        cfg = SolveConfig(window_symbol(sym, bounded_plan, row["h"]), lam, bounded_plan.sigma,
-                          tau_star / n_steps, tau_star, eps)
-        psi0 = ode_phase_profile(0.0, grid, row["kappa"], lam, bounded_plan.sigma, eps)
-        stored = []
-        evolve(psi0, cfg, lambda t, c: stored.append((t, np.fft.ifftn(c))))
-        assert len(stored) == n_steps + 1
-        expected = max(
-            sobolev_norm(Field(grid, vals - ode_phase_profile(t, grid, row["kappa"], lam,
-                                                              bounded_plan.sigma, eps).values), r)
-            for t, vals in stored
-        )
-        assert row["E"] == pytest.approx(expected, rel=1e-12)
+        stored = _stored_run_gaps(bounded_plan, sym, grid, row, lam, r)
+        assert len(stored) == row["n_steps"] + 1
+        assert row["E"] == pytest.approx(max(stored), rel=1e-12)
+
+    def test_rotated_profile_over_a_long_window(self, bounded_plan, grid, monkeypatch):
+        # phi advanced by thousands of stored rotations: E, and the gap at
+        # every step, against a stored run and the closed-form profile
+        eps, lam, r = 0.1, 1.0, 1
+        sym = make_symbol("arctan_step", h=1.0)
+        streamed = []
+        coeff_norm = experiments._coeff_sobolev_norm
+
+        def recording_norm(*args):
+            streamed.append(coeff_norm(*args))
+            return streamed[-1]
+
+        monkeypatch.setattr(experiments, "_coeff_sobolev_norm", recording_norm)
+        rep = run_ode_approx(bounded_plan, sym, grid, [eps], r=r, lam=lam,
+                             rotation_budget=2.5e-4)
+        row = rep.rows[0]
+        assert row["n_steps"] >= 2000
+        stored = _stored_run_gaps(bounded_plan, sym, grid, row, lam, r)
+        assert row["E"] == pytest.approx(max(stored), rel=1e-10)
+        assert np.abs(np.array(streamed) - stored).max() <= 1e-10 * row["E"]
+
+
+def _stored_run_gaps(plan, sym, grid, row, lam, r):
+    """The H^r gap to ode_phase_profile at every step of a stored rerun of ``row``."""
+    eps, n_steps, tau_star = row["eps"], row["n_steps"], row["tau_star"]
+    cfg = SolveConfig(window_symbol(sym, plan, row["h"]), lam, plan.sigma,
+                      tau_star / n_steps, tau_star, eps)
+    psi0 = ode_phase_profile(0.0, grid, row["kappa"], lam, plan.sigma, eps)
+    stored = []
+    evolve(psi0, cfg, lambda t, c: stored.append((t, np.fft.ifftn(c))))
+    return [
+        sobolev_norm(Field(grid, vals - ode_phase_profile(t, grid, row["kappa"], lam,
+                                                          plan.sigma, eps).values), r)
+        for t, vals in stored
+    ]
+
+
+PROPERTY_GRID = make_grid(1, 256, 8.0)
+
+
+@given(sigma=st.floats(0.5, 2.0), lam=st.one_of(st.floats(-3.0, -0.1), st.floats(0.1, 3.0)),
+       eps=st.floats(1e-3, 0.5), kappa=st.floats(0.2, 2.0),
+       rotation=st.floats(1e-3, 0.2), k=st.integers(0, 500))
+def test_rotations_track_the_closed_form_profile(sigma, lam, eps, kappa, rotation, k):
+    # k in-place rotations of phi(0), each turning the bump's peak by
+    # ``rotation`` rad, against the closed form at k*dt
+    dt = rotation * eps / (abs(lam) * kappa ** (2.0 * sigma))
+    profiles = experiments._phase_profiles(PROPERTY_GRID, kappa, lam, sigma, eps, dt)
+    for _ in range(k + 1):
+        phi = next(profiles)
+    exact = ode_phase_profile(k * dt, PROPERTY_GRID, kappa, lam, sigma, eps).values
+    tol = k * 1e-15 * kappa
+    assert np.abs(phi - exact).max() <= tol
+    assert np.abs(np.abs(phi) - kappa * np.exp(-PROPERTY_GRID.x[0] ** 2)).max() <= tol
+
+
+class TestOdeApproxCost:
+    """A snapshot of ode-approx costs one rotation multiply and one FFT of phi."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        """Calls of np.exp and np.fft.fftn made inside the ode-approx reducer."""
+        counts = Counter()
+        inside = [False]
+
+        def count_inside(owner, name):
+            original = getattr(owner, name)
+
+            def counting(*args, **kwargs):
+                counts[name] += inside[0]
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+
+        count_inside(np, "exp")
+        count_inside(np.fft, "fftn")
+        stepper = experiments.evolve
+
+        def counting_evolve(u0, cfg, on_snapshot=None):
+            def reducer(t, coeffs):
+                counts["snapshots"] += 1
+                inside[0] = True
+                try:
+                    on_snapshot(t, coeffs)
+                finally:
+                    inside[0] = False
+            return stepper(u0, cfg, reducer if on_snapshot else None)
+
+        monkeypatch.setattr(experiments, "evolve", counting_evolve)
+        return counts
+
+    def test_exponentials_do_not_grow_with_the_step_count(self, bounded_plan, grid, counts,
+                                                          monkeypatch):
+        rotations = []
+        rotation = experiments._phase_rotation
+
+        def counting_rotation(*args):
+            rotations.append(args[0])
+            return rotation(*args)
+
+        monkeypatch.setattr(experiments, "_phase_rotation", counting_rotation)
+        sym = make_symbol("arctan_step", h=1.0)
+        eps_list = [0.1, 0.05]
+        exps = []
+        for budget in (0.02, 0.001):
+            counts.clear()
+            rotations.clear()
+            rep = run_ode_approx(bounded_plan, sym, grid, eps_list, r=1, rotation_budget=budget)
+            assert counts["snapshots"] == sum(row["n_steps"] + 1 for row in rep.rows)
+            assert len(rotations) <= 3 * len(eps_list)
+            exps.append(counts["exp"])
+        assert rep.rows[0]["n_steps"] >= 800
+        assert exps[0] == exps[1]
+
+    def test_one_fft_of_phi_per_snapshot(self, bounded_plan, grid, counts):
+        rep = run_ode_approx(bounded_plan, make_symbol("arctan_step", h=1.0), grid,
+                             [0.1, 0.05], r=1)
+        assert counts["snapshots"] == sum(row["n_steps"] + 1 for row in rep.rows)
+        assert counts["fftn"] == counts["snapshots"]
 
 
 class TestRunNormInflation:

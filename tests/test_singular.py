@@ -250,6 +250,20 @@ class TestProbe:
         with pytest.raises(SingularProbeError, match="amplitude must be finite and nonzero"):
             run_singular_probe(1.0, 1.0, 1.0, RHOS, delta_amp=amp)
 
+    @pytest.mark.parametrize("rhos,match", [
+        ([1e-3, 1e-4], "strictly decreasing with >= 3 entries"),
+        ([0.9, 0.8, 1e-3], "below the cutoff radius 0.75"),
+    ], ids=["two radii", "first increment beyond the cutoff"])
+    def test_rejects_sweeps_without_two_nonzero_increments(self, rhos, match, monkeypatch):
+        # both used to fail only after the sweep, dividing by or taking the
+        # minimum of the increment ratios
+        def no_compute(*args, **kwargs):
+            raise AssertionError("quadrature ran before the rho_list check")
+
+        monkeypatch.setattr("modnls.singular.quad", no_compute)
+        with pytest.raises(SingularProbeError, match=match):
+            run_singular_probe(1.0, 1.0, 1.0, rhos)
+
     def test_rejects_bad_arguments(self):
         with pytest.raises(SingularProbeError):
             run_singular_probe(-1.0, 1.0, 1.0, RHOS)
