@@ -16,7 +16,6 @@ from .evolution import (
     SolveConfig,
     Trajectory,
     evolve,
-    nonlinear_phase_step,
     picard_solve,
     sigma_is_admissible,
 )
@@ -26,6 +25,7 @@ from .experiments import (
     check_admissible_pair,
     check_h_list,
     check_ode_approx_args,
+    check_rotation_budget,
     ode_phase_profile,
     run_norm_inflation,
     run_ode_approx,
@@ -34,7 +34,7 @@ from .experiments import (
     window_symbol,
 )
 from .reports import ExperimentReport, write_report
-from .scaling import H_MAX, ScalingError, ScalingPlan, build_concentrated_data, compute_scaling
+from .scaling import H_MAX, ScalingError, ScalingPlan, compute_scaling
 from .singular import (
     SingularProbeError,
     check_probe_args,
@@ -46,18 +46,12 @@ from .spectral import (
     Field,
     Grid,
     SpectralError,
-    SpectralField,
-    field_from_function,
     free_propagate,
-    inverse_transform,
-    lebesgue_norm,
     make_grid,
     sobolev_norm,
-    spacetime_norm,
     spacetime_norm_from_samples,
     spatial_tail_mass,
     spectral_tail_mass,
-    transform,
 )
 from .symbols import (
     BOUNDED,
@@ -67,7 +61,6 @@ from .symbols import (
     SymbolError,
     make_symbol,
     parse_symbol_spec,
-    verify_homogeneity,
 )
 
 __version__ = "0.1.0"

@@ -19,6 +19,7 @@ from .experiments import (
     check_admissible_pair,
     check_h_list,
     check_ode_approx_args,
+    check_rotation_budget,
 )
 from .scaling import ScalingError, ScalingPlan, compute_scaling
 from .singular import SingularProbeError, check_probe_args, singular_alpha
@@ -247,6 +248,7 @@ def _validate_simulate(params: dict) -> None:
 def _validate_sweep_common(params: dict) -> ScalingPlan:
     plan = _plan_from_params(params)
     make_grid(params["d"], params["grid_n"], params["grid_L"])
+    check_rotation_budget(params["rotation_budget"])
     return plan
 
 

@@ -47,7 +47,6 @@ __all__ = [
     "Trajectory",
     "PicardReport",
     "sigma_is_admissible",
-    "nonlinear_phase_step",
     "dealias_mask",
     "evolve",
     "picard_solve",
@@ -148,18 +147,6 @@ def _phase_kick(values: np.ndarray, lam: float, sigma: float, dt: float, eps: fl
         np.cos(angle, out=work.real)
         np.sin(angle, out=work.imag)
         values *= work
-
-
-def nonlinear_phase_step(f: Field, lam: float, sigma: float, dt: float, eps: float = 1.0) -> Field:
-    """Exact flow of the phase ODE: u -> u * exp(-i*(lam*dt/eps)*|u|^(2*sigma)).
-
-    Modulus-preserving nodewise; 0^(2*sigma) is 0 for sigma > 0.
-    """
-    if not sigma > 0:
-        raise EvolutionError(f"sigma must be positive, got {sigma}")
-    vals = np.array(f.values)
-    _phase_kick(vals, lam, sigma, dt, eps, np.empty_like(vals))
-    return Field(f.grid, vals)
 
 
 def dealias_mask(grid: Grid) -> np.ndarray:

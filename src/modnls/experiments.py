@@ -36,6 +36,7 @@ __all__ = [
     "run_norm_inflation",
     "check_h_list",
     "check_ode_approx_args",
+    "check_rotation_budget",
     "check_admissible_pair",
     "check_N_list",
     "strichartz_probe_data",
@@ -150,6 +151,20 @@ def check_ode_approx_args(plan: ScalingPlan, eps_list, r) -> tuple[list[float], 
     return eps_list, r
 
 
+def check_rotation_budget(rotation_budget: float) -> float:
+    """Return rotation_budget as a float; reject it unless finite and > 0.
+
+    It is the largest phase rotation per step of either sub-flow, and
+    divides the window length when the step count is chosen.
+    """
+    rotation_budget = float(rotation_budget)
+    if not (math.isfinite(rotation_budget) and rotation_budget > 0):
+        raise ExperimentError(
+            f"rotation_budget must be finite and > 0, got {rotation_budget}"
+        )
+    return rotation_budget
+
+
 def _window_config(plan: ScalingPlan, symbol: Symbol, grid: Grid, h: float, kappa: float,
                    eps: float, lam: float, rotation_budget: float, every_step: bool):
     """Initial data psi0 = kappa*a0 and the solver config up to tau*(eps).
@@ -181,6 +196,7 @@ def run_ode_approx(plan: ScalingPlan, symbol: Symbol, grid: Grid, eps_list,
     (decreasing) eps sweep, with E(min)/E(max) < 0.5.
     """
     eps_list, r = check_ode_approx_args(plan, eps_list, r)
+    rotation_budget = check_rotation_budget(rotation_budget)
 
     rows = []
     for eps in eps_list:
@@ -242,6 +258,7 @@ def run_norm_inflation(plan: ScalingPlan, symbol: Symbol, grid_policy, h_list,
     s > 0, and the verdict fails at any h; delta = 8 gives 1.95 at s = 0.25.
     """
     h_list = check_h_list(plan, h_list)
+    rotation_budget = check_rotation_budget(rotation_budget)
     grid_for = grid_policy if callable(grid_policy) else (lambda _h: grid_policy)
 
     rows = []
@@ -304,12 +321,15 @@ def check_admissible_pair(p: float, q: float, d: int) -> None:
 
 
 def check_N_list(N_list) -> list[float]:
-    """Return N_list as floats; reject it unless strictly increasing with >= 2 entries."""
+    """Return N_list as floats; reject it unless strictly increasing with >= 2 entries,
+    each finite and > 0 (the growth exponent is fitted in log N)."""
     N_list = [float(N) for N in N_list]
     if len(N_list) < 2 or any(b <= a for a, b in zip(N_list, N_list[1:])):
         raise ExperimentError(
             f"N_list must be strictly increasing with at least two entries, got {N_list}"
         )
+    if not all(math.isfinite(N) and N > 0 for N in N_list):
+        raise ExperimentError(f"every N in N_list must be finite and > 0, got {N_list}")
     return N_list
 
 

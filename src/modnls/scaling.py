@@ -1,4 +1,4 @@
-"""Scaling exponents for the concentrated-data family, and the data builder.
+"""Scaling exponents for the concentrated-data family.
 
 For a target regularity s below the scaling index s0, the family
 u0_h(x) = h^(s - d/2) * kappa_h * a0(x/h) with a0(x) = exp(-|x|^2) and
@@ -6,7 +6,8 @@ kappa_h = log(1/h)^(-theta) concentrates at scale h while its H^s norm
 tends to zero.  The exponents collected in :class:`ScalingPlan` tie the
 family to the rescaled evolution on a fixed box: the small parameter
 eps(h), the window exponent delta, the dispersive smallness exponent
-beta, and the blow-up time t_h.
+beta, and the blow-up time t_h.  No driver samples u0_h itself: they
+evolve the rescaled profile kappa_h * a0 (see :mod:`modnls.experiments`).
 """
 
 from __future__ import annotations
@@ -16,14 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import Field, Grid
 from .symbols import BOUNDED, HOMOGENEOUS
 
 __all__ = [
     "ScalingError",
     "ScalingPlan",
     "compute_scaling",
-    "build_concentrated_data",
     "H_MAX",
 ]
 
@@ -90,31 +89,10 @@ class ScalingPlan:
         """Blow-up time t_h = h^(2+alpha) * eps * log(1/eps)^delta."""
         return h ** (2.0 + self.alpha) * self.tau_star(h)
 
-    def t_h_closed_form(self, h: float) -> float:
-        """Equivalent closed form C * h^(2*sigma*(d/2-s)) * log(1/h)^delta."""
-        self.validate_h(h)
-        C = self.eps_exponent**self.delta
-        return C * h ** (2.0 * self.sigma * (self.d / 2.0 - self.s)) * math.log(1.0 / h) ** self.delta
-
     def window_amplitude(self, h: float) -> float:
         """Prefactor h^(2*sigma*(d/2-s)) of the rescaled multiplier P(xi/h)."""
         self.validate_h(h)
         return h ** (2.0 * self.sigma * (self.d / 2.0 - self.s))
-
-    def identity_log_gap(self, h: float) -> float:
-        """Homogeneous-case identity |log h^(2sig(d/2-s)-m) - (m+omega) log eps|."""
-        if self.symbol_class != HOMOGENEOUS:
-            raise ScalingError("the log identity applies to homogeneous symbols only")
-        self.validate_h(h)
-        lhs = (2.0 * self.sigma * (self.d / 2.0 - self.s) - self.m) * math.log(h)
-        rhs = (self.m + self.omega) * math.log(self.eps(h))
-        return abs(lhs - rhs)
-
-    def beta_from_definition(self) -> float:
-        """General formula for beta, independent of the per-class closed form."""
-        a = 2.0 * self.sigma * (self.s0 - self.d / 2.0) + 2.0 + self.alpha
-        b = 2.0 * self.sigma * (self.d / 2.0 - self.s) - 2.0 - self.alpha
-        return a / b
 
 
 def compute_scaling(
@@ -186,35 +164,3 @@ def compute_scaling(
         eps_exponent=eps_exponent,
         beta=beta,
     )
-
-
-# Gaussian tail below 1e-12 at the box edge: exp(-(L/h)^2) < 1e-12
-_MIN_L_OVER_H = math.sqrt(math.log(1e12))
-_NODES_ACROSS_H = 8
-
-
-def build_concentrated_data(plan: ScalingPlan, h: float, grid: Grid) -> Field:
-    """Sample u0_h(x) = h^(s-d/2) * kappa_h * exp(-|x/h|^2) on the grid.
-
-    Rejects grids too coarse to resolve scale h (fewer than 8 nodes across
-    width h) or too small to contain the support (Gaussian tail above 1e-12
-    at the box edge).
-    """
-    plan.validate_h(h)
-    if grid.d != plan.d:
-        raise ScalingError(f"grid dimension {grid.d} does not match plan dimension {plan.d}")
-    if grid.dx > h / _NODES_ACROSS_H:
-        need = _NODES_ACROSS_H * 2.0 * grid.L / h
-        need_n = 2 ** math.ceil(math.log2(need))
-        raise ScalingError(
-            f"grid spacing {grid.dx:.3e} cannot resolve scale h = {h:.3e}; "
-            f"need n >= {need_n} at L = {grid.L}"
-        )
-    if grid.L < _MIN_L_OVER_H * h:
-        raise ScalingError(
-            f"box half-length {grid.L} too small for the Gaussian tail at scale "
-            f"h = {h:.3e}; need L >= {_MIN_L_OVER_H * h:.3e}"
-        )
-    r2 = sum(c * c for c in grid.x)
-    amplitude = h ** (plan.s - plan.d / 2.0) * plan.kappa(h)
-    return Field(grid, amplitude * np.exp(-r2 / h**2))

@@ -69,16 +69,6 @@ def _chi_pair(z):
     return c, cp / (CHI_OUTER - CHI_INNER)
 
 
-def chi(z):
-    """Smooth cutoff: 1 on [0, 1/4], 0 outside [0, 9/16]."""
-    return _chi_pair(z)[0]
-
-
-def chi_prime(z):
-    """Derivative of :func:`chi` with respect to z."""
-    return _chi_pair(z)[1]
-
-
 def log_singular_profile(delta_amp: float, sigma: float, r_values):
     """Exact samples of the radial profile u0 and its derivative d(u0)/dr.
 

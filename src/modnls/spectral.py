@@ -1,10 +1,10 @@
-"""Periodic grids, spectral transforms, the free propagator, and norm evaluators.
+"""Periodic grids, the free propagator, and norm evaluators.
 
 Everything here is a pure function of its inputs: grids and fields are
 immutable value objects, and identical inputs produce bit-identical outputs
-on one platform.  Spectral coefficients are Plancherel-normalized, so the
-discrete L2 quadrature norm of a field equals the l2 norm of its
-coefficients directly.
+on one platform.  Coefficients are raw ``np.fft.fftn`` output; multiplied
+by :func:`_plancherel_scale` their l2 norm equals the discrete L2
+quadrature norm of the field.
 """
 
 from __future__ import annotations
@@ -18,15 +18,9 @@ __all__ = [
     "SpectralError",
     "Grid",
     "Field",
-    "SpectralField",
     "make_grid",
-    "field_from_function",
-    "transform",
-    "inverse_transform",
     "free_propagate",
     "sobolev_norm",
-    "lebesgue_norm",
-    "spacetime_norm",
     "spacetime_norm_from_samples",
     "spectral_tail_mass",
     "spatial_tail_mass",
@@ -129,36 +123,21 @@ class Field:
         object.__setattr__(self, "values", vals)
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralField:
-    """Plancherel-normalized spectral coefficients on a grid's frequency lattice."""
-
-    grid: Grid
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.array(self.coeffs, dtype=np.complex128, copy=True)
-        if coeffs.shape != self.grid.shape:
-            raise SpectralError(
-                f"coefficients have shape {coeffs.shape}, expected {self.grid.shape}"
-            )
-        coeffs.setflags(write=False)
-        object.__setattr__(self, "coeffs", coeffs)
-
-
-def field_from_function(grid: Grid, fn) -> Field:
-    """Sample fn(x_1, ..., x_d) on the grid nodes."""
-    return Field(grid, fn(*grid.x))
-
-
 def _plancherel_scale(grid: Grid) -> float:
     # quadrature L2 norm of samples == l2 norm of fft * scale
     return math.sqrt(grid.cell / grid.n**grid.d)
 
 
 def _coeff_mass(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
-    """Squared moduli of the Plancherel-normalized coefficients, from raw ``np.fft.fftn`` output."""
-    return np.abs(coeffs * _plancherel_scale(grid)) ** 2
+    """Squared moduli of the Plancherel-normalized coefficients, from raw ``np.fft.fftn`` output.
+
+    Computed as (re^2 + im^2) * scale^2 in place, with no hypot and no
+    scaled copy of ``coeffs``.
+    """
+    c2 = coeffs.real**2
+    c2 += coeffs.imag**2
+    c2 *= _plancherel_scale(grid) ** 2
+    return c2
 
 
 def _propagator(pvals: np.ndarray, t) -> np.ndarray:
@@ -188,16 +167,6 @@ def _mass_fraction(a2: np.ndarray, mask: np.ndarray) -> float:
     return float(np.sum(a2[mask]) / total)
 
 
-def transform(f: Field) -> SpectralField:
-    """Forward transform with Plancherel normalization."""
-    return SpectralField(f.grid, np.fft.fftn(f.values) * _plancherel_scale(f.grid))
-
-
-def inverse_transform(F: SpectralField) -> Field:
-    """Inverse of :func:`transform`."""
-    return Field(F.grid, np.fft.ifftn(F.coeffs / _plancherel_scale(F.grid)))
-
-
 def check_lattice_values(vals: np.ndarray, grid: Grid, name: str) -> np.ndarray:
     """Validate a multiplier sampled on the frequency lattice: real and finite."""
     vals = np.asarray(vals, dtype=np.float64)
@@ -213,26 +182,19 @@ def check_lattice_values(vals: np.ndarray, grid: Grid, name: str) -> np.ndarray:
     return vals
 
 
-def _multiplier_values(symbol, grid: Grid) -> np.ndarray:
-    if hasattr(symbol, "on_grid"):
-        return symbol.on_grid(grid)
-    name = getattr(symbol, "name", getattr(symbol, "__name__", repr(symbol)))
-    return check_lattice_values(symbol(*grid.xi), grid, name)
-
-
 def free_propagate(f: Field, symbol, t: float) -> Field:
     """Exact solution of the free flow: u_hat(t) = exp(i*t*P(xi)) * u_hat(0).
 
-    `symbol` is anything evaluable on the grid's frequency lattice (a catalog
-    Symbol, or a plain callable of the frequency components).  The sign is
-    fixed so that a constant multiplier c yields the global phase exp(i*c*t)
-    and a linear multiplier c*xi translates the data to u0(x + c*t).
+    ``symbol`` is a catalog :class:`~modnls.symbols.Symbol`; its cached
+    lattice values are used.  The sign is fixed so that a constant
+    multiplier c yields the global phase exp(i*c*t) and a linear multiplier
+    c*xi translates the data to u0(x + c*t).
     """
     if not np.isfinite(t):
         raise SpectralError(f"propagation time must be finite, got {t}")
     if t == 0.0:
         return f
-    phase = _propagator(_multiplier_values(symbol, f.grid), t)
+    phase = _propagator(symbol.on_grid(f.grid), t)
     return Field(f.grid, np.fft.ifftn(np.fft.fftn(f.values) * phase))
 
 
@@ -287,13 +249,6 @@ def _lq_norms(z: np.ndarray, q: float, cell: float, axes=None):
     return (np.sum(a2, axis=axes) * cell) ** (1.0 / q)
 
 
-def lebesgue_norm(f: Field, q: float) -> float:
-    """Quadrature L^q norm; q = inf returns the max modulus."""
-    if not (q == np.inf or q >= 1):
-        raise SpectralError(f"Lebesgue exponent must be >= 1 or inf, got {q}")
-    return float(_lq_norms(f.values, q, f.grid.cell))
-
-
 def spacetime_norm_from_samples(times, lq_values, p: float) -> float:
     """Composite-trapezoid L^p-in-time norm of precomputed spatial norms."""
     if not (np.isfinite(p) and p >= 1):
@@ -305,15 +260,6 @@ def spacetime_norm_from_samples(times, lq_values, p: float) -> float:
     if np.any(np.diff(times) <= 0):
         raise SpectralError("snapshot times must be strictly increasing")
     return float(np.trapezoid(lq_values**p, times) ** (1.0 / p))
-
-
-def spacetime_norm(snapshots, p: float, q: float) -> float:
-    """L^p-in-time L^q-in-space norm of a time-sorted list of (t, Field)."""
-    if len(snapshots) < 2:
-        raise SpectralError("space-time norm needs at least two snapshots")
-    times = [t for t, _ in snapshots]
-    values = [lebesgue_norm(f, q) for _, f in snapshots]
-    return spacetime_norm_from_samples(times, values, p)
 
 
 def spectral_tail_mass(f: Field) -> float:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 import re
 import weakref
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,8 +24,6 @@ __all__ = [
     "BOUNDED",
     "CATALOG_KEYS",
     "make_symbol",
-    "verify_homogeneity",
-    "HomogeneityReport",
     "parse_symbol_spec",
     "parse_number",
 ]
@@ -270,32 +267,6 @@ def make_symbol(name: str, **params) -> Symbol:
     if unexpected:
         raise SymbolError(f"{name} does not take parameters {sorted(unexpected)}")
     return builder(params)
-
-
-@dataclass(frozen=True)
-class HomogeneityReport:
-    passed: bool
-    max_rel_dev: float
-    trials: int
-
-
-def verify_homogeneity(symbol: Symbol, m: float, trials: int = 100,
-                       seed: int = 0, tol: float = 1e-10) -> HomogeneityReport:
-    """Sample random (mu, xi) and measure deviation from P(mu*xi) = mu^m P(xi)."""
-    rng = np.random.default_rng(seed)
-    dims = (symbol.dims,) if symbol.dims is not None else (1, 2)
-    fixed_mu = (0.5, 2.0, 3.0)
-    worst = 0.0
-    for trial in range(trials):
-        d = dims[trial % len(dims)]
-        xi = rng.uniform(0.2, 4.0, size=d) * rng.choice((-1.0, 1.0), size=d)
-        mu = fixed_mu[trial % len(fixed_mu)] if trial % 2 == 0 else float(rng.uniform(0.25, 4.0))
-        p0 = float(symbol(*xi))
-        p1 = float(symbol(*(mu * c for c in xi)))
-        expected = mu**m * p0
-        denom = max(abs(expected), abs(p1), 1e-300)
-        worst = max(worst, abs(p1 - expected) / denom)
-    return HomogeneityReport(passed=worst <= tol, max_rel_dev=worst, trials=trials)
 
 
 _NUMBER_RE = re.compile(r"^e\^(?P<exp>[+-]?\d+(\.\d+)?)$")

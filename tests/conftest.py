@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from modnls import Field, Grid, SpectralField, inverse_transform, make_grid
+from modnls import Field, Grid, make_grid
+from modnls.spectral import _plancherel_scale
 
 # the same examples on every run, independent of the .hypothesis/ database
 # and of how long an example takes on a loaded machine
@@ -13,11 +14,21 @@ settings.load_profile("deterministic")
 
 
 def random_smooth_field(grid: Grid, seed: int, decay: float = 4.0) -> Field:
-    """Random field with Gaussian spectral envelope (smooth, tiny tails)."""
+    """Random field with Gaussian spectral envelope (smooth, tiny tails).
+
+    The draws are Plancherel-normalized coefficients; dividing by the scale
+    turns them into raw ``np.fft.fftn`` output.
+    """
     rng = np.random.default_rng(seed)
     coeffs = rng.normal(size=grid.shape) + 1j * rng.normal(size=grid.shape)
     envelope = np.exp(-grid.xi_sq / decay**2)
-    return inverse_transform(SpectralField(grid, coeffs * envelope))
+    c = coeffs * envelope / _plancherel_scale(grid)
+    return Field(grid, np.fft.ifftn(c))
+
+
+def gaussian_field(grid: Grid, amplitude: float = 1.0, width: float = 1.0) -> Field:
+    """amplitude * exp(-(x_1/width)^2) on the grid nodes."""
+    return Field(grid, amplitude * np.exp(-((grid.x[0] / width) ** 2)))
 
 
 @pytest.fixture

@@ -180,3 +180,28 @@ class TestReproducibility:
         code = main(["singular", "--config", str(out1 / "resolved.cfg"), "--out", str(out2)])
         assert code == EXIT_PASS
         assert (out1 / "report.csv").read_bytes() == (out2 / "report.csv").read_bytes()
+
+
+class TestRejectedBeforeAnyCompute:
+    """Bad driver input exits 2, names the violated constraint, and writes no report."""
+
+    @pytest.mark.parametrize("sub", ["inflate", "ode-approx"])
+    @pytest.mark.parametrize("budget", ["0", "-1", "inf", "nan"])
+    def test_rotation_budget_must_be_finite_and_positive(self, tmp_path, capsys, sub, budget):
+        text = {"inflate": INFLATE_LAM0_CFG, "ode-approx": ODE_CFG}[sub]
+        section = f"[{sub}]\n"
+        cfg = write(tmp_path, "bad.cfg",
+                    text.replace(section, f"{section}rotation_budget = {budget}\n"))
+        out = tmp_path / "out"
+        assert main([sub, "--config", str(cfg), "--out", str(out)]) == EXIT_ERROR
+        assert "rotation_budget must be finite and > 0" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+
+    @pytest.mark.parametrize("N_list", ["0, 2, 4", "-2, 4", "8, inf"])
+    def test_N_list_entries_must_be_finite_and_positive(self, tmp_path, capsys, N_list):
+        cfg = write(tmp_path, "bad.cfg", STRICHARTZ_CFG.replace("N_list = 8, 16",
+                                                                f"N_list = {N_list}"))
+        out = tmp_path / "out"
+        assert main(["strichartz", "--config", str(cfg), "--out", str(out)]) == EXIT_ERROR
+        assert "every N in N_list must be finite and > 0" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()

@@ -11,6 +11,7 @@ from modnls.experiments import (
     check_h_list,
     check_N_list,
     check_ode_approx_args,
+    check_rotation_budget,
 )
 from modnls.scaling import ScalingError
 from modnls.singular import SingularProbeError, check_probe_args
@@ -156,8 +157,15 @@ DRIVER_CHECK_CASES = [
     ("N_list", "strichartz",
      "[equation]\nsymbol = arctan_step(h=1)\n[strichartz]\np = 8\nq = 4\nN_list = 8\n",
      lambda: check_N_list([8.0])),
+    ("N not positive", "strichartz",
+     "[equation]\nsymbol = arctan_step(h=1)\n[strichartz]\np = 8\nq = 4\nN_list = 0, 2, 4\n",
+     lambda: check_N_list([0.0, 2.0, 4.0])),
     ("h_list not decreasing", "inflate", _swap(INFLATE_OK, "e^-2, e^-3, e^-4", "e^-3, e^-2"),
      lambda: check_h_list(_PLAN, [math.exp(-3), math.exp(-2)])),
+    ("inflate rotation_budget zero", "inflate", INFLATE_OK + "rotation_budget = 0\n",
+     lambda: check_rotation_budget(0.0)),
+    ("ode-approx rotation_budget negative", "ode-approx", ODE_OK + "rotation_budget = -1\n",
+     lambda: check_rotation_budget(-1.0)),
     ("h above e^-1", "inflate", _swap(INFLATE_OK, "e^-2, e^-3, e^-4", "0.5, e^-3"),
      lambda: check_h_list(_PLAN, [0.5, math.exp(-3)])),
     ("eps_list not decreasing", "ode-approx", _swap(ODE_OK, "0.1, 0.03, 0.01", "0.01, 0.1"),

@@ -25,11 +25,12 @@ from modnls import (
     run_ode_approx,
     run_strichartz_probe,
     sobolev_norm,
-    spacetime_norm,
+    spacetime_norm_from_samples,
     strichartz_probe_data,
     window_symbol,
 )
 from modnls import experiments
+from modnls.spectral import _lq_norms
 
 
 @pytest.fixture
@@ -331,6 +332,19 @@ class TestRunNormInflation:
         with pytest.raises(ExperimentError, match="h_list must hold at least one value"):
             run_norm_inflation(bounded_plan, make_symbol("arctan_step", h=1.0), grid, [])
 
+    @pytest.mark.parametrize("budget", [0.0, -1.0, math.inf, math.nan])
+    def test_rotation_budget_rejected_before_any_evolution(self, bounded_plan, grid, budget,
+                                                           monkeypatch):
+        def no_evolve(*args, **kwargs):
+            raise AssertionError("evolve ran with a bad rotation budget")
+
+        monkeypatch.setattr(experiments, "evolve", no_evolve)
+        sym = make_symbol("arctan_step", h=1.0)
+        with pytest.raises(ExperimentError, match="rotation_budget must be finite and > 0"):
+            run_norm_inflation(bounded_plan, sym, grid, [math.exp(-2)], rotation_budget=budget)
+        with pytest.raises(ExperimentError, match="rotation_budget must be finite and > 0"):
+            run_ode_approx(bounded_plan, sym, grid, [0.1], r=1, rotation_budget=budget)
+
     def test_rejects_h_above_cap(self, bounded_plan, grid):
         with pytest.raises(Exception, match="e\\^-1"):
             run_norm_inflation(bounded_plan, make_symbol("arctan_step", h=1.0),
@@ -423,6 +437,9 @@ class TestStrichartzProbe:
         for bad in ([8], [16, 8], [8, 8]):
             with pytest.raises(ExperimentError, match="strictly increasing"):
                 check_N_list(bad)
+        for bad in ([0, 2, 4], [-2, 4], [8, math.inf], [math.nan, 8]):
+            with pytest.raises(ExperimentError, match="finite and > 0"):
+                check_N_list(bad)
 
 
 class TestProbeBatching:
@@ -446,5 +463,6 @@ class TestProbeBatching:
         for row in rep.rows:
             grid = make_grid(d, row["grid_n"], 4.0)
             u0 = strichartz_probe_data(grid, row["N"])
-            reference = spacetime_norm([(t, free_propagate(u0, symbol, t)) for t in times], p, q)
+            lq = [_lq_norms(free_propagate(u0, symbol, t).values, q, grid.cell) for t in times]
+            reference = spacetime_norm_from_samples(times, lq, p)
             assert row["Q"] == pytest.approx(reference, rel=1e-12)

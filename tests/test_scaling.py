@@ -8,12 +8,41 @@ import pytest
 from modnls import (
     BOUNDED,
     HOMOGENEOUS,
+    ExperimentError,
     ScalingError,
-    build_concentrated_data,
+    check_h_list,
     compute_scaling,
     make_grid,
-    sobolev_norm,
+    make_symbol,
+    run_norm_inflation,
 )
+
+
+# Closed forms of the plan's exponents, derived independently of
+# compute_scaling's per-class formulas.
+
+def t_h_closed_form(plan, h: float) -> float:
+    """Blow-up time in closed form, C * h^(2*sigma*(d/2-s)) * log(1/h)^delta."""
+    plan.validate_h(h)
+    C = plan.eps_exponent**plan.delta
+    return C * h ** (2.0 * plan.sigma * (plan.d / 2.0 - plan.s)) * math.log(1.0 / h) ** plan.delta
+
+
+def identity_log_gap(plan, h: float) -> float:
+    """Homogeneous-case identity |log h^(2sig(d/2-s)-m) - (m+omega) log eps|."""
+    if plan.symbol_class != HOMOGENEOUS:
+        raise ScalingError("the log identity applies to homogeneous symbols only")
+    plan.validate_h(h)
+    lhs = (2.0 * plan.sigma * (plan.d / 2.0 - plan.s) - plan.m) * math.log(h)
+    rhs = (plan.m + plan.omega) * math.log(plan.eps(h))
+    return abs(lhs - rhs)
+
+
+def beta_from_definition(plan) -> float:
+    """General formula for beta, independent of the per-class closed form."""
+    a = 2.0 * plan.sigma * (plan.s0 - plan.d / 2.0) + 2.0 + plan.alpha
+    b = 2.0 * plan.sigma * (plan.d / 2.0 - plan.s) - 2.0 - plan.alpha
+    return a / b
 
 
 def random_admissible_plans(count: int, seed: int = 0):
@@ -60,20 +89,20 @@ class TestComputeScaling:
 
     def test_homogeneous_log_identity_at_tenth(self):
         plan = compute_scaling(2, 2.0, 0.25, HOMOGENEOUS, m=2.0, omega=1.0)
-        assert plan.identity_log_gap(0.1) < 1e-12
+        assert identity_log_gap(plan, 0.1) < 1e-12
 
     def test_hundred_random_draws_identities(self):
         # the acceptance battery: all derived-exponent identities at once
         for plan in random_admissible_plans(100):
             assert plan.eps_exponent > 0
             assert plan.beta > 0
-            assert plan.beta == pytest.approx(plan.beta_from_definition(), abs=1e-10)
+            assert plan.beta == pytest.approx(beta_from_definition(plan), abs=1e-10)
             h = float(np.exp(-np.random.default_rng(17).uniform(1.0, 9.0)))
             # two displayed forms of the blow-up time agree in log space
-            gap = abs(math.log(plan.t_h(h)) - math.log(plan.t_h_closed_form(h)))
+            gap = abs(math.log(plan.t_h(h)) - math.log(t_h_closed_form(plan, h)))
             assert gap < 1e-10
             if plan.symbol_class == HOMOGENEOUS:
-                assert plan.identity_log_gap(h) < 1e-12
+                assert identity_log_gap(plan, h) < 1e-12
 
     def test_eps_vanishes_along_h(self):
         plan = compute_scaling(1, 2.0, 0.25, BOUNDED)
@@ -107,52 +136,24 @@ class TestComputeScaling:
 
 
 class TestConcentratedData:
+    # the drivers run the family in rescaled variables, u0_h = h^(s-d/2) * psi0(x/h)
+    # with psi0 = kappa_h * a0, so only kappa and the h checks reach them
+
     def test_peak_amplitude(self):
         # h = e^-2, theta = 0.05, s = 0.25, d = 1 -> peak e^0.5 * 2^-0.05
         plan = compute_scaling(1, 2.0, 0.25, BOUNDED, theta=0.05)
-        grid = make_grid(1, 1024, 1.0)
         h = math.exp(-2.0)
-        f = build_concentrated_data(plan, h, grid)
+        peak = h ** (plan.s - plan.d / 2.0) * plan.kappa(h)
         expected = math.exp(0.5) * 2.0 ** (-0.05)
-        assert np.abs(f.values).max() == pytest.approx(expected, rel=1e-6)
-
-    def test_even_symmetry_of_modulus(self):
-        plan = compute_scaling(1, 2.0, 0.25, BOUNDED)
-        grid = make_grid(1, 1024, 1.0)
-        f = build_concentrated_data(plan, math.exp(-2.0), grid)
-        mods = np.abs(f.values)
-        # node j and node n-j sit at +/- x
-        assert np.abs(mods[1:] - mods[1:][::-1]).max() <= 1e-14
+        assert peak == pytest.approx(expected, rel=1e-12)
 
     def test_h_one_rejected(self):
         plan = compute_scaling(1, 2.0, 0.25, BOUNDED)
-        grid = make_grid(1, 1024, 1.0)
         with pytest.raises(ScalingError, match="e\\^-1"):
-            build_concentrated_data(plan, 1.0, grid)
-
-    def test_initial_norm_vanishes_along_h(self):
-        plan = compute_scaling(1, 2.0, 0.25, BOUNDED, theta=0.05)
-        grid = make_grid(1, 2048, 2.0)
-        norms = [
-            sobolev_norm(build_concentrated_data(plan, h, grid), plan.s)
-            for h in (math.exp(-1.5), math.exp(-2.5), math.exp(-3.5))
-        ]
-        assert all(b < a for a, b in zip(norms, norms[1:]))
-
-    def test_resolution_error_names_required_n(self):
-        plan = compute_scaling(1, 2.0, 0.25, BOUNDED)
-        grid = make_grid(1, 64, 8.0)
-        with pytest.raises(ScalingError, match="need n >="):
-            build_concentrated_data(plan, math.exp(-3.0), grid)
-
-    def test_box_error_names_required_L(self):
-        plan = compute_scaling(1, 2.0, 0.25, BOUNDED)
-        grid = make_grid(1, 64, 0.05)  # dx fine for h ~ 0.05 but box too small
-        with pytest.raises(ScalingError, match="need L >="):
-            build_concentrated_data(plan, math.exp(-3.0), grid)
+            check_h_list(plan, [1.0])
 
     def test_dimension_mismatch(self):
         plan = compute_scaling(2, 2.0, 0.25, BOUNDED)
         grid = make_grid(1, 1024, 1.0)
-        with pytest.raises(ScalingError, match="dimension"):
-            build_concentrated_data(plan, math.exp(-2.0), grid)
+        with pytest.raises(ExperimentError, match="dimension"):
+            run_norm_inflation(plan, make_symbol("arctan_step", h=1.0), grid, [math.exp(-2.0)])

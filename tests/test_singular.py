@@ -13,7 +13,15 @@ from modnls import (
     run_singular_probe,
     singular_alpha,
 )
-from modnls.singular import _chi_pair, chi, chi_prime
+from modnls.singular import _chi_pair
+
+
+def chi(z):
+    return _chi_pair(z)[0]
+
+
+def chi_prime(z):
+    return _chi_pair(z)[1]
 
 
 RHOS = [10.0 ** (-k) for k in range(3, 9)]
@@ -141,8 +149,6 @@ class TestProfile:
         c, cp = _chi_pair(z)
         np.testing.assert_allclose(c, old_chi(z), rtol=1e-14, atol=0.0)
         np.testing.assert_allclose(cp, old_chi_prime(z), rtol=1e-14, atol=0.0)
-        np.testing.assert_array_equal(chi(z), c)
-        np.testing.assert_array_equal(chi_prime(z), cp)
 
     @settings(max_examples=300, deadline=None)
     @given(st.floats(-1.0, 2.0), st.floats(-1.0, 2.0))

@@ -6,21 +6,29 @@ import numpy as np
 import pytest
 
 from modnls import (
+    BOUNDED,
     Field,
     SpectralError,
-    field_from_function,
+    Symbol,
     free_propagate,
-    inverse_transform,
-    lebesgue_norm,
     make_grid,
     make_symbol,
     sobolev_norm,
-    spacetime_norm,
+    spacetime_norm_from_samples,
     spatial_tail_mass,
     spectral_tail_mass,
-    transform,
 )
-from conftest import random_smooth_field
+from modnls.spectral import _lq_norms
+from conftest import gaussian_field, random_smooth_field
+
+
+def lq_norm(f: Field, q: float) -> float:
+    """The probe's quadrature L^q norm of one field."""
+    return float(_lq_norms(f.values, q, f.grid.cell))
+
+
+def quadrature_l2(f: Field) -> float:
+    return float(np.sqrt(np.sum(np.abs(f.values) ** 2) * f.grid.cell))
 
 
 class TestMakeGrid:
@@ -45,20 +53,23 @@ class TestMakeGrid:
 
 
 class TestTransforms:
+    # the code works on raw np.fft.fftn output and its frequency lattice
     def test_zero_field(self, grid1d):
-        F = transform(Field(grid1d, np.zeros(grid1d.shape)))
-        assert np.all(F.coeffs == 0)
+        f = Field(grid1d, np.zeros(grid1d.shape))
+        assert sobolev_norm(f, 0.0) == 0.0
+        assert spectral_tail_mass(f) == 0.0
 
     def test_single_mode_has_one_coefficient(self, grid1d):
-        f = field_from_function(grid1d, lambda x: np.exp(1j * x))
-        coeffs = transform(f).coeffs
+        coeffs = np.fft.fftn(Field(grid1d, np.exp(1j * grid1d.x[0])).values)
         nonzero = np.flatnonzero(np.abs(coeffs) > 1e-12 * np.abs(coeffs).max())
         assert nonzero.tolist() == [1]
+        assert grid1d.xi[0][1] == 1.0  # the lattice is stored in FFT order
 
     @pytest.mark.parametrize("seed", range(5))
     def test_round_trip(self, grid1d, seed):
+        # a zero multiplier leaves only the forward/inverse FFT pair
         f = random_smooth_field(grid1d, seed)
-        back = inverse_transform(transform(f))
+        back = free_propagate(f, make_symbol("constant", c=0.0), 1.0)
         scale = np.abs(f.values).max()
         assert np.abs(back.values - f.values).max() <= 1e-12 * scale
 
@@ -66,13 +77,13 @@ class TestTransforms:
         for seed in range(100):
             f = random_smooth_field(grid1d, seed)
             l2 = sobolev_norm(f, 0.0)
-            spec = float(np.sqrt(np.sum(np.abs(transform(f).coeffs) ** 2)))
-            assert abs(l2 - spec) <= 1e-12 * max(l2, 1.0)
+            quad = quadrature_l2(f)
+            assert abs(l2 - quad) <= 1e-12 * max(l2, 1.0)
 
     def test_plancherel_2d(self, grid2d):
         f = random_smooth_field(grid2d, 7)
-        quad = float(np.sqrt(np.sum(np.abs(f.values) ** 2) * grid2d.cell))
-        spec = float(np.sqrt(np.sum(np.abs(transform(f).coeffs) ** 2)))
+        quad = quadrature_l2(f)
+        spec = sobolev_norm(f, 0.0)
         assert abs(quad - spec) <= 1e-12 * quad
 
     def test_field_rejects_non_finite(self, grid1d):
@@ -132,11 +143,12 @@ class TestFreePropagate:
         assert np.abs(one.values - two.values).max() <= 1e-12 * np.abs(f.values).max()
 
     def test_non_finite_symbol_names_frequency(self, grid1d):
-        def bad(xi):
+        def inverse(xi):
             with np.errstate(divide="ignore"):
                 return 1.0 / xi
 
-        with pytest.raises(SpectralError, match="xi"):
+        bad = Symbol("inverse", inverse, BOUNDED, bound=1.0)
+        with pytest.raises(SpectralError, match=r"symbol inverse is not finite at xi = \(0\.0,\)"):
             free_propagate(random_smooth_field(grid1d, 6), bad, 1.0)
 
 
@@ -153,16 +165,16 @@ class TestSobolevNorm:
     def test_gaussian_l2_oracle(self):
         # oracle: integral of exp(-2 x^2) over R equals sqrt(pi/2)
         grid = make_grid(1, 256, 8.0)
-        f = field_from_function(grid, lambda x: np.exp(-(x**2)))
+        f = gaussian_field(grid)
         expected = math.sqrt(math.sqrt(math.pi / 2.0))  # 1.11951...
         assert sobolev_norm(f, 0.0) == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(1.11951, abs=1e-5)
 
     def test_homogeneous_negative_order_requires_zero_mean(self, grid1d):
-        f = field_from_function(grid1d, lambda x: 1.0 + 0.1 * np.cos(x))
+        f = Field(grid1d, 1.0 + 0.1 * np.cos(grid1d.x[0]))
         with pytest.raises(SpectralError, match="zero mode"):
             sobolev_norm(f, -0.5, homogeneous=True)
-        g = field_from_function(grid1d, lambda x: np.cos(x) + 0j)
+        g = Field(grid1d, np.cos(grid1d.x[0]) + 0j)
         assert sobolev_norm(g, -0.5, homogeneous=True) > 0
 
     def test_homogeneous_zero_order_is_l2(self, grid1d):
@@ -177,26 +189,28 @@ class TestLebesgueNorm:
     def test_constant_field(self, q):
         grid = make_grid(1, 32, 1.5)
         f = Field(grid, np.ones(grid.shape))
-        assert lebesgue_norm(f, q) == pytest.approx((2 * grid.L) ** (1.0 / q), rel=1e-13)
+        assert lq_norm(f, q) == pytest.approx((2 * grid.L) ** (1.0 / q), rel=1e-13)
 
     def test_q2_matches_sobolev(self, grid1d):
         f = random_smooth_field(grid1d, 9)
-        assert lebesgue_norm(f, 2.0) == pytest.approx(sobolev_norm(f, 0.0), rel=1e-12)
+        assert lq_norm(f, 2.0) == pytest.approx(sobolev_norm(f, 0.0), rel=1e-12)
 
     def test_gaussian_l4_oracle(self):
         # oracle: integral of exp(-4 x^2) over R equals sqrt(pi)/2
         grid = make_grid(1, 256, 8.0)
-        f = field_from_function(grid, lambda x: np.exp(-(x**2)))
+        f = gaussian_field(grid)
         expected = (math.sqrt(math.pi) / 2.0) ** 0.25  # 0.970256...
-        assert lebesgue_norm(f, 4.0) == pytest.approx(expected, rel=1e-12)
+        assert lq_norm(f, 4.0) == pytest.approx(expected, rel=1e-12)
 
     def test_infinity_norm(self, grid1d):
-        f = field_from_function(grid1d, lambda x: 2.0 * np.exp(-(x**2)))
-        assert lebesgue_norm(f, np.inf) == pytest.approx(2.0, rel=1e-6)
+        f = gaussian_field(grid1d, amplitude=2.0)
+        assert lq_norm(f, np.inf) == pytest.approx(2.0, rel=1e-6)
 
-    def test_rejects_small_exponent(self, grid1d):
-        with pytest.raises(SpectralError):
-            lebesgue_norm(random_smooth_field(grid1d, 10), 0.5)
+
+def spacetime_norm(snapshots, p: float, q: float) -> float:
+    """L^p-in-time L^q-in-space norm of a time-sorted list of (t, Field)."""
+    times = [t for t, _ in snapshots]
+    return spacetime_norm_from_samples(times, [lq_norm(f, q) for _, f in snapshots], p)
 
 
 class TestSpacetimeNorm:
@@ -204,22 +218,22 @@ class TestSpacetimeNorm:
         f = random_smooth_field(grid1d, 11)
         snaps = [(0.0, f), (0.5, f), (1.0, f), (1.5, f)]
         p, q = 8.0, 4.0
-        expected = 1.5 ** (1.0 / p) * lebesgue_norm(f, q)
+        expected = 1.5 ** (1.0 / p) * lq_norm(f, q)
         assert spacetime_norm(snaps, p, q) == pytest.approx(expected, rel=1e-12)
 
     def test_p1_two_snapshots_is_trapezoid(self, grid1d):
         f = random_smooth_field(grid1d, 12)
         g = Field(f.grid, 2.0 * f.values)
         snaps = [(0.0, f), (2.0, g)]
-        expected = 0.5 * 2.0 * (lebesgue_norm(f, 2.0) + lebesgue_norm(g, 2.0))
+        expected = 0.5 * 2.0 * (lq_norm(f, 2.0) + lq_norm(g, 2.0))
         assert spacetime_norm(snaps, 1.0, 2.0) == pytest.approx(expected, rel=1e-12)
 
     def test_free_flow_under_zero_symbol(self, grid1d):
-        f = field_from_function(grid1d, lambda x: np.exp(-(x**2)))
+        f = gaussian_field(grid1d)
         zero = make_symbol("constant", c=0.0)
         times = np.linspace(0.0, 1.0, 9)
         snaps = [(t, free_propagate(f, zero, t)) for t in times]
-        expected = 1.0 ** (1 / 8) * lebesgue_norm(f, 4.0)
+        expected = 1.0 ** (1 / 8) * lq_norm(f, 4.0)
         assert spacetime_norm(snaps, 8.0, 4.0) == pytest.approx(expected, rel=1e-12)
 
     def test_needs_two_snapshots(self, grid1d):
@@ -233,21 +247,21 @@ class TestEmbeddingAndTails:
         q = 4.0
         s = grid1d.d / 2.0 - grid1d.d / q + 0.01
         calib = max(
-            lebesgue_norm(f, q) / sobolev_norm(f, s)
+            lq_norm(f, q) / sobolev_norm(f, s)
             for f in (random_smooth_field(grid1d, k, decay=6.0) for k in range(20))
         )
         C = 2.0 * calib
         for seed in range(100, 200):
             f = random_smooth_field(grid1d, seed, decay=6.0)
-            assert lebesgue_norm(f, q) <= C * sobolev_norm(f, s)
+            assert lq_norm(f, q) <= C * sobolev_norm(f, s)
 
     def test_tail_masses_small_for_smooth_centered_data(self):
         grid = make_grid(1, 256, 8.0)
-        f = field_from_function(grid, lambda x: np.exp(-(x**2)))
+        f = gaussian_field(grid)
         assert spatial_tail_mass(f) < 1e-8
         assert spectral_tail_mass(f) < 1e-8
 
     def test_spatial_tail_detects_wide_data(self):
         grid = make_grid(1, 256, 8.0)
-        f = field_from_function(grid, lambda x: np.exp(-((x / 6.0) ** 2)))
+        f = gaussian_field(grid, width=6.0)
         assert spatial_tail_mass(f) > 1e-8
