@@ -26,6 +26,7 @@ from .experiments import (
     check_h_list,
     check_ode_approx_args,
     check_rotation_budget,
+    check_strichartz_args,
     ode_phase_profile,
     run_norm_inflation,
     run_ode_approx,

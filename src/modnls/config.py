@@ -9,6 +9,7 @@ unknown keys are errors.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 
@@ -20,6 +21,7 @@ from .experiments import (
     check_h_list,
     check_ode_approx_args,
     check_rotation_budget,
+    check_strichartz_args,
 )
 from .scaling import ScalingError, ScalingPlan, compute_scaling
 from .singular import SingularProbeError, check_probe_args, singular_alpha
@@ -170,7 +172,7 @@ def _convert(key: _Key, raw: str, lineno: int):
     try:
         if key.kind == "int":
             value = parse_number(raw)
-            if value != int(value):
+            if not (math.isfinite(value) and value == int(value)):
                 raise ConfigError(f"line {lineno}: {key.name} must be an integer, got {raw!r}")
             return int(value)
         if key.kind == "float":
@@ -267,8 +269,8 @@ def _validate_ode_approx(params: dict) -> ScalingPlan:
 def _validate_strichartz(params: dict) -> None:
     check_admissible_pair(params["p"], params["q"], params["d"])
     check_N_list(params["N_list"])
-    if not params["t_end"] > 0:
-        raise ConfigError(f"t_end must be positive, got {params['t_end']}")
+    check_strichartz_args((0.0, params["t_end"]), params["box_L"], params["n_ceiling"],
+                          params["contrast"])
     _check_symbol_dims(params)
 
 

@@ -24,7 +24,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .spectral import (
     Field,
@@ -100,10 +99,10 @@ class SolveConfig:
     dealias: bool = False  # optional 2/3-rule filter, for sensitivity studies
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise EvolutionError(f"dt must be positive, got {self.dt}")
-        if not self.T >= 0:
-            raise EvolutionError(f"final time must be >= 0, got {self.T}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise EvolutionError(f"dt must be finite and > 0, got {self.dt}")
+        if not (math.isfinite(self.T) and self.T >= 0):
+            raise EvolutionError(f"final time must be finite and >= 0, got {self.T}")
         if not self.sigma > 0:
             raise EvolutionError(f"nonlinearity power sigma must be positive, got {self.sigma}")
         if not 0 < self.eps <= 1:
@@ -280,6 +279,10 @@ def picard_solve(
     grid = u0.grid
     if cfg.T <= 0:
         return u0, PicardReport(True, (), (), 0, (), quadrature_met=True)
+    # imported here, not at module level: no driver needs scipy, and importing
+    # scipy.integrate would add about 0.5 s to every CLI start-up
+    from scipy.integrate import cumulative_trapezoid
+
     pvals = cfg.symbol.on_grid(grid)
     axes = tuple(range(1, grid.d + 1))
     scale = _plancherel_scale(grid)

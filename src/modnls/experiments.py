@@ -39,6 +39,7 @@ __all__ = [
     "check_rotation_budget",
     "check_admissible_pair",
     "check_N_list",
+    "check_strichartz_args",
     "strichartz_probe_data",
     "run_strichartz_probe",
 ]
@@ -333,6 +334,26 @@ def check_N_list(N_list) -> list[float]:
     return N_list
 
 
+def check_strichartz_args(interval, box_L: float, n_ceiling: int,
+                          include_contrast) -> None:
+    """Reject, before any compute, a time interval (t0, t_end) that is not
+    finite with 0 <= t0 < t_end, a box_L that is not finite and > 0, an
+    n_ceiling below 1, and an include_contrast (the config key ``contrast``)
+    other than 0 or 1."""
+    t0, t1 = interval
+    if not (math.isfinite(t1) and 0 <= t0 < t1):
+        raise ExperimentError(
+            f"the time interval [t0, t_end] must be finite with 0 <= t0 < t_end, "
+            f"got [{t0}, {t1}]"
+        )
+    if not (math.isfinite(box_L) and box_L > 0):
+        raise ExperimentError(f"box_L must be finite and > 0, got {box_L}")
+    if not n_ceiling >= 1:
+        raise ExperimentError(f"n_ceiling must be >= 1, got {n_ceiling}")
+    if include_contrast not in (0, 1):
+        raise ExperimentError(f"contrast must be 0 or 1, got {include_contrast}")
+
+
 def strichartz_probe_data(grid: Grid, N: float) -> Field:
     """Concentrated modulated bump N^(d/2) * a0(N*x) * exp(i*N*x_1)."""
     r2 = sum(c * c for c in grid.x)
@@ -435,9 +456,7 @@ def run_strichartz_probe(symbol: Symbol, p: float, q: float, k_grid, N_list,
         raise ExperimentError(
             f"time_samples must be None or an integer >= 2, got {time_samples!r}"
         )
-    t0, t1 = interval
-    if not (t1 > t0 and t0 >= 0):
-        raise ExperimentError(f"bad time interval {interval}")
+    check_strichartz_args(interval, box_L, n_ceiling, include_contrast)
     k_grid = [float(k) for k in k_grid]
 
     rows = _probe_sweep(symbol, p, q, k_grid, N_list, interval, d, box_L,

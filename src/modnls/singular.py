@@ -6,17 +6,19 @@ v(t) = u0 * exp(-i*lambda*t*|u0|^(2*sigma)) leaves H^1 instantly: the
 gradient picks up the factor 1 + 4*sigma^2*lambda^2*t^2*|u0|^(4*sigma),
 whose radial H^1 integrand decays only like 1/(r^2 * log(1/r)) near the
 origin.  No grid can resolve that, so the probe integrates the exact radial
-integrands: in closed form in u = log(1/r) on the chi plateau r <= 1/2, by
-adaptive quadrature only on the chi transition 1/2 < r < 3/4; beyond
-r = 3/4 both vanish.
+integrands: in closed form in u = log(1/r) on the chi plateau r <= 1/2, and
+by :func:`quad` only on the chi transition 1/2 < r < 3/4; beyond r = 3/4
+both vanish.  :func:`quad` applies Gauss-Legendre rules in u with 32, 64,
+128, ... nodes, each evaluating the profile once on an array, and stops
+when two successive rules agree to ``quad_tol`` relative.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .reports import ExperimentReport
 
@@ -95,29 +97,56 @@ def log_singular_profile(delta_amp: float, sigma: float, r_values):
     return u0, du0
 
 
-def _segment_integral(fn, r_lo: float, r_hi: float, rel_tol: float) -> float:
-    # integrate fn(r) dr over [r_lo, r_hi] in u = log(1/r) coordinates
+# Gauss-Legendre rules of 32, 64, 128, ... nodes; one that has not settled
+# by 1024 nodes is reported as a failure
+_FIRST_NODES = 32
+_MAX_NODES = 1024
+# the tightest quad_tol the rules reach: on the transition, rounding moves
+# successive rules by up to 2e-13 relative (measured for sigma from 0.05 to
+# 50 and amplitudes from 1e-3 to 50)
+QUAD_TOL_MIN = 1e-12
+
+
+@functools.cache
+def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
+def quad(fn, r_lo: float, r_hi: float, rel_tol: float) -> float:
+    """int_{r_lo}^{r_hi} fn(r) dr by Gauss-Legendre rules in u = log(1/r).
+
+    ``fn`` maps an array of radii to an array.  The rules have 32, 64, 128,
+    ... nodes and each calls ``fn`` once; the first result that changes by
+    at most ``rel_tol`` relative from the previous rule's is returned.
+    Raises SingularProbeError if no rule has settled by 1024 nodes.
+    """
     u_lo, u_hi = math.log(1.0 / r_hi), math.log(1.0 / r_lo)
-
-    def integrand(u):
-        r = math.exp(-u)
-        return fn(np.array([r]))[0] * r
-
-    out = quad(integrand, u_lo, u_hi, epsabs=0.0, epsrel=rel_tol,
-               limit=200, full_output=True)
-    value, abserr = out[0], out[1]
-    if len(out) > 3:  # quad appended a warning message
-        raise SingularProbeError(
-            f"quadrature did not converge on r in [{r_lo:.3e}, {r_hi:.3e}]: "
-            f"value {value:.6e}, error estimate {abserr:.3e} ({out[3]})"
-        )
-    return value
+    mid, half = 0.5 * (u_hi + u_lo), 0.5 * (u_hi - u_lo)
+    prev = math.nan
+    n = _FIRST_NODES
+    while n <= _MAX_NODES:
+        nodes, weights = _gauss_legendre(n)
+        r = np.exp(-(mid + half * nodes))
+        value = half * float(np.dot(weights, fn(r) * r))
+        change = abs(value - prev)
+        if change <= rel_tol * abs(value):
+            return value
+        prev = value
+        n *= 2
+    raise SingularProbeError(
+        f"quadrature did not converge on r in [{r_lo:.3e}, {r_hi:.3e}]: the "
+        f"{_MAX_NODES}-node Gauss-Legendre rule gives {value:.6e}, {change:.3e} "
+        f"away from the {_MAX_NODES // 2}-node rule (relative tolerance {rel_tol:.3e})"
+    )
 
 
 def check_probe_args(t: float, rho_list, quad_tol: float,
                      delta_amp: float = 1.0) -> list[float]:
-    """Return rho_list as floats; reject t < 0, a bad rho sweep, quad_tol <= 0,
-    or a zero or non-finite amplitude.
+    """Return rho_list as floats; reject t < 0, a bad rho sweep, quad_tol below
+    QUAD_TOL_MIN, or a zero or non-finite amplitude.
 
     The fitted ratios divide each increment by the one before it, so the
     sweep needs three radii, and the first increment, over
@@ -140,8 +169,11 @@ def check_probe_args(t: float, rho_list, quad_tol: float,
             f"rho_list[1] must lie below the cutoff radius {R_CUT}, where the data "
             f"vanish, got {rho_list}"
         )
-    if not quad_tol > 0:
-        raise SingularProbeError(f"quadrature tolerance must be positive, got {quad_tol}")
+    if not quad_tol >= QUAD_TOL_MIN:
+        raise SingularProbeError(
+            f"quadrature tolerance must be >= {QUAD_TOL_MIN:g}, the rounding floor of "
+            f"the Gauss-Legendre rules, got {quad_tol}"
+        )
     return rho_list
 
 
@@ -153,8 +185,9 @@ def run_singular_probe(sigma: float, lam: float, t: float, rho_list,
     Per rho: I0(rho) = 2*pi * int_rho^1 |d(u0)/dr|^2 r dr and Iv(rho) the
     same integral for v(t).  Every segment is split at r = 1/2: below it the
     increments are exact, on the chi transition up to r = 3/4 they come from
-    adaptive quadrature to ``quad_tol``, and beyond 3/4 the integrands
-    vanish.  ``fitted.iv_loglog_rate`` is the plateau law's rate:
+    :func:`quad`, whose successive Gauss-Legendre rules agree to ``quad_tol``
+    relative (at least QUAD_TOL_MIN), and beyond 3/4 the integrands vanish.
+    ``fitted.iv_loglog_rate`` is the plateau law's rate:
     Iv_inc - I0_inc = rate * log(u_j / u_(j-1)) with u = log(1/rho).
     Verdict: I0 Cauchy-converges (last increment below 1% of the total)
     while the Iv increments stay positive with consecutive ratios in
@@ -188,8 +221,8 @@ def run_singular_probe(sigma: float, lam: float, t: float, rho_list,
             iv = i0 + rate * math.log(u_hi / u_lo)
         lo, hi = max(r_lo, R_PLATEAU), min(r_hi, R_CUT)
         if lo < hi:
-            i0 += _segment_integral(base_integrand, lo, hi, quad_tol)
-            iv += _segment_integral(evolved_integrand, lo, hi, quad_tol)
+            i0 += quad(base_integrand, lo, hi, quad_tol)
+            iv += quad(evolved_integrand, lo, hi, quad_tol)
         return i0, iv
 
     i0, iv = shell(rho_list[0], R_CUT)

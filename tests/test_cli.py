@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import modnls
 from modnls import Field, SolveConfig, evolve, make_grid, make_symbol, sobolev_norm
 from modnls.cli import EXIT_ERROR, EXIT_FAIL, EXIT_PASS, main
 
@@ -205,3 +210,47 @@ class TestRejectedBeforeAnyCompute:
         assert main(["strichartz", "--config", str(cfg), "--out", str(out)]) == EXIT_ERROR
         assert "every N in N_list must be finite and > 0" in capsys.readouterr().err
         assert not (out / "report.csv").exists()
+
+    # each replaces one line of a passing config; the compute entry point is
+    # patched to fail, so a check that ran late would fail the test
+    @pytest.mark.parametrize("sub,old,new,message", [
+        ("strichartz", "contrast = 0", "t_end = inf",
+         "the time interval [t0, t_end] must be finite"),
+        ("strichartz", "contrast = 0", "box_L = nan", "box_L must be finite and > 0"),
+        ("strichartz", "contrast = 0", "box_L = -1", "box_L must be finite and > 0"),
+        ("strichartz", "contrast = 0", "n_ceiling = 0", "n_ceiling must be >= 1"),
+        ("strichartz", "contrast = 0", "contrast = 7", "contrast must be 0 or 1"),
+        ("simulate", "T = 0", "T = inf", "final time must be finite and >= 0"),
+        ("simulate", "dt = 0.001", "dt = inf", "dt must be finite and > 0"),
+        ("singular", "t = 1.0", "t = 1.0\nquad_tol = 1e-15",
+         "quadrature tolerance must be >= 1e-12"),
+    ], ids=["t_end inf", "box_L nan", "box_L negative", "n_ceiling zero", "contrast 7",
+            "T inf", "dt inf", "quad_tol below the floor"])
+    def test_driver_input_is_checked_before_compute(self, tmp_path, capsys, monkeypatch,
+                                                     sub, old, new, message):
+        def no_compute(*args, **kwargs):
+            raise AssertionError(f"{sub} computed before rejecting {new!r}")
+
+        monkeypatch.setattr("modnls.experiments._probe_sweep", no_compute)
+        monkeypatch.setattr("modnls.cli.evolve", no_compute)
+        monkeypatch.setattr("modnls.singular.quad", no_compute)
+        text = {"strichartz": STRICHARTZ_CFG, "simulate": SIMULATE_T0_CFG,
+                "singular": SINGULAR_CFG}[sub]
+        cfg = write(tmp_path, "bad.cfg", text.replace(old, new))
+        out = tmp_path / "out"
+        assert main([sub, "--config", str(cfg), "--out", str(out)]) == EXIT_ERROR
+        assert message in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+
+
+def test_cli_import_loads_no_scipy():
+    # importing scipy.integrate costs about 0.5 s, several times the rest of
+    # start-up; only picard_solve and the test oracles use scipy
+    src = str(Path(modnls.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import modnls.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"

@@ -4,14 +4,16 @@ import math
 
 import pytest
 
-from modnls import BOUNDED, compute_scaling
+from modnls import BOUNDED, SolveConfig, compute_scaling, make_symbol
 from modnls.config import ConfigError, parse_config, parse_config_text, render_config
+from modnls.evolution import EvolutionError
 from modnls.experiments import (
     ExperimentError,
     check_h_list,
     check_N_list,
     check_ode_approx_args,
     check_rotation_budget,
+    check_strichartz_args,
 )
 from modnls.scaling import ScalingError
 from modnls.singular import SingularProbeError, check_probe_args
@@ -135,6 +137,7 @@ INVALID_CASES = [
      "[equation]\nsymbol = arctan_step(h=1)\n[strichartz]\np = 8\nq = 4\nN_list = 16, 8\n"),
     ("grid n not a power of two", "simulate", _swap(SIMULATE_OK, "n = 64", "n = 48")),
     ("grid L <= 0", "simulate", _swap(SIMULATE_OK, "L = 8", "L = -1")),
+    ("grid n not finite", "simulate", _swap(SIMULATE_OK, "n = 64", "n = inf")),
     ("dt <= 0", "simulate", _swap(SIMULATE_OK, "dt = 0.001", "dt = 0")),
     ("eps outside (0,1]", "simulate", _swap(SIMULATE_OK, "sigma = 1", "sigma = 1\neps = 2")),
     ("snapshot_every = 0", "simulate", SIMULATE_OK + "snapshot_every = 0\n"),
@@ -152,8 +155,27 @@ INVALID_CASES = [
 # the plan INFLATE_OK and ODE_OK describe
 _PLAN = compute_scaling(1, 2.0, 0.25, BOUNDED, theta=0.05, delta=0.1)
 
+STRICHARTZ_OK = "[equation]\nsymbol = arctan_step(h=1)\n[strichartz]\np = 8\nq = 4\nN_list = 8, 16\n"
+
 # config rejects these through the driver's own check, so the messages match
 DRIVER_CHECK_CASES = [
+    ("t_end not finite", "strichartz", STRICHARTZ_OK + "t_end = inf\n",
+     lambda: check_strichartz_args((0.0, math.inf), 4.0, 16384, 1)),
+    ("box_L nan", "strichartz", STRICHARTZ_OK + "box_L = nan\n",
+     lambda: check_strichartz_args((0.0, 1.0), math.nan, 16384, 1)),
+    ("box_L negative", "strichartz", STRICHARTZ_OK + "box_L = -1\n",
+     lambda: check_strichartz_args((0.0, 1.0), -1.0, 16384, 1)),
+    ("n_ceiling zero", "strichartz", STRICHARTZ_OK + "n_ceiling = 0\n",
+     lambda: check_strichartz_args((0.0, 1.0), 4.0, 0, 1)),
+    ("contrast not 0 or 1", "strichartz", STRICHARTZ_OK + "contrast = 7\n",
+     lambda: check_strichartz_args((0.0, 1.0), 4.0, 16384, 7)),
+    ("simulate T not finite", "simulate", _swap(SIMULATE_OK, "T = 0.01", "T = inf"),
+     lambda: SolveConfig(make_symbol("laplacian"), -1.0, 1.0, 0.001, math.inf)),
+    ("simulate dt not finite", "simulate", _swap(SIMULATE_OK, "dt = 0.001", "dt = inf"),
+     lambda: SolveConfig(make_symbol("laplacian"), -1.0, 1.0, math.inf, 0.01)),
+    ("quad_tol below the floor", "singular",
+     "[singular]\nsigma = 1\nt = 1\nrho_list = 1e-3, 1e-4, 1e-5\nquad_tol = 1e-15\n",
+     lambda: check_probe_args(1.0, [1e-3, 1e-4, 1e-5], 1e-15)),
     ("N_list", "strichartz",
      "[equation]\nsymbol = arctan_step(h=1)\n[strichartz]\np = 8\nq = 4\nN_list = 8\n",
      lambda: check_N_list([8.0])),
@@ -205,7 +227,8 @@ class TestInvalidTable:
     @pytest.mark.parametrize("label,sub,text,driver_check", DRIVER_CHECK_CASES,
                              ids=[c[0] for c in DRIVER_CHECK_CASES])
     def test_rejected_with_the_drivers_message(self, label, sub, text, driver_check):
-        with pytest.raises((ExperimentError, ScalingError, SingularProbeError)) as driver:
+        with pytest.raises((ExperimentError, ScalingError, SingularProbeError,
+                            EvolutionError)) as driver:
             driver_check()
         with pytest.raises(ConfigError) as config:
             parse_config(sub, text)

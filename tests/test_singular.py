@@ -13,7 +13,8 @@ from modnls import (
     run_singular_probe,
     singular_alpha,
 )
-from modnls.singular import _chi_pair
+from modnls import singular
+from modnls.singular import QUAD_TOL_MIN, _chi_pair
 
 
 def chi(z):
@@ -166,6 +167,58 @@ class TestProfile:
         numeric = (up - dn) / (2 * step)
         _, du0 = log_singular_profile(1.0, 1.0, r)
         assert np.abs(du0 - numeric).max() <= 1e-5
+
+
+# the benchmark's decade sweep (perfbench/configs/singular-quad.cfg)
+DECADES = [10.0 ** (-k) for k in range(3, 13)]
+
+
+class TestQuadRule:
+    def test_integrates_a_power_of_r(self):
+        # r^2 dr is exp(-3u) du in u = log(1/r): entire, so the rules settle at once
+        value = singular.quad(lambda r: r**2, 0.5, 0.75, 1e-12)
+        assert value == pytest.approx((0.75**3 - 0.5**3) / 3.0, rel=1e-14)
+
+    def test_kink_that_never_settles_names_the_segment(self):
+        # |u - c|^(1/2) has a kink inside the segment, so successive rules
+        # keep moving by about n^-1.5 and the 1024-node cap is reached
+        c = math.log(1.0 / 0.6)
+        with pytest.raises(SingularProbeError,
+                           match=r"did not converge on r in \[5\.000e-01, 7\.500e-01\]"):
+            singular.quad(lambda r: np.abs(np.log(1.0 / r) - c) ** 0.5, 0.5, 0.75, 1e-9)
+
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    def test_at_most_three_profile_calls_per_segment(self, sigma, monkeypatch):
+        calls = []
+        profile, rule = singular.log_singular_profile, singular.quad
+
+        def counted_profile(*args):
+            calls[-1] += 1
+            return profile(*args)
+
+        def counted_rule(*args):
+            calls.append(0)
+            return rule(*args)
+
+        monkeypatch.setattr(singular, "log_singular_profile", counted_profile)
+        monkeypatch.setattr(singular, "quad", counted_rule)
+        run_singular_probe(sigma, 1.0, 1.0, DECADES, quad_tol=1e-9)
+        assert len(calls) == 2  # the data's and the evolved integrand on [1/2, 3/4]
+        assert max(calls) <= 3, calls
+
+    @pytest.mark.parametrize("rhos", [DECADES, STRADDLE], ids=["decades", "straddle"])
+    @pytest.mark.parametrize("sigma,lam,t,amp", [(0.5, 1.0, 1.0, 1.0), (2.0, 2.0, 0.35, 1.6)])
+    def test_the_tolerance_floor_is_reached(self, sigma, lam, t, amp, rhos):
+        tight = run_singular_probe(sigma, lam, t, rhos, quad_tol=QUAD_TOL_MIN, delta_amp=amp)
+        loose = run_singular_probe(sigma, lam, t, rhos, quad_tol=1e-9, delta_amp=amp)
+        for a, b in zip(tight.rows, loose.rows, strict=True):
+            assert a["I0"] == pytest.approx(b["I0"], rel=1e-12, abs=0.0)
+            assert a["Iv"] == pytest.approx(b["Iv"], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("quad_tol", [1e-15, 0.99 * QUAD_TOL_MIN, 0.0, math.nan])
+    def test_rejects_tolerance_below_the_floor(self, quad_tol):
+        with pytest.raises(SingularProbeError, match="quadrature tolerance must be >= 1e-12"):
+            run_singular_probe(1.0, 1.0, 1.0, RHOS, quad_tol=quad_tol)
 
 
 class TestProbe:
