@@ -14,7 +14,6 @@ from .evolution import (
     PicardDivergenceError,
     PicardReport,
     SolveConfig,
-    Trajectory,
     evolve,
     picard_solve,
     sigma_is_admissible,
@@ -24,6 +23,8 @@ from .experiments import (
     check_N_list,
     check_admissible_pair,
     check_h_list,
+    check_k_grid,
+    check_min_ratio_growth,
     check_ode_approx_args,
     check_rotation_budget,
     check_strichartz_args,
@@ -51,7 +52,6 @@ from .spectral import (
     make_grid,
     sobolev_norm,
     spacetime_norm_from_samples,
-    spatial_tail_mass,
     spectral_tail_mass,
 )
 from .symbols import (

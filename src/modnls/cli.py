@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import SUBCOMMANDS, ConfigError, RunConfig, parse_config, parse_initial_spec, render_config
-from .evolution import EvolutionError, SolveConfig, evolve
+from .evolution import EvolutionError, SolveConfig, evolve, sigma_is_admissible
 from .experiments import (
     ExperimentError,
     run_norm_inflation,
@@ -26,7 +26,7 @@ from .experiments import (
 from .reports import ExperimentReport, write_report
 from .scaling import ScalingError
 from .singular import SingularProbeError, run_singular_probe
-from .spectral import Field, SpectralError, _coeff_sobolev_norm, make_grid
+from .spectral import Field, SpectralError, _coeff_sobolev_norm, _coeff_tail_mass, make_grid
 from .symbols import SymbolError
 
 EXIT_PASS = 0
@@ -60,19 +60,17 @@ def _run_simulate(cfg: RunConfig) -> ExperimentReport:
         snapshot_every=p["snapshot_every"],
         dealias=bool(p["dealias"]),
     )
-    h1_norms = []
-    traj = evolve(u0, solve,
-                  lambda t, coeffs: h1_norms.append(_coeff_sobolev_norm(coeffs, grid, 1.0)))
     rows = []
-    for t, l2, h1, tail in zip(traj.times, traj.l2_norms, h1_norms, traj.tail_masses):
-        rows.append({
-            "t": t,
-            "l2_norm": l2,
-            "h1_norm": h1,
-            "spectral_tail_mass": tail,
-        })
-    drift = abs(traj.l2_norms[-1] - traj.l2_norms[0]) / traj.l2_norms[0] if traj.l2_norms[0] else 0.0
-    fitted = {"l2_relative_drift": drift, "sigma_admissible": float(traj.sigma_admissible)}
+    evolve(u0, solve, lambda t, coeffs: rows.append({
+        "t": t,
+        "l2_norm": _coeff_sobolev_norm(coeffs, grid, 0.0),
+        "h1_norm": _coeff_sobolev_norm(coeffs, grid, 1.0),
+        "spectral_tail_mass": _coeff_tail_mass(coeffs, grid),
+    }))
+    l2_0, l2_T = rows[0]["l2_norm"], rows[-1]["l2_norm"]
+    drift = abs(l2_T - l2_0) / l2_0 if l2_0 else 0.0
+    admissible = sigma_is_admissible(solve.sigma, grid.d)
+    fitted = {"l2_relative_drift": drift, "sigma_admissible": float(admissible)}
     return ExperimentReport("simulate", rows, fitted, verdict=True)
 
 

@@ -19,6 +19,8 @@ from .experiments import (
     check_N_list,
     check_admissible_pair,
     check_h_list,
+    check_k_grid,
+    check_min_ratio_growth,
     check_ode_approx_args,
     check_rotation_budget,
     check_strichartz_args,
@@ -208,8 +210,10 @@ def parse_initial_spec(text: str) -> tuple[float, float]:
                 width = parse_number(v)
             else:
                 raise ConfigError(f"unknown initial data parameter {k!r}")
-    if not width > 0:
-        raise ConfigError(f"initial data width must be positive, got {width}")
+    if not math.isfinite(amplitude):
+        raise ConfigError(f"initial data amplitude must be finite, got {amplitude}")
+    if not (math.isfinite(width) and width > 0):
+        raise ConfigError(f"initial data width must be finite and > 0, got {width}")
     return amplitude, width
 
 
@@ -257,6 +261,7 @@ def _validate_sweep_common(params: dict) -> ScalingPlan:
 def _validate_inflate(params: dict) -> ScalingPlan:
     plan = _validate_sweep_common(params)
     check_h_list(plan, params["h_list"])
+    check_min_ratio_growth(params["min_ratio_growth"])
     return plan
 
 
@@ -269,6 +274,7 @@ def _validate_ode_approx(params: dict) -> ScalingPlan:
 def _validate_strichartz(params: dict) -> None:
     check_admissible_pair(params["p"], params["q"], params["d"])
     check_N_list(params["N_list"])
+    check_k_grid(params["k_grid"])
     check_strichartz_args((0.0, params["t_end"]), params["box_L"], params["n_ceiling"],
                           params["contrast"])
     _check_symbol_dims(params)

@@ -8,9 +8,10 @@ Two independent discretizations of the same flow:
   exactly, so only rounding accumulates.  The state lives in Fourier
   space between kicks: a step is two half-step multiplications and one
   inverse/forward transform pair around the kick, so it costs 2 FFTs
-  whatever the snapshot cadence.  Snapshots are not stored; each one is
-  handed, as raw coefficients, to an optional reducer that keeps what the
-  caller needs.
+  whatever the snapshot cadence.  It returns the final state only.
+  Snapshots are neither stored nor measured; each one is handed, as raw
+  coefficients, to an optional reducer that computes what the caller
+  needs (norms, tail masses, gaps to a reference).
 * :func:`picard_solve` iterates the integral fixed-point map
   Phi(u)(t) = S(t)u0 - i*(lambda/eps) * int_0^t S(t-tau) |u|^(2sigma)u dtau
   on a stored time mesh with trapezoid quadrature, and serves as a
@@ -28,13 +29,10 @@ import numpy as np
 from .spectral import (
     Field,
     Grid,
-    _coeff_mass,
-    _mass_fraction,
     _max_abs,
     _plancherel_scale,
     _propagator,
-    _top_octave,
-    spatial_tail_mass,
+    _spatial_tail_mass,
     spectral_tail_mass,
 )
 from .symbols import Symbol
@@ -43,7 +41,6 @@ __all__ = [
     "EvolutionError",
     "PicardDivergenceError",
     "SolveConfig",
-    "Trajectory",
     "PicardReport",
     "sigma_is_admissible",
     "dealias_mask",
@@ -111,22 +108,6 @@ class SolveConfig:
             raise EvolutionError("snapshot_every must be >= 1")
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """Snapshot times and per-snapshot diagnostics of one run, and its final state."""
-
-    config: SolveConfig
-    times: np.ndarray
-    final: Field
-    l2_norms: np.ndarray
-    tail_masses: np.ndarray
-    sigma_admissible: bool
-
-    @property
-    def final_time(self) -> float:
-        return float(self.times[-1])
-
-
 def _phase_kick(values: np.ndarray, lam: float, sigma: float, dt: float, eps: float,
                 work: np.ndarray) -> None:
     """Multiply ``values`` in place by exp(-i*(lam*dt/eps)*|values|^(2*sigma)).
@@ -158,8 +139,8 @@ def _quadrature_l2(values: np.ndarray, grid: Grid) -> float:
         return float(np.sqrt(np.sum(np.abs(values) ** 2) * grid.cell))
 
 
-def evolve(u0: Field, cfg: SolveConfig, on_snapshot=None) -> Trajectory:
-    """Integrate with repeated Strang steps, streaming snapshots to ``on_snapshot``.
+def evolve(u0: Field, cfg: SolveConfig, on_snapshot=None) -> Field:
+    """Integrate with repeated Strang steps and return the state at T.
 
     Each step is a free half-step, the full phase kick, and a free half-step.
     The state is kept as its raw ``np.fft.fftn`` coefficients u_hat between
@@ -168,81 +149,60 @@ def evolve(u0: Field, cfg: SolveConfig, on_snapshot=None) -> Trajectory:
     physical space at a snapshot.
 
     A snapshot is taken at t = 0, after every ``snapshot_every`` steps, and
-    at T.  For each one the trajectory records its time, its L2 norm and its
-    spectral tail mass, both read from |u_hat|^2, and, when given,
-    ``on_snapshot(t, coeffs)`` is called with the coefficients: raw
+    at T.  The stepper computes nothing there: it only calls
+    ``on_snapshot(t, coeffs)``, when given, with the coefficients: raw
     ``np.fft.fftn`` scaling (multiply by sqrt(cell / n^d) for the
     Plancherel-normalized ones), read-only, and valid only during the call,
     since the stepper overwrites them in place afterwards.  A reducer that
     needs them later must copy them.
 
     The final snapshot lands exactly on T (the last step is shortened when T
-    is not a multiple of dt); ``final`` is the state there, transformed back
-    once (``u0`` itself when T = 0).  Aborts with the step index when values
-    stop being finite.
+    is not a multiple of dt).  The return value is the state there,
+    transformed back once, or ``u0`` itself when T = 0.  Warns when the
+    initial data carry tail mass in space or frequency, and aborts with the
+    step index when values stop being finite.
     """
     grid = u0.grid
-    for label, mass in (("spatial", spatial_tail_mass(u0)), ("spectral", spectral_tail_mass(u0))):
+    for label, mass in (("spatial", _spatial_tail_mass(u0)), ("spectral", spectral_tail_mass(u0))):
         if mass > TAIL_WARN_THRESHOLD:
             warnings.warn(
                 f"initial data {label} tail mass {mass:.3e} exceeds "
                 f"{TAIL_WARN_THRESHOLD:.0e}; box or resolution may be too small",
                 stacklevel=2,
             )
-    admissible = sigma_is_admissible(cfg.sigma, grid.d)
-    top = _top_octave(grid)
-    times, l2, tails = [], [], []
-
-    def snapshot(t: float, u_hat: np.ndarray) -> None:
-        with np.errstate(over="ignore"):
-            c2 = _coeff_mass(u_hat, grid)
-        times.append(t)
-        l2.append(math.sqrt(float(np.sum(c2))))
-        tails.append(_mass_fraction(c2, top))
-        if on_snapshot is not None:
-            coeffs = u_hat.view()
-            coeffs.flags.writeable = False
-            on_snapshot(t, coeffs)
-
     u_hat = np.fft.fftn(u0.values)
-    snapshot(0.0, u_hat)
-    final = u0
-    if cfg.T > 0:
-        pvals = cfg.symbol.on_grid(grid)
-        n_full = int(math.floor(cfg.T / cfg.dt + 1e-9))
-        remainder = cfg.T - n_full * cfg.dt
-        steps = [cfg.dt] * n_full
-        if remainder > 1e-12 * cfg.dt:
-            steps.append(remainder)
-        mask = dealias_mask(grid) if cfg.dealias else None
-        halves = {}  # free half-step multiplier per distinct step length
-        for step in set(steps):
-            half = _propagator(pvals, step / (2.0 * cfg.eps))
-            halves[step] = half if mask is None else half * mask
-        v = np.empty_like(u_hat)
-        rot = np.empty_like(u_hat)
-        for k, step in enumerate(steps):
-            half = halves[step]
-            u_hat *= half
-            np.fft.ifftn(u_hat, out=v)
-            _phase_kick(v, cfg.lam, cfg.sigma, step, cfg.eps, work=rot)
-            np.fft.fftn(v, out=u_hat)
-            u_hat *= half
-            if not np.all(np.isfinite(u_hat)):
-                raise EvolutionError(f"non-finite values at step {k + 1} of {len(steps)}")
-            last = k + 1 == len(steps)
-            if (k + 1) % cfg.snapshot_every == 0 or last:
-                snapshot(cfg.T if last else (k + 1) * cfg.dt, u_hat)
-        final = Field(grid, np.fft.ifftn(u_hat))
-
-    return Trajectory(
-        config=cfg,
-        times=np.array(times),
-        final=final,
-        l2_norms=np.array(l2),
-        tail_masses=np.array(tails),
-        sigma_admissible=admissible,
-    )
+    coeffs = u_hat.view()  # the reducers' read-only view; u_hat only changes in place
+    coeffs.flags.writeable = False
+    if on_snapshot is not None:
+        on_snapshot(0.0, coeffs)
+    if cfg.T == 0:
+        return u0
+    pvals = cfg.symbol.on_grid(grid)
+    n_full = int(math.floor(cfg.T / cfg.dt + 1e-9))
+    remainder = cfg.T - n_full * cfg.dt
+    steps = [cfg.dt] * n_full
+    if remainder > 1e-12 * cfg.dt:
+        steps.append(remainder)
+    mask = dealias_mask(grid) if cfg.dealias else None
+    halves = {}  # free half-step multiplier per distinct step length
+    for step in set(steps):
+        half = _propagator(pvals, step / (2.0 * cfg.eps))
+        halves[step] = half if mask is None else half * mask
+    v = np.empty_like(u_hat)
+    rot = np.empty_like(u_hat)
+    for k, step in enumerate(steps):
+        half = halves[step]
+        u_hat *= half
+        np.fft.ifftn(u_hat, out=v)
+        _phase_kick(v, cfg.lam, cfg.sigma, step, cfg.eps, work=rot)
+        np.fft.fftn(v, out=u_hat)
+        u_hat *= half
+        if not np.all(np.isfinite(u_hat)):
+            raise EvolutionError(f"non-finite values at step {k + 1} of {len(steps)}")
+        last = k + 1 == len(steps)
+        if on_snapshot is not None and ((k + 1) % cfg.snapshot_every == 0 or last):
+            on_snapshot(cfg.T if last else (k + 1) * cfg.dt, coeffs)
+    return Field(grid, np.fft.ifftn(u_hat))
 
 
 @dataclass(frozen=True)

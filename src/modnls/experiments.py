@@ -20,6 +20,7 @@ from .spectral import (
     Field,
     Grid,
     _coeff_sobolev_norm,
+    _coeff_tail_mass,
     _lq_norms,
     _propagator,
     make_grid,
@@ -37,9 +38,11 @@ __all__ = [
     "check_h_list",
     "check_ode_approx_args",
     "check_rotation_budget",
+    "check_min_ratio_growth",
     "check_admissible_pair",
     "check_N_list",
     "check_strichartz_args",
+    "check_k_grid",
     "strichartz_probe_data",
     "run_strichartz_probe",
 ]
@@ -152,18 +155,26 @@ def check_ode_approx_args(plan: ScalingPlan, eps_list, r) -> tuple[list[float], 
     return eps_list, r
 
 
+def _check_finite_above(value: float, bound: float, label: str) -> float:
+    value = float(value)
+    if not (math.isfinite(value) and value > bound):
+        raise ExperimentError(f"{label} must be finite and > {bound:g}, got {value}")
+    return value
+
+
 def check_rotation_budget(rotation_budget: float) -> float:
     """Return rotation_budget as a float; reject it unless finite and > 0.
 
     It is the largest phase rotation per step of either sub-flow, and
     divides the window length when the step count is chosen.
     """
-    rotation_budget = float(rotation_budget)
-    if not (math.isfinite(rotation_budget) and rotation_budget > 0):
-        raise ExperimentError(
-            f"rotation_budget must be finite and > 0, got {rotation_budget}"
-        )
-    return rotation_budget
+    return _check_finite_above(rotation_budget, 0.0, "rotation_budget")
+
+
+def check_min_ratio_growth(min_ratio_growth: float) -> float:
+    """Return min_ratio_growth as a float; reject it unless finite and > 1
+    (a bound of 1 or below would pass a sweep whose norms do not inflate)."""
+    return _check_finite_above(min_ratio_growth, 1.0, "min_ratio_growth")
 
 
 def _window_config(plan: ScalingPlan, symbol: Symbol, grid: Grid, h: float, kappa: float,
@@ -193,8 +204,9 @@ def run_ode_approx(plan: ScalingPlan, symbol: Symbol, grid: Grid, eps_list,
     times (every step) of |psi(tau) - phi(tau)|_{H^r}, reduced while the
     stepper runs.  phi advances by one stored rotation per step and is
     rebuilt in closed form at tau*, so a snapshot costs one complex multiply
-    and one FFT of phi.  Verdict: E strictly decreasing along the
-    (decreasing) eps sweep, with E(min)/E(max) < 0.5.
+    and one FFT of phi; at tau* it also reads the ``tail_mass``.  Verdict:
+    E strictly decreasing along the (decreasing) eps sweep, with
+    E(min)/E(max) < 0.5.
     """
     eps_list, r = check_ode_approx_args(plan, eps_list, r)
     rotation_budget = check_rotation_budget(rotation_budget)
@@ -206,7 +218,7 @@ def run_ode_approx(plan: ScalingPlan, symbol: Symbol, grid: Grid, eps_list,
         psi0, cfg, n_steps, p_max = _window_config(plan, symbol, grid, h, kappa, eps, lam,
                                                    rotation_budget, every_step=True)
         profiles = _phase_profiles(grid, kappa, lam, plan.sigma, eps, cfg.dt)
-        gaps = []
+        gaps, tail = [], []
 
         def reduce_gap(tau, coeffs):
             # snapshots come at tau = k*dt, then at T; the gap is taken on coefficients
@@ -215,11 +227,12 @@ def run_ode_approx(plan: ScalingPlan, symbol: Symbol, grid: Grid, eps_list,
             else:
                 profiles.close()  # frees phi and w before the closed form at T
                 phi = _phase_profile(tau, grid, kappa, lam, plan.sigma, eps)
+                tail.append(_coeff_tail_mass(coeffs, grid))
             diff = np.fft.fftn(phi)
             np.subtract(coeffs, diff, out=diff)
             gaps.append(_coeff_sobolev_norm(diff, grid, r))
 
-        traj = evolve(psi0, cfg, reduce_gap)
+        evolve(psi0, cfg, reduce_gap)
         rows.append({
             "eps": eps,
             "h": h,
@@ -228,7 +241,7 @@ def run_ode_approx(plan: ScalingPlan, symbol: Symbol, grid: Grid, eps_list,
             "n_steps": n_steps,
             "p_max": p_max,
             "E": max(gaps),
-            "tail_mass": float(traj.tail_masses[-1]),
+            "tail_mass": tail[0],
         })
 
     errors = [row["E"] for row in rows]
@@ -240,7 +253,7 @@ def run_ode_approx(plan: ScalingPlan, symbol: Symbol, grid: Grid, eps_list,
                             tolerances={"max_error_ratio": 0.5})
 
 
-def run_norm_inflation(plan: ScalingPlan, symbol: Symbol, grid_policy, h_list,
+def run_norm_inflation(plan: ScalingPlan, symbol: Symbol, grid: Grid, h_list,
                        lam: float = 1.0,
                        rotation_budget: float = 0.02,
                        min_ratio_growth: float = 3.0) -> ExperimentReport:
@@ -249,7 +262,8 @@ def run_norm_inflation(plan: ScalingPlan, symbol: Symbol, grid_policy, h_list,
     Norms of the unscaled solution are reconstructed from the rescaled run
     at s' in {0, s} and combined as sqrt(L2^2 + Hdot^s^2).  Verdict: the
     initial norms decrease monotonically and the inflation ratio grows by
-    at least ``min_ratio_growth`` from the largest to the smallest h.
+    at least ``min_ratio_growth`` from the largest to the smallest h.  A
+    row's ``tail_mass`` is read from the coefficients at the window end.
 
     The phase-ODE ratio at the window end grows like
     log(1/h)^(s*(delta - 2*sigma*theta)), so the ratio can only grow along
@@ -260,19 +274,23 @@ def run_norm_inflation(plan: ScalingPlan, symbol: Symbol, grid_policy, h_list,
     """
     h_list = check_h_list(plan, h_list)
     rotation_budget = check_rotation_budget(rotation_budget)
-    grid_for = grid_policy if callable(grid_policy) else (lambda _h: grid_policy)
+    min_ratio_growth = check_min_ratio_growth(min_ratio_growth)
+    if grid.d != plan.d:
+        raise ExperimentError(f"grid dimension {grid.d} does not match plan dimension {plan.d}")
 
     rows = []
     for h in h_list:
-        grid = grid_for(h)
-        if grid.d != plan.d:
-            raise ExperimentError(f"grid dimension {grid.d} does not match plan dimension {plan.d}")
         eps = plan.eps(h)
         kappa = plan.kappa(h)
         psi0, cfg, n_steps, _ = _window_config(plan, symbol, grid, h, kappa, eps, lam,
                                                rotation_budget, every_step=False)
-        traj = evolve(psi0, cfg)
-        psi_end = traj.final
+        tail = []
+
+        def reduce_tail(t, coeffs):
+            if t == cfg.T:
+                tail.append(_coeff_tail_mass(coeffs, grid))
+
+        psi_end = evolve(psi0, cfg, reduce_tail)
 
         l2_0 = sobolev_norm(psi0, 0.0)
         hs_0 = sobolev_norm(psi0, plan.s, homogeneous=True)
@@ -285,14 +303,14 @@ def run_norm_inflation(plan: ScalingPlan, symbol: Symbol, grid_policy, h_list,
             "h": h,
             "kappa": kappa,
             "eps": eps,
-            "tau_star": traj.config.T,
+            "tau_star": cfg.T,
             "t_h": plan.t_h(h),
             "n_steps": n_steps,
             "u0_hs": u0_norm,
             "ut_hs": uT_norm,
             "ratio": uT_norm / u0_norm,
             "l2_drift": abs(l2_T - l2_0) / l2_0,
-            "tail_mass": float(traj.tail_masses[-1]),
+            "tail_mass": tail[0],
         })
 
     initial = [row["u0_hs"] for row in rows]
@@ -332,6 +350,14 @@ def check_N_list(N_list) -> list[float]:
     if not all(math.isfinite(N) and N > 0 for N in N_list):
         raise ExperimentError(f"every N in N_list must be finite and > 0, got {N_list}")
     return N_list
+
+
+def check_k_grid(k_grid) -> list[float]:
+    """Return k_grid as floats; reject it unless every entry is finite."""
+    k_grid = [float(k) for k in k_grid]
+    if not all(math.isfinite(k) for k in k_grid):
+        raise ExperimentError(f"every k in k_grid must be finite, got {k_grid}")
+    return k_grid
 
 
 def check_strichartz_args(interval, box_L: float, n_ceiling: int,
@@ -422,6 +448,11 @@ def _probe_sweep(symbol: Symbol, p: float, q: float, k_grid, N_list, interval,
     return rows
 
 
+# slack below d/2 - d/q that the fitted exponent of a bounded multiplier may
+# fall short by and still pass
+SLOPE_MARGIN = 0.1
+
+
 def _fit_slope(N_list, q_values) -> tuple[float, float]:
     logn = np.log(np.asarray(N_list, dtype=float))
     logq = np.log(np.asarray(q_values, dtype=float))
@@ -433,13 +464,12 @@ def _fit_slope(N_list, q_values) -> tuple[float, float]:
 def run_strichartz_probe(symbol: Symbol, p: float, q: float, k_grid, N_list,
                          interval=(0.0, 1.0), d: int = 1, box_L: float = 4.0,
                          n_ceiling: int = 16384, include_contrast: bool = True,
-                         time_samples: int | None = None,
-                         slope_margin: float = 0.1) -> ExperimentReport:
+                         time_samples: int | None = None) -> ExperimentReport:
     """Fit the growth exponent of the free flow's space-time norm over dyadic N.
 
     Q(N) is the L^p(I; L^q) norm of S(t)u0_N for the concentrated modulated
     family, so |u0_N|_{H^k} grows like N^k.  For bounded multipliers the
-    fitted exponent khat must reach d/2 - d/q - slope_margin (no estimate
+    fitted exponent khat must reach d/2 - d/q - SLOPE_MARGIN (no estimate
     better than Sobolev embedding); the standard second-order multiplier is
     rerun as a dispersive contrast when ``include_contrast`` is set.
 
@@ -457,7 +487,7 @@ def run_strichartz_probe(symbol: Symbol, p: float, q: float, k_grid, N_list,
             f"time_samples must be None or an integer >= 2, got {time_samples!r}"
         )
     check_strichartz_args(interval, box_L, n_ceiling, include_contrast)
-    k_grid = [float(k) for k in k_grid]
+    k_grid = check_k_grid(k_grid)
 
     rows = _probe_sweep(symbol, p, q, k_grid, N_list, interval, d, box_L,
                         n_ceiling, time_samples)
@@ -473,9 +503,9 @@ def run_strichartz_probe(symbol: Symbol, p: float, q: float, k_grid, N_list,
         fitted["khat_contrast_residual"] = res_contrast
 
     inv_q = 0.0 if q == np.inf else 1.0 / q
-    threshold = d / 2.0 - d * inv_q - slope_margin
+    threshold = d / 2.0 - d * inv_q - SLOPE_MARGIN
     claim_applies = symbol.kind == BOUNDED
     fitted["claim_applies"] = float(claim_applies)
     verdict = (khat >= threshold) if claim_applies else True
     return ExperimentReport("strichartz", rows, fitted, verdict,
-                            tolerances={"khat_min": threshold, "slope_margin": slope_margin})
+                            tolerances={"khat_min": threshold, "slope_margin": SLOPE_MARGIN})

@@ -5,9 +5,9 @@ u0_h(x) = h^(s - d/2) * kappa_h * a0(x/h) with a0(x) = exp(-|x|^2) and
 kappa_h = log(1/h)^(-theta) concentrates at scale h while its H^s norm
 tends to zero.  The exponents collected in :class:`ScalingPlan` tie the
 family to the rescaled evolution on a fixed box: the small parameter
-eps(h), the window exponent delta, the dispersive smallness exponent
-beta, and the blow-up time t_h.  No driver samples u0_h itself: they
-evolve the rescaled profile kappa_h * a0 (see :mod:`modnls.experiments`).
+eps(h), the window exponent delta, and the blow-up time t_h.  No experiment
+samples u0_h itself: they evolve the rescaled profile kappa_h * a0 (see
+:mod:`modnls.experiments`).
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ class ScalingPlan:
     s0: float
     alpha: float
     eps_exponent: float
-    beta: float
 
     def validate_h(self, h: float) -> None:
         if not (0.0 < h <= H_MAX):
@@ -130,7 +129,6 @@ def compute_scaling(
         if not 0.0 < s < s0:
             raise ScalingError(f"s must satisfy 0 < s < s0 = {s0}, got s = {s}")
         two_plus_alpha = ((m - 1.0 + omega) * two_sig_gap + m) / (m + omega)
-        beta = m - 1.0 + omega
     elif symbol_class == BOUNDED:
         if m is not None or omega is not None:
             raise ScalingError("m and omega apply to homogeneous symbols only")
@@ -138,7 +136,6 @@ def compute_scaling(
         if not 0.0 < s < s0:
             raise ScalingError(f"s must satisfy 0 < s < d/2 = {s0}, got s = {s}")
         two_plus_alpha = sigma * (d / 2.0 - s)
-        beta = 1.0
     else:
         raise ScalingError(
             f"symbol_class must be {HOMOGENEOUS!r} or {BOUNDED!r}, got {symbol_class!r}"
@@ -162,5 +159,4 @@ def compute_scaling(
         s0=s0,
         alpha=two_plus_alpha - 2.0,
         eps_exponent=eps_exponent,
-        beta=beta,
     )

@@ -23,7 +23,6 @@ __all__ = [
     "sobolev_norm",
     "spacetime_norm_from_samples",
     "spectral_tail_mass",
-    "spatial_tail_mass",
 ]
 
 
@@ -264,12 +263,17 @@ def spacetime_norm_from_samples(times, lq_values, p: float) -> float:
 
 def spectral_tail_mass(f: Field) -> float:
     """Fraction of the squared L2 mass in the top octave of frequencies."""
+    return _coeff_tail_mass(np.fft.fftn(f.values), f.grid)
+
+
+def _coeff_tail_mass(coeffs: np.ndarray, grid: Grid) -> float:
+    """:func:`spectral_tail_mass` of the field whose raw ``np.fft.fftn`` output is ``coeffs``."""
     with np.errstate(over="ignore"):
-        c2 = _coeff_mass(np.fft.fftn(f.values), f.grid)
-    return _mass_fraction(c2, _top_octave(f.grid))
+        c2 = _coeff_mass(coeffs, grid)
+    return _mass_fraction(c2, _top_octave(grid))
 
 
-def spatial_tail_mass(f: Field) -> float:
+def _spatial_tail_mass(f: Field) -> float:
     """Fraction of the squared L2 mass outside the half box |x|_inf <= L/2."""
     with np.errstate(over="ignore"):
         a2 = np.abs(f.values) ** 2

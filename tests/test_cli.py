@@ -113,7 +113,7 @@ class TestExitCodes:
         u0 = Field(grid, np.exp(-grid.x[0] ** 2))  # gaussian(amplitude=1,width=1)
         solve = SolveConfig(make_symbol("laplacian"), -1.0, 1.0, dt=0.001, T=0.01)
         for t, row in zip(times, rows):
-            ref = sobolev_norm(evolve(u0, dataclasses.replace(solve, T=t)).final, 1.0)
+            ref = sobolev_norm(evolve(u0, dataclasses.replace(solve, T=t)), 1.0)
             assert float(row["h1_norm"]) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
@@ -224,8 +224,20 @@ class TestRejectedBeforeAnyCompute:
         ("simulate", "dt = 0.001", "dt = inf", "dt must be finite and > 0"),
         ("singular", "t = 1.0", "t = 1.0\nquad_tol = 1e-15",
          "quadrature tolerance must be >= 1e-12"),
+        ("inflate", "h_list", "min_ratio_growth = nan\nh_list",
+         "min_ratio_growth must be finite and > 1"),
+        ("inflate", "h_list", "min_ratio_growth = -5\nh_list",
+         "min_ratio_growth must be finite and > 1"),
+        ("strichartz", "contrast = 0", "k_grid = 0.25, nan",
+         "every k in k_grid must be finite"),
+        ("simulate", "T = 0", "T = 0\ninitial = gaussian(amplitude=nan)",
+         "initial data amplitude must be finite"),
+        ("simulate", "T = 0", "T = 0\ninitial = gaussian(width=inf)",
+         "initial data width must be finite and > 0"),
     ], ids=["t_end inf", "box_L nan", "box_L negative", "n_ceiling zero", "contrast 7",
-            "T inf", "dt inf", "quad_tol below the floor"])
+            "T inf", "dt inf", "quad_tol below the floor", "min_ratio_growth nan",
+            "min_ratio_growth negative", "k_grid nan", "initial amplitude nan",
+            "initial width inf"])
     def test_driver_input_is_checked_before_compute(self, tmp_path, capsys, monkeypatch,
                                                      sub, old, new, message):
         def no_compute(*args, **kwargs):
@@ -233,9 +245,10 @@ class TestRejectedBeforeAnyCompute:
 
         monkeypatch.setattr("modnls.experiments._probe_sweep", no_compute)
         monkeypatch.setattr("modnls.cli.evolve", no_compute)
+        monkeypatch.setattr("modnls.experiments.evolve", no_compute)
         monkeypatch.setattr("modnls.singular.quad", no_compute)
         text = {"strichartz": STRICHARTZ_CFG, "simulate": SIMULATE_T0_CFG,
-                "singular": SINGULAR_CFG}[sub]
+                "singular": SINGULAR_CFG, "inflate": INFLATE_LAM0_CFG}[sub]
         cfg = write(tmp_path, "bad.cfg", text.replace(old, new))
         out = tmp_path / "out"
         assert main([sub, "--config", str(cfg), "--out", str(out)]) == EXIT_ERROR

@@ -10,6 +10,8 @@ from modnls.evolution import EvolutionError
 from modnls.experiments import (
     ExperimentError,
     check_h_list,
+    check_k_grid,
+    check_min_ratio_growth,
     check_N_list,
     check_ode_approx_args,
     check_rotation_budget,
@@ -150,6 +152,9 @@ INVALID_CASES = [
      "[singular]\nsigma = 1\nt = 1\nrho_list = 1e-4, 1e-3\n"),
     ("singular t < 0", "singular",
      "[singular]\nsigma = 1\nt = -1\nrho_list = 1e-3, 1e-4\n"),
+    ("initial amplitude nan", "simulate", SIMULATE_OK + "initial = gaussian(amplitude=nan)\n"),
+    ("initial width inf", "simulate", SIMULATE_OK + "initial = gaussian(width=inf)\n"),
+    ("initial width zero", "simulate", SIMULATE_OK + "initial = gaussian(amplitude=1,width=0)\n"),
 ]
 
 # the plan INFLATE_OK and ODE_OK describe
@@ -186,6 +191,14 @@ DRIVER_CHECK_CASES = [
      lambda: check_h_list(_PLAN, [math.exp(-3), math.exp(-2)])),
     ("inflate rotation_budget zero", "inflate", INFLATE_OK + "rotation_budget = 0\n",
      lambda: check_rotation_budget(0.0)),
+    ("min_ratio_growth nan", "inflate", INFLATE_OK + "min_ratio_growth = nan\n",
+     lambda: check_min_ratio_growth(math.nan)),
+    ("min_ratio_growth negative", "inflate", INFLATE_OK + "min_ratio_growth = -5\n",
+     lambda: check_min_ratio_growth(-5.0)),
+    ("min_ratio_growth one", "inflate", INFLATE_OK + "min_ratio_growth = 1\n",
+     lambda: check_min_ratio_growth(1.0)),
+    ("k_grid entry nan", "strichartz", STRICHARTZ_OK + "k_grid = 0.25, nan\n",
+     lambda: check_k_grid([0.25, math.nan])),
     ("ode-approx rotation_budget negative", "ode-approx", ODE_OK + "rotation_budget = -1\n",
      lambda: check_rotation_budget(-1.0)),
     ("h above e^-1", "inflate", _swap(INFLATE_OK, "e^-2, e^-3, e^-4", "0.5, e^-3"),

@@ -20,8 +20,11 @@ from modnls import (
     sobolev_norm,
     spectral_tail_mass,
 )
+from modnls import evolution, spectral
+from modnls.cli import main
 from modnls.evolution import _phase_kick
-from conftest import gaussian_field, random_smooth_field
+from modnls.spectral import _coeff_sobolev_norm
+from conftest import evolve_with_diagnostics, gaussian_field, random_smooth_field
 
 
 def reference_strang(u0, cfg):
@@ -125,20 +128,20 @@ class TestStrangStep:
     # one step of evolve (T = dt) is one Strang step: half free, kick, half free
     def test_lambda_zero_equals_free_flow(self, grid, gaussian):
         cfg = SolveConfig(make_symbol("laplacian"), 0.0, 1.0, dt=0.05, T=0.05)
-        out = evolve(gaussian, cfg).final
+        out = evolve(gaussian, cfg)
         ref = free_propagate(gaussian, make_symbol("laplacian"), 0.05)
         assert np.abs(out.values - ref.values).max() <= 1e-12
 
     def test_zero_symbol_equals_phase_step(self, grid, gaussian):
         cfg = SolveConfig(make_symbol("constant", c=0.0), 1.0, 1.0, dt=0.05, T=0.05)
-        out = evolve(gaussian, cfg).final
+        out = evolve(gaussian, cfg)
         ref = phase_ode(gaussian.values, 1.0, 1.0, 0.05)
         assert np.abs(out.values - ref).max() <= 1e-14
 
     def test_constant_symbol_commutes(self, grid, gaussian):
         c, dt, eps = 1.7, 0.05, 0.5
         cfg = SolveConfig(make_symbol("constant", c=c), -1.0, 2.0, dt=dt, T=dt, eps=eps)
-        out = evolve(gaussian, cfg).final
+        out = evolve(gaussian, cfg)
         ref = phase_ode(gaussian.values, -1.0, 2.0, dt, eps)
         expected = np.exp(1j * c * dt / eps) * ref
         assert np.abs(out.values - expected).max() <= 1e-13
@@ -147,30 +150,30 @@ class TestStrangStep:
 class TestEvolve:
     def test_T_zero_single_snapshot(self, grid, gaussian):
         cfg = SolveConfig(make_symbol("laplacian"), 1.0, 1.0, dt=0.01, T=0.0)
-        traj = evolve(gaussian, cfg)
-        assert len(traj.times) == 1
-        assert traj.times[0] == 0.0
-        assert traj.final is gaussian
+        final, times, _, _ = evolve_with_diagnostics(gaussian, cfg)
+        assert len(times) == 1
+        assert times[0] == 0.0
+        assert final is gaussian
 
     def test_lambda_zero_matches_free_propagator(self, grid, gaussian):
         sym = make_symbol("fourth_order")
         eps = 0.5
         cfg = SolveConfig(sym, 0.0, 1.0, dt=1e-3, T=0.3, eps=eps, snapshot_every=1000)
-        traj = evolve(gaussian, cfg)
+        final = evolve(gaussian, cfg)
         ref = free_propagate(gaussian, sym, 0.3 / eps)
-        assert np.abs(traj.final.values - ref.values).max() <= 1e-10
+        assert np.abs(final.values - ref.values).max() <= 1e-10
 
     def test_final_time_exact_for_non_multiple(self, grid, gaussian):
         cfg = SolveConfig(make_symbol("laplacian"), 1.0, 1.0, dt=0.0003, T=0.01, snapshot_every=7)
-        traj = evolve(gaussian, cfg)
-        assert traj.final_time == 0.01
-        times = list(traj.times)
+        _, times, _, _ = evolve_with_diagnostics(gaussian, cfg)
+        assert times[-1] == 0.01
+        times = list(times)
         assert all(b > a for a, b in zip(times, times[1:]))
 
     def test_l2_conservation(self, grid, gaussian):
         cfg = SolveConfig(make_symbol("laplacian"), -1.0, 1.0, dt=1e-3, T=1.0, snapshot_every=250)
-        traj = evolve(gaussian, cfg)
-        drift = abs(traj.l2_norms[-1] - traj.l2_norms[0]) / traj.l2_norms[0]
+        _, _, l2_norms, _ = evolve_with_diagnostics(gaussian, cfg)
+        drift = abs(l2_norms[-1] - l2_norms[0]) / l2_norms[0]
         assert drift <= 1e-10
 
     def test_self_convergence_error_quarters_when_dt_halves(self, grid, gaussian):
@@ -179,7 +182,7 @@ class TestEvolve:
 
         def terminal(dt):
             cfg = SolveConfig(sym, -1.0, 1.0, dt=dt, T=0.5, snapshot_every=10**6)
-            return evolve(gaussian, cfg).final
+            return evolve(gaussian, cfg)
 
 
         ref = terminal(1e-4)
@@ -232,30 +235,51 @@ class TestFourierResidentStepper:
         cfg = SolveConfig(make_symbol("fourth_order"), -1.0, sigma, dt=0.004, T=0.093,
                           eps=0.7, snapshot_every=snapshot_every, dealias=dealias)
         seen = []
-        traj = evolve(u0, cfg, lambda t, coeffs: seen.append((t, coeffs.copy())))
+        final = evolve(u0, cfg, lambda t, coeffs: seen.append((t, coeffs.copy())))
         ref = reference_strang(u0, cfg)
-        assert [t for t, _ in seen] == [t for t, _ in ref] == list(traj.times)
-        assert traj.final_time == 0.093
+        assert [t for t, _ in seen] == [t for t, _ in ref]
+        assert seen[-1][0] == 0.093
         for (_, coeffs), (_, vals) in zip(seen, ref):
             assert rel_gap(coeffs, np.fft.fftn(vals)) <= 1e-12
-        assert rel_gap(traj.final.values, ref[-1][1]) <= 1e-12
+        assert rel_gap(final.values, ref[-1][1]) <= 1e-12
+        l2_norms = [_coeff_sobolev_norm(coeffs, grid, 0.0) for _, coeffs in seen]
         ref_l2 = [math.sqrt(float(np.sum(np.abs(vals) ** 2)) * grid.cell) for _, vals in ref]
-        assert np.allclose(traj.l2_norms, ref_l2, rtol=1e-12, atol=0.0)
+        assert np.allclose(l2_norms, ref_l2, rtol=1e-12, atol=0.0)
 
     def test_reducer_sees_read_only_coefficients(self, grid, gaussian):
         cfg = SolveConfig(make_symbol("laplacian"), 1.0, 1.0, dt=0.01, T=0.05, snapshot_every=2)
         flags = []
-        traj = evolve(gaussian, cfg, lambda t, coeffs: flags.append(coeffs.flags.writeable))
-        assert flags == [False] * len(traj.times) and len(flags) == 4
+        evolve(gaussian, cfg, lambda t, coeffs: flags.append(coeffs.flags.writeable))
+        assert flags == [False] * 4
+
+    def test_no_reducer_means_no_work_per_snapshot(self, grid, gaussian, monkeypatch):
+        # the one squared-modulus pass is the initial spectral tail check,
+        # whatever the step and snapshot count
+        calls = []
+
+        def counting(original):
+            def counted(*args):
+                calls.append(1)
+                return original(*args)
+            return counted
+
+        for module in (spectral, evolution):
+            if hasattr(module, "_coeff_mass"):
+                monkeypatch.setattr(module, "_coeff_mass", counting(module._coeff_mass))
+        for T in (0.0, 0.2):
+            calls.clear()
+            evolve(gaussian, SolveConfig(make_symbol("laplacian"), -1.0, 1.0, dt=0.01, T=T))
+            assert len(calls) == 1, T
 
     def test_diagnostics_read_from_coefficients(self, grid, gaussian):
         cfg = SolveConfig(make_symbol("laplacian"), -1.0, 1.0, dt=0.01, T=0.05, snapshot_every=5)
         seen = []
-        traj = evolve(gaussian, cfg, lambda t, coeffs: seen.append(Field(grid, np.fft.ifftn(coeffs))))
+        evolve(gaussian, cfg, lambda t, coeffs: seen.append(Field(grid, np.fft.ifftn(coeffs))))
+        _, _, l2_norms, tail_masses = evolve_with_diagnostics(gaussian, cfg)
         tails = [spectral_tail_mass(f) for f in seen]
         l2s = [sobolev_norm(f, 0.0) for f in seen]
-        assert np.allclose(traj.tail_masses, tails, rtol=1e-10, atol=1e-30)
-        assert np.allclose(traj.l2_norms, l2s, rtol=1e-13, atol=0.0)
+        assert np.allclose(tail_masses, tails, rtol=1e-10, atol=1e-30)
+        assert np.allclose(l2_norms, l2s, rtol=1e-13, atol=0.0)
 
 
 class TestDealias:
@@ -265,13 +289,13 @@ class TestDealias:
         cfg = SolveConfig(make_symbol("constant", c=0.0), 0.0, 1.0,
                           dt=0.01, T=0.01, dealias=True)
         with pytest.warns(UserWarning, match="tail mass"):
-            out = evolve(f, cfg).final
+            out = evolve(f, cfg)
         assert np.abs(out.values).max() <= 1e-12
 
     def test_filter_is_inert_for_resolved_data(self, grid, gaussian):
         kw = dict(lam=-1.0, sigma=1.0, dt=1e-3, T=0.1, snapshot_every=10**6)
-        plain = evolve(gaussian, SolveConfig(make_symbol("laplacian"), **kw)).final
-        filt = evolve(gaussian, SolveConfig(make_symbol("laplacian"), dealias=True, **kw)).final
+        plain = evolve(gaussian, SolveConfig(make_symbol("laplacian"), **kw))
+        filt = evolve(gaussian, SolveConfig(make_symbol("laplacian"), dealias=True, **kw))
         assert np.abs(plain.values - filt.values).max() <= 1e-12
 
 
@@ -290,9 +314,12 @@ class TestSigmaAdmissibility:
     def test_flag(self, sigma, d, expected):
         assert sigma_is_admissible(sigma, d) is expected
 
-    def test_recorded_on_trajectory(self, grid, gaussian):
-        cfg = SolveConfig(make_symbol("laplacian"), 1.0, 0.3, dt=0.01, T=0.0)
-        assert evolve(gaussian, cfg).sigma_admissible is False
+    def test_recorded_in_the_simulate_summary(self, tmp_path):
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text("[grid]\nd = 1\nn = 256\nL = 8\n[equation]\nsymbol = laplacian\n"
+                       "lambda = 1\nsigma = 0.3\n[simulate]\ndt = 0.01\nT = 0\n")
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+        assert "fitted.sigma_admissible = 0\n" in (tmp_path / "summary.txt").read_text()
 
 
 class TestPicard:
@@ -305,7 +332,7 @@ class TestPicard:
 
     def test_cross_agreement_with_split_step(self, grid, gaussian):
         cfg = SolveConfig(make_symbol("laplacian"), 1.0, 1.0, dt=1e-3, T=0.1, snapshot_every=10**6)
-        strang = evolve(gaussian, cfg).final
+        strang = evolve(gaussian, cfg)
         fixed, report = picard_solve(gaussian, cfg, tol=1e-8)
         gap = sobolev_norm(Field(grid, fixed.values - strang.values), 0.0)
         assert gap <= 1e-6

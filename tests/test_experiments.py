@@ -26,6 +26,7 @@ from modnls import (
     run_strichartz_probe,
     sobolev_norm,
     spacetime_norm_from_samples,
+    spectral_tail_mass,
     strichartz_probe_data,
     window_symbol,
 )
@@ -274,6 +275,38 @@ class TestOdeApproxCost:
         assert counts["fftn"] == counts["snapshots"]
 
 
+class TestTailMassColumn:
+    """A row's tail_mass is the spectral tail mass of the sweep's final state."""
+
+    @pytest.fixture
+    def finals(self, monkeypatch):
+        """The states evolve returns inside the drivers, in call order."""
+        finals = []
+        stepper = experiments.evolve
+
+        def recording_evolve(u0, cfg, on_snapshot=None):
+            finals.append(stepper(u0, cfg, on_snapshot))
+            return finals[-1]
+
+        monkeypatch.setattr(experiments, "evolve", recording_evolve)
+        return finals
+
+    @pytest.mark.parametrize("sweep", ["inflate", "ode-approx"])
+    def test_equals_spectral_tail_mass_of_the_final_state(self, bounded_plan, finals, sweep):
+        # at n = 128 the tail masses are about 1e-6, so the final state's round
+        # trip through ifftn and fftn moves them by rounding only
+        grid = make_grid(1, 128, 8.0)
+        sym = make_symbol("arctan_step", h=1.0)
+        if sweep == "inflate":
+            rep = run_norm_inflation(bounded_plan, sym, grid, [math.exp(-2), math.exp(-3)])
+        else:
+            rep = run_ode_approx(bounded_plan, sym, grid, [0.1, 0.05], r=1)
+        assert len(finals) == len(rep.rows) == 2
+        for row, final in zip(rep.rows, finals):
+            assert row["tail_mass"] > 1e-7
+            assert row["tail_mass"] == pytest.approx(spectral_tail_mass(final), rel=1e-10, abs=0.0)
+
+
 class TestRunNormInflation:
     def test_lambda_zero_control_fails_with_unit_ratios(self, bounded_plan, grid):
         hs = [math.exp(-2), math.exp(-3)]
@@ -313,17 +346,6 @@ class TestRunNormInflation:
         assert rep.fitted["ratio_growth"] >= 3.0
         assert rep.verdict
 
-    def test_grid_policy_callable(self, bounded_plan):
-        policy_calls = []
-
-        def policy(h):
-            policy_calls.append(h)
-            return make_grid(1, 256, 8.0)
-
-        hs = [math.exp(-2), math.exp(-3)]
-        run_norm_inflation(bounded_plan, make_symbol("arctan_step", h=1.0), policy, hs)
-        assert policy_calls == hs
-
     def test_empty_h_list_rejected_before_any_evolution(self, bounded_plan, grid, monkeypatch):
         def no_evolve(*args, **kwargs):
             raise AssertionError("evolve ran on an empty sweep")
@@ -344,6 +366,18 @@ class TestRunNormInflation:
             run_norm_inflation(bounded_plan, sym, grid, [math.exp(-2)], rotation_budget=budget)
         with pytest.raises(ExperimentError, match="rotation_budget must be finite and > 0"):
             run_ode_approx(bounded_plan, sym, grid, [0.1], r=1, rotation_budget=budget)
+
+    @pytest.mark.parametrize("growth", [math.nan, math.inf, -5.0, 0.0, 1.0])
+    def test_min_ratio_growth_rejected_before_any_evolution(self, bounded_plan, grid, growth,
+                                                            monkeypatch):
+        # a bound of 1 or below passes a sweep whose norms do not inflate
+        def no_evolve(*args, **kwargs):
+            raise AssertionError("evolve ran with a bad min_ratio_growth")
+
+        monkeypatch.setattr(experiments, "evolve", no_evolve)
+        with pytest.raises(ExperimentError, match="min_ratio_growth must be finite and > 1"):
+            run_norm_inflation(bounded_plan, make_symbol("arctan_step", h=1.0), grid,
+                               [math.exp(-2)], min_ratio_growth=growth)
 
     def test_rejects_h_above_cap(self, bounded_plan, grid):
         with pytest.raises(Exception, match="e\\^-1"):
@@ -431,6 +465,16 @@ class TestStrichartzProbe:
                 make_symbol("constant", c=0.0), 8.0, 4.0, [0.0], [8, 16],
                 include_contrast=False, time_samples=time_samples,
             )
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+    def test_k_grid_rejected_before_any_sweep(self, k, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before k_grid was checked")
+
+        monkeypatch.setattr(experiments, "_probe_sweep", no_sweep)
+        with pytest.raises(ExperimentError, match="every k in k_grid must be finite"):
+            run_strichartz_probe(make_symbol("constant", c=0.0), 8.0, 4.0, [0.25, k], [8, 16],
+                                 include_contrast=False)
 
     def test_N_list_check(self):
         assert check_N_list([8, 16]) == [8.0, 16.0]

@@ -179,6 +179,18 @@ class TestQuadRule:
         value = singular.quad(lambda r: r**2, 0.5, 0.75, 1e-12)
         assert value == pytest.approx((0.75**3 - 0.5**3) / 3.0, rel=1e-14)
 
+    def test_integrates_a_stack_row_by_row(self):
+        # each row is integrated as on its own, and a row that never settles
+        # fails the whole stack
+        value = singular.quad(lambda r: np.stack((r**2, r**5)), 0.5, 0.75, 1e-12)
+        assert value.shape == (2,)
+        assert value[0] == pytest.approx((0.75**3 - 0.5**3) / 3.0, rel=1e-14)
+        assert value[1] == pytest.approx((0.75**6 - 0.5**6) / 6.0, rel=1e-14)
+        c = math.log(1.0 / 0.6)
+        with pytest.raises(SingularProbeError, match="did not converge"):
+            singular.quad(lambda r: np.stack((r**2, np.abs(np.log(1.0 / r) - c) ** 0.5)),
+                          0.5, 0.75, 1e-9)
+
     def test_kink_that_never_settles_names_the_segment(self):
         # |u - c|^(1/2) has a kink inside the segment, so successive rules
         # keep moving by about n^-1.5 and the 1024-node cap is reached
@@ -203,7 +215,7 @@ class TestQuadRule:
         monkeypatch.setattr(singular, "log_singular_profile", counted_profile)
         monkeypatch.setattr(singular, "quad", counted_rule)
         run_singular_probe(sigma, 1.0, 1.0, DECADES, quad_tol=1e-9)
-        assert len(calls) == 2  # the data's and the evolved integrand on [1/2, 3/4]
+        assert len(calls) == 1  # both integrands at once on [1/2, 3/4]
         assert max(calls) <= 3, calls
 
     @pytest.mark.parametrize("rhos", [DECADES, STRADDLE], ids=["decades", "straddle"])

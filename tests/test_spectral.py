@@ -15,10 +15,9 @@ from modnls import (
     make_symbol,
     sobolev_norm,
     spacetime_norm_from_samples,
-    spatial_tail_mass,
     spectral_tail_mass,
 )
-from modnls.spectral import _lq_norms
+from modnls.spectral import _coeff_tail_mass, _lq_norms, _spatial_tail_mass
 from conftest import gaussian_field, random_smooth_field
 
 
@@ -258,10 +257,21 @@ class TestEmbeddingAndTails:
     def test_tail_masses_small_for_smooth_centered_data(self):
         grid = make_grid(1, 256, 8.0)
         f = gaussian_field(grid)
-        assert spatial_tail_mass(f) < 1e-8
+        assert _spatial_tail_mass(f) < 1e-8
         assert spectral_tail_mass(f) < 1e-8
 
     def test_spatial_tail_detects_wide_data(self):
         grid = make_grid(1, 256, 8.0)
         f = gaussian_field(grid, width=6.0)
-        assert spatial_tail_mass(f) > 1e-8
+        assert _spatial_tail_mass(f) > 1e-8
+
+    @pytest.mark.parametrize("k,share", [(3, 0.0), (40, 1.0), (-64, 1.0)])
+    def test_coefficient_tail_mass_is_the_field_tail_mass(self, k, share):
+        # one Fourier mode lies wholly inside or wholly in the top octave
+        # |xi| >= xi_max/2 (k >= 32 of n/2 = 64); the field form transforms and
+        # calls the coefficient form, so the two agree exactly
+        grid = make_grid(1, 128, 8.0)
+        f = Field(grid, np.exp(1j * (np.pi / grid.L) * k * grid.x[0]))
+        coeffs = np.fft.fftn(f.values)
+        assert _coeff_tail_mass(coeffs, grid) == pytest.approx(share, abs=1e-14)
+        assert _coeff_tail_mass(coeffs, grid) == spectral_tail_mass(f)
