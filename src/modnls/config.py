@@ -275,8 +275,8 @@ def _validate_strichartz(params: dict) -> None:
     check_admissible_pair(params["p"], params["q"], params["d"])
     check_N_list(params["N_list"])
     check_k_grid(params["k_grid"])
-    check_strichartz_args((0.0, params["t_end"]), params["box_L"], params["n_ceiling"],
-                          params["contrast"])
+    check_strichartz_args(params["N_list"], (0.0, params["t_end"]), params["box_L"],
+                          params["n_ceiling"], params["contrast"])
     _check_symbol_dims(params)
 
 

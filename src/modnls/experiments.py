@@ -10,6 +10,7 @@ reconstructed through the exact identities
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -327,9 +328,14 @@ def run_norm_inflation(plan: ScalingPlan, symbol: Symbol, grid: Grid, h_list,
 
 
 def check_admissible_pair(p: float, q: float, d: int) -> None:
-    """Reject (p, q) unless p, q >= 2, (p, q) != (2, inf), and 2/p = d(1/2 - 1/q)."""
+    """Reject (p, q) unless p, q >= 2, p < inf, (p, q) != (2, inf), and 2/p = d(1/2 - 1/q).
+
+    The time norm is a trapezoid sum of |S(t)u0|_{L^q}^p, so p must be finite.
+    """
     if not (p >= 2 and q >= 2):
         raise ExperimentError(f"admissible pairs need p, q >= 2, got ({p}, {q})")
+    if p == np.inf:
+        raise ExperimentError(f"the time exponent p must be finite, got {p}")
     if p == 2 and q == np.inf:
         raise ExperimentError("the pair (2, inf) is excluded")
     inv_q = 0.0 if q == np.inf else 1.0 / q
@@ -360,12 +366,13 @@ def check_k_grid(k_grid) -> list[float]:
     return k_grid
 
 
-def check_strichartz_args(interval, box_L: float, n_ceiling: int,
+def check_strichartz_args(N_list, interval, box_L: float, n_ceiling: int,
                           include_contrast) -> None:
     """Reject, before any compute, a time interval (t0, t_end) that is not
     finite with 0 <= t0 < t_end, a box_L that is not finite and > 0, an
-    n_ceiling below 1, and an include_contrast (the config key ``contrast``)
-    other than 0 or 1."""
+    n_ceiling below 1, an include_contrast (the config key ``contrast``)
+    other than 0 or 1, and an N in N_list (already passed by
+    :func:`check_N_list`) whose grid needs more than n_ceiling points per axis."""
     t0, t1 = interval
     if not (math.isfinite(t1) and 0 <= t0 < t1):
         raise ExperimentError(
@@ -378,6 +385,12 @@ def check_strichartz_args(interval, box_L: float, n_ceiling: int,
         raise ExperimentError(f"n_ceiling must be >= 1, got {n_ceiling}")
     if include_contrast not in (0, 1):
         raise ExperimentError(f"contrast must be 0 or 1, got {include_contrast}")
+    for N in N_list:
+        n = _probe_points(N, box_L)
+        if n > n_ceiling:
+            raise ExperimentError(
+                f"probe at N = {N} needs n = {n} points per axis, above the ceiling {n_ceiling}"
+            )
 
 
 def strichartz_probe_data(grid: Grid, N: float) -> Field:
@@ -387,63 +400,101 @@ def strichartz_probe_data(grid: Grid, N: float) -> Field:
     return Field(grid, vals)
 
 
-def _probe_grid(N: float, d: int, box_L: float, n_ceiling: int) -> Grid:
-    # resolve scale 1/N with >= 8 nodes and frequencies up to ~12*N
-    n_space = 16.0 * box_L * N
-    n_freq = 24.0 * box_L * N / math.pi
-    n = 2 ** math.ceil(math.log2(max(n_space, n_freq, 8.0)))
-    if n > n_ceiling:
-        raise ExperimentError(
-            f"probe at N = {N} needs n = {n} points per axis, above the ceiling {n_ceiling}"
-        )
-    return make_grid(d, n, box_L)
+def _probe_points(N: float, box_L: float) -> int | float:
+    """Points per axis of the probe grid at N: the least power of two >= 8 with
+    8 nodes per length 1/N (dx = 2*box_L/n <= 1/(8N)).  Then xi_max = 8*pi*N,
+    which also resolves frequencies up to ~12*N.  inf when 16*box_L*N overflows."""
+    need = max(16.0 * box_L * N, 8.0)
+    return 2 ** math.ceil(math.log2(need)) if math.isfinite(need) else math.inf
 
 
 # Elements per batch of the probe (rows x grid nodes): ~4 MB of complex128
 # keeps the phase table, the batch and its transform in cache.  The row floor
 # keeps large 2D grids from degrading to one-row batches, where the per-call
-# overhead of the FFT dominates.
+# overhead of the FFT dominates.  Each of the _PROBE_LANES lanes transforms
+# its own slice of every batch's rows in a buffer of that slice's size, so
+# the lanes together hold one batch, as a single lane would.
 _PROBE_BATCH_ELEMENTS = 1 << 18
 _PROBE_MIN_ROWS = 8
+# The calling thread and one helper thread; numpy's FFTs and ufuncs release
+# the GIL, so the two lanes run on two cores.
+_PROBE_LANES = 2
+
+
+def _probe_lq(pvals: np.ndarray, u0_hat: np.ndarray, times: np.ndarray, q: float,
+              cell: float) -> np.ndarray:
+    """|exp(i t P) u0|_{L^q} at every time of the uniform grid ``times``.
+
+    On the uniform time grid exp(i t_{lo+j} P) = exp(i j dt P) * exp(i t_lo P):
+    one offset table serves every batch, and each lane pays one exp per node
+    and batch for the start phase instead of one per sample and node.  Every
+    batch's rows are split between _PROBE_LANES lanes, the calling thread and
+    helper threads started and joined here; an exception in a helper is raised
+    here after every helper has been joined.
+    """
+    n_t = times.size
+    axes = tuple(range(1, u0_hat.ndim + 1))
+    rows_per_batch = min(n_t, max(_PROBE_MIN_ROWS, _PROBE_BATCH_ELEMENTS // u0_hat.size))
+    offsets = (times[-1] - times[0]) / (n_t - 1) * np.arange(rows_per_batch)
+    table = _propagator(pvals, offsets)
+    lq = np.empty(n_t)
+
+    def lane(first, stop):
+        # rows [first, stop) of every batch; one buffer per lane and N, since a
+        # fresh array per batch page-faults
+        buf = np.empty((stop - first,) + u0_hat.shape, dtype=table.dtype)
+        for lo in range(0, n_t, rows_per_batch):
+            m = min(stop, n_t - lo) - first
+            if m <= 0:  # only the last batch can be this short
+                break
+            start = _propagator(pvals, times[lo]) * u0_hat
+            snaps = np.multiply(table[first:first + m], start, out=buf[:m])
+            np.fft.ifftn(snaps, axes=axes, out=snaps)
+            lq[lo + first:lo + first + m] = _lq_norms(snaps, q, cell, axes)
+
+    errors = []
+
+    def helper(first, stop):
+        try:
+            lane(first, stop)
+        except BaseException as exc:  # raised again in the calling thread
+            errors.append(exc)
+
+    bounds = [rows_per_batch * k // _PROBE_LANES for k in range(_PROBE_LANES + 1)]
+    helpers = [threading.Thread(target=helper, args=rows, name="modnls-probe-lane")
+               for rows in zip(bounds[1:-1], bounds[2:])]
+    for thread in helpers:
+        thread.start()
+    try:
+        lane(bounds[0], bounds[1])
+    finally:
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return lq
 
 
 def _probe_sweep(symbol: Symbol, p: float, q: float, k_grid, N_list, interval,
-                 d: int, box_L: float, n_ceiling: int, time_samples) -> list:
+                 d: int, box_L: float, time_samples) -> list:
     t0, t1 = interval
     rows = []
     for N in N_list:
-        grid = _probe_grid(N, d, box_L, n_ceiling)
+        grid = make_grid(d, _probe_points(N, box_L), box_L)
         u0 = strichartz_probe_data(grid, N)
         n_t = max(1025, int(4.0 * N * N * (t1 - t0)) + 1) if time_samples is None else time_samples
         times = np.linspace(t0, t1, n_t)
-        pvals = symbol.on_grid(grid)
         u0_hat = np.fft.fftn(u0.values)
-        axes = tuple(range(1, d + 1))
-        lq = np.empty(n_t)
-        # On the uniform time grid exp(i t_{lo+j} P) = exp(i j dt P) * exp(i t_lo P):
-        # one offset table per N serves every batch, and each batch pays one
-        # exp per node for its start phase instead of one per sample and node.
-        rows_per_batch = min(n_t, max(_PROBE_MIN_ROWS, _PROBE_BATCH_ELEMENTS // u0_hat.size))
-        offsets = (t1 - t0) / (n_t - 1) * np.arange(rows_per_batch)
-        table = _propagator(pvals, offsets)
-        buf = np.empty_like(table)  # one buffer per N: a fresh array per batch page-faults
-        for lo in range(0, n_t, rows_per_batch):
-            m = min(rows_per_batch, n_t - lo)
-            start = _propagator(pvals, times[lo]) * u0_hat
-            snaps = np.multiply(table[:m], start, out=buf[:m])
-            np.fft.ifftn(snaps, axes=axes, out=snaps)
-            lq[lo:lo + m] = _lq_norms(snaps, q, grid.cell, axes)
-        Q = spacetime_norm_from_samples(times, lq, p)
-
+        lq = _probe_lq(symbol.on_grid(grid), u0_hat, times, q, grid.cell)
         row = {
             "symbol": symbol.spec_string(),
             "N": N,
             "grid_n": grid.n,
             "time_samples": n_t,
-            "Q": Q,
+            "Q": spacetime_norm_from_samples(times, lq, p),
         }
         for k in k_grid:
-            row[f"hk_norm_{k:g}"] = sobolev_norm(u0, k)
+            row[f"hk_norm_{k:g}"] = _coeff_sobolev_norm(u0_hat, grid, k)
         rows.append(row)
     return rows
 
@@ -477,7 +528,13 @@ def run_strichartz_probe(symbol: Symbol, p: float, q: float, k_grid, N_list,
     N; None picks max(1025, 4*N^2*|I| + 1).  The samples are taken in
     batches of about 2^18 complex values (at least 8 rows): each batch is
     one offset table exp(i*j*dt*P), built once per N, times the batch's
-    start exp(i*t_lo*P)*u0_hat, followed by one batched inverse FFT.
+    start exp(i*t_lo*P)*u0_hat, followed by a batched inverse FFT.  The
+    rows of every batch are split between two lanes, the calling thread
+    and one helper thread started and joined once per N.  Each lane
+    transforms its half of the rows in its own half-batch buffer, so every
+    Q is bit-identical to a one-lane run and the memory in flight is one
+    batch.  Every input, including an N whose grid would need more than
+    ``n_ceiling`` points per axis, is checked before any compute.
     """
     check_admissible_pair(p, q, d)
     N_list = check_N_list(N_list)
@@ -486,17 +543,16 @@ def run_strichartz_probe(symbol: Symbol, p: float, q: float, k_grid, N_list,
         raise ExperimentError(
             f"time_samples must be None or an integer >= 2, got {time_samples!r}"
         )
-    check_strichartz_args(interval, box_L, n_ceiling, include_contrast)
+    check_strichartz_args(N_list, interval, box_L, n_ceiling, include_contrast)
     k_grid = check_k_grid(k_grid)
 
-    rows = _probe_sweep(symbol, p, q, k_grid, N_list, interval, d, box_L,
-                        n_ceiling, time_samples)
+    rows = _probe_sweep(symbol, p, q, k_grid, N_list, interval, d, box_L, time_samples)
     khat, residual = _fit_slope(N_list, [row["Q"] for row in rows])
 
     fitted = {"khat": khat, "khat_residual": residual}
     if include_contrast:
         contrast_rows = _probe_sweep(make_symbol("laplacian"), p, q, k_grid, N_list,
-                                     interval, d, box_L, n_ceiling, time_samples)
+                                     interval, d, box_L, time_samples)
         rows = rows + contrast_rows
         khat_contrast, res_contrast = _fit_slope(N_list, [r["Q"] for r in contrast_rows])
         fitted["khat_contrast"] = khat_contrast

@@ -234,10 +234,15 @@ class TestRejectedBeforeAnyCompute:
          "initial data amplitude must be finite"),
         ("simulate", "T = 0", "T = 0\ninitial = gaussian(width=inf)",
          "initial data width must be finite and > 0"),
+        ("strichartz", "p = 8\nq = 4", "p = inf\nq = 2", "the time exponent p must be finite"),
+        ("strichartz", "N_list = 8, 16", "N_list = 8, 16, 32, 64\nn_ceiling = 2048",
+         "probe at N = 64.0 needs n = 4096 points per axis, above the ceiling 2048"),
+        ("strichartz", "N_list = 8, 16", "N_list = 8, 1e308",
+         "probe at N = 1e+308 needs n = inf points per axis, above the ceiling 16384"),
     ], ids=["t_end inf", "box_L nan", "box_L negative", "n_ceiling zero", "contrast 7",
             "T inf", "dt inf", "quad_tol below the floor", "min_ratio_growth nan",
             "min_ratio_growth negative", "k_grid nan", "initial amplitude nan",
-            "initial width inf"])
+            "initial width inf", "p inf", "last N above n_ceiling", "N overflows the grid rule"])
     def test_driver_input_is_checked_before_compute(self, tmp_path, capsys, monkeypatch,
                                                      sub, old, new, message):
         def no_compute(*args, **kwargs):
@@ -256,14 +261,25 @@ class TestRejectedBeforeAnyCompute:
         assert not (out / "report.csv").exists()
 
 
-def test_cli_import_loads_no_scipy():
-    # importing scipy.integrate costs about 0.5 s, several times the rest of
-    # start-up; only picard_solve and the test oracles use scipy
+def _modules_after_cli_import(package: str) -> str:
+    # a fresh interpreter, so modules that this test session loaded do not count
     src = str(Path(modnls.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import modnls.cli, sys; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
-    assert done.stdout.strip() == "[]"
+    return done.stdout.strip()
+
+
+def test_cli_import_loads_no_scipy():
+    # importing scipy.integrate costs about 0.5 s, several times the rest of
+    # start-up; only picard_solve and the test oracles use scipy
+    assert _modules_after_cli_import("scipy") == "[]"
+
+
+def test_cli_import_loads_no_concurrent_futures():
+    # importing concurrent.futures costs about 6 ms, about 5% of start-up; the
+    # probe's lanes use threading, which numpy already imports
+    assert _modules_after_cli_import("concurrent") == "[]"

@@ -9,6 +9,7 @@ from modnls.config import ConfigError, parse_config, parse_config_text, render_c
 from modnls.evolution import EvolutionError
 from modnls.experiments import (
     ExperimentError,
+    check_admissible_pair,
     check_h_list,
     check_k_grid,
     check_min_ratio_growth,
@@ -137,6 +138,11 @@ INVALID_CASES = [
      "[equation]\nsymbol = arctan_step(h=1)\n[strichartz]\np = 2\nq = inf\nN_list = 8, 16\n"),
     ("N_list not increasing", "strichartz",
      "[equation]\nsymbol = arctan_step(h=1)\n[strichartz]\np = 8\nq = 4\nN_list = 16, 8\n"),
+    ("time exponent p infinite", "strichartz",
+     "[equation]\nsymbol = arctan_step(h=1)\n[strichartz]\np = inf\nq = 2\nN_list = 8, 16\n"),
+    ("last N above n_ceiling", "strichartz",
+     "[equation]\nsymbol = arctan_step(h=1)\n[strichartz]\np = 8\nq = 4\n"
+     "N_list = 8, 16, 32, 64\nn_ceiling = 2048\n"),
     ("grid n not a power of two", "simulate", _swap(SIMULATE_OK, "n = 64", "n = 48")),
     ("grid L <= 0", "simulate", _swap(SIMULATE_OK, "L = 8", "L = -1")),
     ("grid n not finite", "simulate", _swap(SIMULATE_OK, "n = 64", "n = inf")),
@@ -165,15 +171,21 @@ STRICHARTZ_OK = "[equation]\nsymbol = arctan_step(h=1)\n[strichartz]\np = 8\nq =
 # config rejects these through the driver's own check, so the messages match
 DRIVER_CHECK_CASES = [
     ("t_end not finite", "strichartz", STRICHARTZ_OK + "t_end = inf\n",
-     lambda: check_strichartz_args((0.0, math.inf), 4.0, 16384, 1)),
+     lambda: check_strichartz_args([8.0, 16.0], (0.0, math.inf), 4.0, 16384, 1)),
     ("box_L nan", "strichartz", STRICHARTZ_OK + "box_L = nan\n",
-     lambda: check_strichartz_args((0.0, 1.0), math.nan, 16384, 1)),
+     lambda: check_strichartz_args([8.0, 16.0], (0.0, 1.0), math.nan, 16384, 1)),
     ("box_L negative", "strichartz", STRICHARTZ_OK + "box_L = -1\n",
-     lambda: check_strichartz_args((0.0, 1.0), -1.0, 16384, 1)),
+     lambda: check_strichartz_args([8.0, 16.0], (0.0, 1.0), -1.0, 16384, 1)),
     ("n_ceiling zero", "strichartz", STRICHARTZ_OK + "n_ceiling = 0\n",
-     lambda: check_strichartz_args((0.0, 1.0), 4.0, 0, 1)),
+     lambda: check_strichartz_args([8.0, 16.0], (0.0, 1.0), 4.0, 0, 1)),
     ("contrast not 0 or 1", "strichartz", STRICHARTZ_OK + "contrast = 7\n",
-     lambda: check_strichartz_args((0.0, 1.0), 4.0, 16384, 7)),
+     lambda: check_strichartz_args([8.0, 16.0], (0.0, 1.0), 4.0, 16384, 7)),
+    ("last N above n_ceiling", "strichartz",
+     _swap(STRICHARTZ_OK, "N_list = 8, 16", "N_list = 8, 16, 32, 64\nn_ceiling = 2048"),
+     lambda: check_strichartz_args([8.0, 16.0, 32.0, 64.0], (0.0, 1.0), 4.0, 2048, 1)),
+    ("time exponent p infinite", "strichartz",
+     _swap(STRICHARTZ_OK, "p = 8\nq = 4", "p = inf\nq = 2"),
+     lambda: check_admissible_pair(math.inf, 2.0, 1)),
     ("simulate T not finite", "simulate", _swap(SIMULATE_OK, "T = 0.01", "T = inf"),
      lambda: SolveConfig(make_symbol("laplacian"), -1.0, 1.0, 0.001, math.inf)),
     ("simulate dt not finite", "simulate", _swap(SIMULATE_OK, "dt = 0.001", "dt = inf"),

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import math
+import re
+import sys
+import threading
 from collections import Counter
 
 import numpy as np
@@ -31,7 +34,7 @@ from modnls import (
     window_symbol,
 )
 from modnls import experiments
-from modnls.spectral import _lq_norms
+from modnls.spectral import _lq_norms, _propagator
 
 
 @pytest.fixture
@@ -396,6 +399,8 @@ class TestStrichartzProbe:
             check_admissible_pair(1.5, 4.0, 1)
         with pytest.raises(ExperimentError, match="excluded"):
             check_admissible_pair(2.0, np.inf, 1)
+        with pytest.raises(ExperimentError, match="time exponent p must be finite"):
+            check_admissible_pair(np.inf, 2.0, 1)
 
     def test_probe_data_hk_norm_scales_like_Nk(self):
         norms = {}
@@ -438,6 +443,20 @@ class TestStrichartzProbe:
                 make_symbol("constant", c=0.0), 8.0, 4.0, [0.0], [8, 64],
                 include_contrast=False, n_ceiling=1024,
             )
+
+    @pytest.mark.parametrize("N_list, message", [
+        ([8, 16, 32, 64], "N = 64.0 needs n = 4096 points per axis, above the ceiling 2048"),
+        ([8, 1e308], "N = 1e+308 needs n = inf points per axis, above the ceiling 2048"),
+    ])
+    def test_every_N_checked_against_the_ceiling_before_any_sweep(self, N_list, message,
+                                                                  monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before every N was checked")
+
+        monkeypatch.setattr(experiments, "_probe_sweep", no_sweep)
+        with pytest.raises(ExperimentError, match=re.escape(message)):
+            run_strichartz_probe(make_symbol("constant", c=0.0), 8.0, 4.0, [0.0], N_list,
+                                 include_contrast=False, n_ceiling=2048)
 
     def test_sup_norm_pair_slope(self):
         rep = run_strichartz_probe(
@@ -510,3 +529,91 @@ class TestProbeBatching:
             lq = [_lq_norms(free_propagate(u0, symbol, t).values, q, grid.cell) for t in times]
             reference = spacetime_norm_from_samples(times, lq, p)
             assert row["Q"] == pytest.approx(reference, rel=1e-12)
+
+
+def _serial_probe_lq(pvals, u0_hat, times, q, cell):
+    """The probe's one-lane batch loop: the oracle the lanes must match bit for bit."""
+    n_t = times.size
+    axes = tuple(range(1, u0_hat.ndim + 1))
+    lq = np.empty(n_t)
+    rows_per_batch = min(n_t, max(experiments._PROBE_MIN_ROWS,
+                                  experiments._PROBE_BATCH_ELEMENTS // u0_hat.size))
+    offsets = (times[-1] - times[0]) / (n_t - 1) * np.arange(rows_per_batch)
+    table = _propagator(pvals, offsets)
+    buf = np.empty_like(table)
+    for lo in range(0, n_t, rows_per_batch):
+        m = min(rows_per_batch, n_t - lo)
+        start = _propagator(pvals, times[lo]) * u0_hat
+        snaps = np.multiply(table[:m], start, out=buf[:m])
+        np.fft.ifftn(snaps, axes=axes, out=snaps)
+        lq[lo:lo + m] = _lq_norms(snaps, q, cell, axes)
+    return lq
+
+
+def _probe_inputs(symbol, d, N, n):
+    grid = make_grid(d, n, 4.0)
+    u0 = strichartz_probe_data(grid, N)
+    return grid, u0, symbol.on_grid(grid), np.fft.fftn(u0.values)
+
+
+class TestProbeLanes:
+    """The two-lane probe against the one-lane batch loop: equal bit for bit."""
+
+    # 1D N = 8 runs 512 rows per batch and 2D N = 2 runs 16, so 17 and 1025
+    # samples end on a one-row batch, and 2 samples are one batch of a row per lane
+    @pytest.mark.parametrize("d, N, n", [(1, 8.0, 512), (2, 2.0, 128)])
+    @pytest.mark.parametrize("q", [4.0, np.inf])
+    @pytest.mark.parametrize("time_samples", [2, 17, 1025])
+    @pytest.mark.parametrize("interval", [(0.0, 1.0), (0.5, 1.5)])
+    def test_lq_equals_the_serial_loop(self, d, N, n, q, time_samples, interval):
+        grid, _, pvals, u0_hat = _probe_inputs(make_symbol("arctan_step", h=1.0), d, N, n)
+        times = np.linspace(*interval, time_samples)
+        lq = experiments._probe_lq(pvals, u0_hat, times, q, grid.cell)
+        expected = _serial_probe_lq(pvals, u0_hat, times, q, grid.cell)
+        assert np.array_equal(lq, expected)
+
+    @pytest.mark.parametrize("d, p, q, N_list, time_samples, interval", [
+        (1, 8.0, 4.0, [8, 16], 1025, (0.0, 1.0)),
+        (1, 4.0, np.inf, [8, 16], 17, (0.5, 1.5)),
+        (2, 4.0, 4.0, [1, 2], 2, (0.0, 1.0)),
+        (2, 4.0, 4.0, [1, 2], 17, (0.25, 1.0)),
+    ])
+    def test_report_equals_the_serial_loop(self, d, p, q, N_list, time_samples, interval):
+        symbol = make_symbol("arctan_step", h=1.0)
+        rep = run_strichartz_probe(symbol, p, q, [0.0, 0.25], N_list, interval=interval, d=d,
+                                   include_contrast=False, time_samples=time_samples)
+        times = np.linspace(*interval, time_samples)
+        for row in rep.rows:
+            grid, u0, pvals, u0_hat = _probe_inputs(symbol, d, row["N"], row["grid_n"])
+            lq = _serial_probe_lq(pvals, u0_hat, times, q, grid.cell)
+            assert row["Q"] == spacetime_norm_from_samples(times, lq, p)
+            for k in (0.0, 0.25):
+                assert row[f"hk_norm_{k:g}"] == sobolev_norm(u0, k)
+
+    def test_more_lanes_than_cores_under_a_short_switch_interval(self, monkeypatch):
+        # every lane writes its own rows of lq; a lost or misplaced row breaks equality
+        monkeypatch.setattr(experiments, "_PROBE_LANES", 5)
+        grid, _, pvals, u0_hat = _probe_inputs(make_symbol("arctan_step", h=1.0), 1, 8.0, 512)
+        times = np.linspace(0.0, 1.0, 1025)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            lq = experiments._probe_lq(pvals, u0_hat, times, 4.0, grid.cell)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(lq, _serial_probe_lq(pvals, u0_hat, times, 4.0, grid.cell))
+
+    @pytest.mark.parametrize("failing", ["helper", "caller"])
+    def test_lane_error_is_raised_and_no_thread_outlives_the_call(self, monkeypatch, failing):
+        def lq_norms(z, q, cell, axes=None):
+            on_main = threading.current_thread() is threading.main_thread()
+            if on_main == (failing == "caller"):
+                raise RuntimeError(f"lq failed in the {failing} lane")
+            return _lq_norms(z, q, cell, axes)
+
+        monkeypatch.setattr(experiments, "_lq_norms", lq_norms)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match=f"lq failed in the {failing} lane"):
+            run_strichartz_probe(make_symbol("arctan_step", h=1.0), 8.0, 4.0, [0.0], [8, 16],
+                                 include_contrast=False, time_samples=1025)
+        assert threading.active_count() == before
