@@ -20,13 +20,8 @@ from .evolution import (
 )
 from .experiments import (
     ExperimentError,
-    check_N_list,
-    check_admissible_pair,
-    check_h_list,
-    check_k_grid,
-    check_min_ratio_growth,
+    check_inflate_args,
     check_ode_approx_args,
-    check_rotation_budget,
     check_strichartz_args,
     ode_phase_profile,
     run_norm_inflation,

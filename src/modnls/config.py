@@ -4,30 +4,29 @@ Grammar: ``[section]`` headers, ``key = value`` assignments, ``#``
 comments.  Numbers accept plain float literals plus the form ``e^-3``
 for exp(-3), which keeps the concentration sweeps exact.  Every key is
 validated against the subcommand's schema before any computation starts;
-unknown keys are errors.
+unknown keys are errors.  The keys are then mapped, in one place per
+subcommand, to the keyword arguments of its driver, and checked by the
+same function the driver calls first.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+
+import numpy as np
 
 from .evolution import EvolutionError, SolveConfig
 from .experiments import (
     ExperimentError,
-    check_N_list,
-    check_admissible_pair,
-    check_h_list,
-    check_k_grid,
-    check_min_ratio_growth,
+    check_inflate_args,
     check_ode_approx_args,
-    check_rotation_budget,
     check_strichartz_args,
 )
 from .scaling import ScalingError, ScalingPlan, compute_scaling
-from .singular import SingularProbeError, check_probe_args, singular_alpha
-from .spectral import SpectralError, make_grid
+from .singular import SingularProbeError, check_probe_args
+from .spectral import Field, SpectralError, make_grid
 from .symbols import (
     BOUNDED,
     HOMOGENEOUS,
@@ -47,12 +46,13 @@ class ConfigError(ValueError):
 
 @dataclass
 class RunConfig:
-    """A fully validated driver configuration; ``plan`` is set for inflate and ode-approx."""
+    """A fully validated configuration: ``params`` holds the keys (defaults
+    filled), ``args`` the driver's keyword arguments built from them."""
 
     subcommand: str
     params: dict
     outdir: str = "out"
-    plan: ScalingPlan | None = None
+    args: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -237,65 +237,63 @@ def _plan_from_params(params: dict) -> ScalingPlan:
     )
 
 
-def _check_symbol_dims(params: dict) -> None:
-    symbol = params["symbol"]
-    if symbol.dims is not None and symbol.dims != params["d"]:
-        raise ConfigError(f"symbol {symbol.spec_string()} is restricted to d = {symbol.dims}")
+def _simulate_args(p: dict) -> dict:
+    grid = make_grid(p["d"], p["n"], p["L"])
+    solve = SolveConfig(p["symbol"], p["lambda"], p["sigma"], p["dt"], p["T"],
+                        p["eps"], p["snapshot_every"], bool(p["dealias"]))
+    p["symbol"].check_dims(grid.d)
+    amplitude, width = parse_initial_spec(p["initial"])
+    r2 = sum(c * c for c in grid.x)
+    return {"u0": Field(grid, amplitude * np.exp(-r2 / width**2)), "solve": solve}
 
 
-def _validate_simulate(params: dict) -> None:
-    make_grid(params["d"], params["n"], params["L"])
-    SolveConfig(params["symbol"], params["lambda"], params["sigma"], params["dt"], params["T"],
-                params["eps"], params["snapshot_every"], bool(params["dealias"]))
-    _check_symbol_dims(params)
-    parse_initial_spec(params["initial"])
+def _window_args(p: dict) -> dict:
+    # the arguments run_norm_inflation and run_ode_approx share
+    return {
+        "plan": _plan_from_params(p),
+        "symbol": p["symbol"],
+        "grid": make_grid(p["d"], p["grid_n"], p["grid_L"]),
+        "lam": p["lambda"],
+        "rotation_budget": p["rotation_budget"],
+    }
 
 
-def _validate_sweep_common(params: dict) -> ScalingPlan:
-    plan = _plan_from_params(params)
-    make_grid(params["d"], params["grid_n"], params["grid_L"])
-    check_rotation_budget(params["rotation_budget"])
-    return plan
+def _inflate_args(p: dict) -> dict:
+    return {**_window_args(p), "h_list": p["h_list"], "min_ratio_growth": p["min_ratio_growth"]}
 
 
-def _validate_inflate(params: dict) -> ScalingPlan:
-    plan = _validate_sweep_common(params)
-    check_h_list(plan, params["h_list"])
-    check_min_ratio_growth(params["min_ratio_growth"])
-    return plan
+def _ode_approx_args(p: dict) -> dict:
+    return {**_window_args(p), "eps_list": p["eps_list"], "r": p["r"]}
 
 
-def _validate_ode_approx(params: dict) -> ScalingPlan:
-    plan = _validate_sweep_common(params)
-    check_ode_approx_args(plan, params["eps_list"], params["r"])
-    return plan
+def _strichartz_args(p: dict) -> dict:
+    return {
+        "symbol": p["symbol"], "p": p["p"], "q": p["q"], "k_grid": p["k_grid"],
+        "N_list": p["N_list"], "interval": (0.0, p["t_end"]), "d": p["d"],
+        "box_L": p["box_L"], "n_ceiling": p["n_ceiling"], "include_contrast": p["contrast"],
+    }
 
 
-def _validate_strichartz(params: dict) -> None:
-    check_admissible_pair(params["p"], params["q"], params["d"])
-    check_N_list(params["N_list"])
-    check_k_grid(params["k_grid"])
-    check_strichartz_args(params["N_list"], (0.0, params["t_end"]), params["box_L"],
-                          params["n_ceiling"], params["contrast"])
-    _check_symbol_dims(params)
+def _singular_args(p: dict) -> dict:
+    return {
+        "sigma": p["sigma"], "lam": p["lambda"], "t": p["t"], "rho_list": p["rho_list"],
+        "quad_tol": p["quad_tol"], "delta_amp": p["amplitude"],
+    }
 
 
-def _validate_singular(params: dict) -> None:
-    singular_alpha(params["sigma"])
-    check_probe_args(params["t"], params["rho_list"], params["quad_tol"], params["amplitude"])
-
-
-_VALIDATORS = {
-    "simulate": _validate_simulate,
-    "inflate": _validate_inflate,
-    "ode-approx": _validate_ode_approx,
-    "strichartz": _validate_strichartz,
-    "singular": _validate_singular,
+# subcommand -> (its driver's keyword arguments built from the keys, the
+# check its driver runs first); simulate's are checked as they are built
+_DRIVER_ARGS = {
+    "simulate": (_simulate_args, None),
+    "inflate": (_inflate_args, check_inflate_args),
+    "ode-approx": (_ode_approx_args, check_ode_approx_args),
+    "strichartz": (_strichartz_args, check_strichartz_args),
+    "singular": (_singular_args, check_probe_args),
 }
 
 
 def parse_config(subcommand: str, text: str) -> RunConfig:
-    """Parse and fully validate a config for one subcommand."""
+    """Parse and fully validate a config for one subcommand, and build its driver's arguments."""
     if subcommand not in _SCHEMAS:
         raise ConfigError(f"unknown subcommand {subcommand!r}; choose from {SUBCOMMANDS}")
     sections = parse_config_text(text)
@@ -322,13 +320,16 @@ def parse_config(subcommand: str, text: str) -> RunConfig:
         raise ConfigError(f"missing required keys for {subcommand}: {', '.join(missing)}")
 
     try:
-        plan = _VALIDATORS[subcommand](params)
+        build, check = _DRIVER_ARGS[subcommand]
+        args = build(params)
+        if check is not None:
+            check(**args)
     except (ScalingError, SpectralError, SymbolError, ExperimentError,
             SingularProbeError, EvolutionError) as exc:
         raise ConfigError(str(exc)) from exc
 
     outdir = params.pop("dir")
-    return RunConfig(subcommand=subcommand, params=params, outdir=outdir, plan=plan)
+    return RunConfig(subcommand=subcommand, params=params, outdir=outdir, args=args)
 
 
 def _render_value(key: _Key, value) -> str:

@@ -102,6 +102,10 @@ class SolveConfig:
             raise EvolutionError(f"final time must be finite and >= 0, got {self.T}")
         if not self.sigma > 0:
             raise EvolutionError(f"nonlinearity power sigma must be positive, got {self.sigma}")
+        if not math.isfinite(self.sigma):
+            raise EvolutionError(f"nonlinearity power sigma must be finite, got {self.sigma}")
+        if not math.isfinite(self.lam):
+            raise EvolutionError(f"lambda must be finite, got {self.lam}")
         if not 0 < self.eps <= 1:
             raise EvolutionError(f"eps must lie in (0, 1], got {self.eps}")
         if self.snapshot_every < 1:

@@ -34,16 +34,11 @@ __all__ = [
     "ExperimentError",
     "ode_phase_profile",
     "window_symbol",
-    "run_ode_approx",
-    "run_norm_inflation",
-    "check_h_list",
     "check_ode_approx_args",
-    "check_rotation_budget",
-    "check_min_ratio_growth",
-    "check_admissible_pair",
-    "check_N_list",
+    "run_ode_approx",
+    "check_inflate_args",
+    "run_norm_inflation",
     "check_strichartz_args",
-    "check_k_grid",
     "strichartz_probe_data",
     "run_strichartz_probe",
 ]
@@ -119,41 +114,22 @@ def _window_steps(tau_star: float, eps: float, lam: float, kappa: float,
     return tau_star / n, n
 
 
-def _check_strictly_decreasing(values, label: str) -> None:
-    if any(b >= a for a, b in zip(values, values[1:])):
-        raise ExperimentError(f"{label} must be strictly decreasing, got {list(values)}")
-
-
-def _check_not_empty(values, label: str) -> None:
+def _check_decreasing_sweep(values, label: str) -> list[float]:
+    """Return values as floats; reject them unless non-empty and strictly decreasing."""
+    values = [float(v) for v in values]
     if not values:
-        raise ExperimentError(f"{label} must hold at least one value, got {list(values)}")
+        raise ExperimentError(f"{label} must hold at least one value, got {values}")
+    if any(b >= a for a, b in zip(values, values[1:])):
+        raise ExperimentError(f"{label} must be strictly decreasing, got {values}")
+    return values
 
 
-def check_h_list(plan: ScalingPlan, h_list) -> list[float]:
-    """Return h_list as floats; reject it unless non-empty, strictly decreasing and valid for the plan."""
-    h_list = [float(h) for h in h_list]
-    _check_not_empty(h_list, "h_list")
-    _check_strictly_decreasing(h_list, "h_list")
+def _check_h_list(plan: ScalingPlan, h_list) -> list[float]:
+    """Return h_list as floats; reject it unless a decreasing sweep valid for the plan."""
+    h_list = _check_decreasing_sweep(h_list, "h_list")
     for h in h_list:
         plan.validate_h(h)
     return h_list
-
-
-def check_ode_approx_args(plan: ScalingPlan, eps_list, r) -> tuple[list[float], int]:
-    """Return (eps_list as floats, int r); reject them before any evolution."""
-    if r != int(r) or not r > plan.d / 2.0:
-        raise ExperimentError(f"regularity r must be an integer above d/2 = {plan.d / 2}, got {r}")
-    r = int(r)
-    if abs(plan.sigma - round(plan.sigma)) > 1e-12 and r > 2.0 * plan.sigma:
-        raise ExperimentError(
-            f"for non-integer sigma the regularity must satisfy r <= 2*sigma = {2 * plan.sigma}"
-        )
-    eps_list = [float(e) for e in eps_list]
-    _check_not_empty(eps_list, "eps_list")
-    _check_strictly_decreasing(eps_list, "eps_list")
-    for eps in eps_list:
-        plan.validate_h(plan.h_for_eps(eps))
-    return eps_list, r
 
 
 def _check_finite_above(value: float, bound: float, label: str) -> float:
@@ -163,19 +139,55 @@ def _check_finite_above(value: float, bound: float, label: str) -> float:
     return value
 
 
-def check_rotation_budget(rotation_budget: float) -> float:
-    """Return rotation_budget as a float; reject it unless finite and > 0.
+def _check_window_args(plan: ScalingPlan, symbol: Symbol, grid: Grid, lam: float,
+                       rotation_budget: float) -> float:
+    """The checks of run_norm_inflation and run_ode_approx; return rotation_budget as a float.
 
-    It is the largest phase rotation per step of either sub-flow, and
-    divides the window length when the step count is chosen.
+    rotation_budget is the largest phase rotation per step of either
+    sub-flow, and divides the window length when the step count is chosen.
     """
+    if grid.d != plan.d:
+        raise ExperimentError(f"grid dimension {grid.d} does not match plan dimension {plan.d}")
+    symbol.check_dims(grid.d)
+    if not math.isfinite(lam):
+        raise ExperimentError(f"lambda must be finite, got {lam}")
     return _check_finite_above(rotation_budget, 0.0, "rotation_budget")
 
 
-def check_min_ratio_growth(min_ratio_growth: float) -> float:
-    """Return min_ratio_growth as a float; reject it unless finite and > 1
-    (a bound of 1 or below would pass a sweep whose norms do not inflate)."""
-    return _check_finite_above(min_ratio_growth, 1.0, "min_ratio_growth")
+def check_ode_approx_args(plan: ScalingPlan, symbol: Symbol, grid: Grid, eps_list, r,
+                          lam: float = 1.0,
+                          rotation_budget: float = 0.02) -> tuple[list[float], int, float]:
+    """Reject every input :func:`run_ode_approx` cannot run, before any evolution.
+
+    Returns (eps_list as floats, int r, rotation_budget as a float).
+    """
+    rotation_budget = _check_window_args(plan, symbol, grid, lam, rotation_budget)
+    if r != int(r) or not r > plan.d / 2.0:
+        raise ExperimentError(f"regularity r must be an integer above d/2 = {plan.d / 2}, got {r}")
+    r = int(r)
+    if abs(plan.sigma - round(plan.sigma)) > 1e-12 and r > 2.0 * plan.sigma:
+        raise ExperimentError(
+            f"for non-integer sigma the regularity must satisfy r <= 2*sigma = {2 * plan.sigma}"
+        )
+    eps_list = _check_decreasing_sweep(eps_list, "eps_list")
+    for eps in eps_list:
+        plan.validate_h(plan.h_for_eps(eps))
+    return eps_list, r, rotation_budget
+
+
+def check_inflate_args(plan: ScalingPlan, symbol: Symbol, grid: Grid, h_list,
+                       lam: float = 1.0, rotation_budget: float = 0.02,
+                       min_ratio_growth: float = 3.0) -> tuple[list[float], float, float]:
+    """Reject every input :func:`run_norm_inflation` cannot run, before any evolution.
+
+    Returns (h_list, rotation_budget, min_ratio_growth) as floats.
+    min_ratio_growth must be finite and > 1: a bound of 1 or below would
+    pass a sweep whose norms do not inflate.
+    """
+    rotation_budget = _check_window_args(plan, symbol, grid, lam, rotation_budget)
+    h_list = _check_h_list(plan, h_list)
+    min_ratio_growth = _check_finite_above(min_ratio_growth, 1.0, "min_ratio_growth")
+    return h_list, rotation_budget, min_ratio_growth
 
 
 def _window_config(plan: ScalingPlan, symbol: Symbol, grid: Grid, h: float, kappa: float,
@@ -209,8 +221,8 @@ def run_ode_approx(plan: ScalingPlan, symbol: Symbol, grid: Grid, eps_list,
     E strictly decreasing along the (decreasing) eps sweep, with
     E(min)/E(max) < 0.5.
     """
-    eps_list, r = check_ode_approx_args(plan, eps_list, r)
-    rotation_budget = check_rotation_budget(rotation_budget)
+    eps_list, r, rotation_budget = check_ode_approx_args(plan, symbol, grid, eps_list, r, lam,
+                                                         rotation_budget)
 
     rows = []
     for eps in eps_list:
@@ -273,11 +285,8 @@ def run_norm_inflation(plan: ScalingPlan, symbol: Symbol, grid: Grid, h_list,
     sigma < 1: at sigma = 2 the exponent is s*(0.1 - 0.2) < 0 for every
     s > 0, and the verdict fails at any h; delta = 8 gives 1.95 at s = 0.25.
     """
-    h_list = check_h_list(plan, h_list)
-    rotation_budget = check_rotation_budget(rotation_budget)
-    min_ratio_growth = check_min_ratio_growth(min_ratio_growth)
-    if grid.d != plan.d:
-        raise ExperimentError(f"grid dimension {grid.d} does not match plan dimension {plan.d}")
+    h_list, rotation_budget, min_ratio_growth = check_inflate_args(
+        plan, symbol, grid, h_list, lam, rotation_budget, min_ratio_growth)
 
     rows = []
     for h in h_list:
@@ -327,7 +336,7 @@ def run_norm_inflation(plan: ScalingPlan, symbol: Symbol, grid: Grid, h_list,
                             tolerances={"min_ratio_growth": min_ratio_growth})
 
 
-def check_admissible_pair(p: float, q: float, d: int) -> None:
+def _check_admissible_pair(p: float, q: float, d: int) -> None:
     """Reject (p, q) unless p, q >= 2, p < inf, (p, q) != (2, inf), and 2/p = d(1/2 - 1/q).
 
     The time norm is a trapezoid sum of |S(t)u0|_{L^q}^p, so p must be finite.
@@ -345,7 +354,7 @@ def check_admissible_pair(p: float, q: float, d: int) -> None:
         )
 
 
-def check_N_list(N_list) -> list[float]:
+def _check_N_list(N_list) -> list[float]:
     """Return N_list as floats; reject it unless strictly increasing with >= 2 entries,
     each finite and > 0 (the growth exponent is fitted in log N)."""
     N_list = [float(N) for N in N_list]
@@ -358,21 +367,29 @@ def check_N_list(N_list) -> list[float]:
     return N_list
 
 
-def check_k_grid(k_grid) -> list[float]:
-    """Return k_grid as floats; reject it unless every entry is finite."""
-    k_grid = [float(k) for k in k_grid]
-    if not all(math.isfinite(k) for k in k_grid):
-        raise ExperimentError(f"every k in k_grid must be finite, got {k_grid}")
-    return k_grid
+def check_strichartz_args(symbol: Symbol, p: float, q: float, k_grid, N_list,
+                          interval=(0.0, 1.0), d: int = 1, box_L: float = 4.0,
+                          n_ceiling: int = 16384, include_contrast=True,
+                          time_samples=None) -> tuple[list[float], list[float]]:
+    """Reject every input :func:`run_strichartz_probe` cannot run, before any compute.
 
-
-def check_strichartz_args(N_list, interval, box_L: float, n_ceiling: int,
-                          include_contrast) -> None:
-    """Reject, before any compute, a time interval (t0, t_end) that is not
-    finite with 0 <= t0 < t_end, a box_L that is not finite and > 0, an
-    n_ceiling below 1, an include_contrast (the config key ``contrast``)
-    other than 0 or 1, and an N in N_list (already passed by
-    :func:`check_N_list`) whose grid needs more than n_ceiling points per axis."""
+    Beyond the symbol's dimension, an admissible (p, q) and a valid N_list,
+    this rejects a time interval (t0, t_end) that is not finite with
+    0 <= t0 < t_end, a box_L that is not finite and > 0, an n_ceiling
+    below 1, an include_contrast (the config key ``contrast``) other than 0
+    or 1, an N whose grid needs more than n_ceiling points per axis, and a
+    non-finite k.  Returns (k_grid, N_list) as floats.
+    """
+    if d not in (1, 2):
+        raise ExperimentError(f"spatial dimension must be 1 or 2, got {d}")
+    symbol.check_dims(d)
+    _check_admissible_pair(p, q, d)
+    N_list = _check_N_list(N_list)
+    if time_samples is not None and not (
+            isinstance(time_samples, (int, np.integer)) and time_samples >= 2):
+        raise ExperimentError(
+            f"time_samples must be None or an integer >= 2, got {time_samples!r}"
+        )
     t0, t1 = interval
     if not (math.isfinite(t1) and 0 <= t0 < t1):
         raise ExperimentError(
@@ -391,6 +408,10 @@ def check_strichartz_args(N_list, interval, box_L: float, n_ceiling: int,
             raise ExperimentError(
                 f"probe at N = {N} needs n = {n} points per axis, above the ceiling {n_ceiling}"
             )
+    k_grid = [float(k) for k in k_grid]
+    if not all(math.isfinite(k) for k in k_grid):
+        raise ExperimentError(f"every k in k_grid must be finite, got {k_grid}")
+    return k_grid, N_list
 
 
 def strichartz_probe_data(grid: Grid, N: float) -> Field:
@@ -475,28 +496,33 @@ def _probe_lq(pvals: np.ndarray, u0_hat: np.ndarray, times: np.ndarray, q: float
     return lq
 
 
-def _probe_sweep(symbol: Symbol, p: float, q: float, k_grid, N_list, interval,
-                 d: int, box_L: float, time_samples) -> list:
+def _probe_sweep(symbols, p: float, q: float, k_grid, N_list, interval, d: int,
+                 box_L: float, time_samples) -> list:
+    """One list of rows per symbol, in N_list order.
+
+    The grid, the data, its transform and its H^k norms do not depend on the
+    symbol, so each is built once per N and shared by every symbol's row.
+    """
     t0, t1 = interval
-    rows = []
+    sweeps = [[] for _ in symbols]
     for N in N_list:
         grid = make_grid(d, _probe_points(N, box_L), box_L)
         u0 = strichartz_probe_data(grid, N)
         n_t = max(1025, int(4.0 * N * N * (t1 - t0)) + 1) if time_samples is None else time_samples
         times = np.linspace(t0, t1, n_t)
         u0_hat = np.fft.fftn(u0.values)
-        lq = _probe_lq(symbol.on_grid(grid), u0_hat, times, q, grid.cell)
-        row = {
-            "symbol": symbol.spec_string(),
-            "N": N,
-            "grid_n": grid.n,
-            "time_samples": n_t,
-            "Q": spacetime_norm_from_samples(times, lq, p),
-        }
-        for k in k_grid:
-            row[f"hk_norm_{k:g}"] = _coeff_sobolev_norm(u0_hat, grid, k)
-        rows.append(row)
-    return rows
+        hk_norms = {f"hk_norm_{k:g}": _coeff_sobolev_norm(u0_hat, grid, k) for k in k_grid}
+        for symbol, rows in zip(symbols, sweeps):
+            lq = _probe_lq(symbol.on_grid(grid), u0_hat, times, q, grid.cell)
+            rows.append({
+                "symbol": symbol.spec_string(),
+                "N": N,
+                "grid_n": grid.n,
+                "time_samples": n_t,
+                "Q": spacetime_norm_from_samples(times, lq, p),
+                **hk_norms,
+            })
+    return sweeps
 
 
 # slack below d/2 - d/q that the fitted exponent of a bounded multiplier may
@@ -533,30 +559,23 @@ def run_strichartz_probe(symbol: Symbol, p: float, q: float, k_grid, N_list,
     and one helper thread started and joined once per N.  Each lane
     transforms its half of the rows in its own half-batch buffer, so every
     Q is bit-identical to a one-lane run and the memory in flight is one
-    batch.  Every input, including an N whose grid would need more than
-    ``n_ceiling`` points per axis, is checked before any compute.
+    batch.  The contrast shares each N's grid, data and H^k norms with
+    ``symbol``.  :func:`check_strichartz_args` checks every input, including
+    an N whose grid would need more than ``n_ceiling`` points per axis,
+    before any compute.
     """
-    check_admissible_pair(p, q, d)
-    N_list = check_N_list(N_list)
-    if time_samples is not None and not (
-            isinstance(time_samples, (int, np.integer)) and time_samples >= 2):
-        raise ExperimentError(
-            f"time_samples must be None or an integer >= 2, got {time_samples!r}"
-        )
-    check_strichartz_args(N_list, interval, box_L, n_ceiling, include_contrast)
-    k_grid = check_k_grid(k_grid)
+    k_grid, N_list = check_strichartz_args(symbol, p, q, k_grid, N_list, interval, d, box_L,
+                                           n_ceiling, include_contrast, time_samples)
 
-    rows = _probe_sweep(symbol, p, q, k_grid, N_list, interval, d, box_L, time_samples)
-    khat, residual = _fit_slope(N_list, [row["Q"] for row in rows])
-
+    symbols = [symbol, make_symbol("laplacian")] if include_contrast else [symbol]
+    sweeps = _probe_sweep(symbols, p, q, k_grid, N_list, interval, d, box_L, time_samples)
+    khat, residual = _fit_slope(N_list, [row["Q"] for row in sweeps[0]])
     fitted = {"khat": khat, "khat_residual": residual}
     if include_contrast:
-        contrast_rows = _probe_sweep(make_symbol("laplacian"), p, q, k_grid, N_list,
-                                     interval, d, box_L, time_samples)
-        rows = rows + contrast_rows
-        khat_contrast, res_contrast = _fit_slope(N_list, [r["Q"] for r in contrast_rows])
+        khat_contrast, res_contrast = _fit_slope(N_list, [row["Q"] for row in sweeps[1]])
         fitted["khat_contrast"] = khat_contrast
         fitted["khat_contrast_residual"] = res_contrast
+    rows = [row for sweep in sweeps for row in sweep]
 
     inv_q = 0.0 if q == np.inf else 1.0 / q
     threshold = d / 2.0 - d * inv_q - SLOPE_MARGIN

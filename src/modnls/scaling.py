@@ -107,12 +107,11 @@ def compute_scaling(
     """Fill every derived exponent, rejecting hypothesis-violating inputs."""
     if not (isinstance(d, (int, np.integer)) and d >= 1):
         raise ScalingError(f"dimension d must be a positive integer, got {d}")
-    if not sigma > 0:
-        raise ScalingError(f"nonlinearity power sigma must be positive, got {sigma}")
-    if not theta > 0:
-        raise ScalingError(f"theta must be positive, got {theta}")
-    if not delta > 0:
-        raise ScalingError(f"delta must be positive, got {delta}")
+    for name, value in (("nonlinearity power sigma", sigma), ("theta", theta), ("delta", delta)):
+        if not value > 0:
+            raise ScalingError(f"{name} must be positive, got {value}")
+        if not math.isfinite(value):
+            raise ScalingError(f"{name} must be finite, got {value}")
 
     two_sig_gap = 2.0 * sigma * (d / 2.0 - s)
 
@@ -121,6 +120,8 @@ def compute_scaling(
             raise ScalingError(f"homogeneous symbols need a degree m >= 1, got {m}")
         if omega is None or not omega > 0:
             raise ScalingError(f"homogeneous symbols need omega > 0, got {omega}")
+        if not math.isfinite(omega):
+            raise ScalingError(f"omega must be finite, got {omega}")
         s0 = d / 2.0 - m / (2.0 * sigma)
         if not s0 > 0:
             raise ScalingError(

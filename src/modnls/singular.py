@@ -48,6 +48,8 @@ def singular_alpha(sigma: float) -> float:
     """The critical log exponent alpha = 1/(4*sigma + 2)."""
     if not sigma > 0:
         raise SingularProbeError(f"sigma must be positive, got {sigma}")
+    if not math.isfinite(sigma):
+        raise SingularProbeError(f"sigma must be finite, got {sigma}")
     return 1.0 / (4.0 * sigma + 2.0)
 
 
@@ -146,18 +148,26 @@ def quad(fn, r_lo: float, r_hi: float, rel_tol: float):
     )
 
 
-def check_probe_args(t: float, rho_list, quad_tol: float,
-                     delta_amp: float = 1.0) -> list[float]:
-    """Return rho_list as floats; reject t < 0, a bad rho sweep, quad_tol below
-    QUAD_TOL_MIN, or a zero or non-finite amplitude.
+def check_probe_args(sigma: float, lam: float, t: float, rho_list,
+                     quad_tol: float = 1e-9, delta_amp: float = 1.0) -> list[float]:
+    """Reject every input :func:`run_singular_probe` cannot run, before any quadrature.
+
+    Returns rho_list as floats.  Rejects a sigma that :func:`singular_alpha`
+    rejects, a non-finite lambda, t or quad_tol, t < 0, a bad rho sweep,
+    quad_tol below QUAD_TOL_MIN, and a zero or non-finite amplitude.
 
     The fitted ratios divide each increment by the one before it, so the
     sweep needs three radii, and the first increment, over
     [rho_list[1], rho_list[0]], must not vanish: rho_list[1] must lie below
     R_CUT, where u0 ends.
     """
+    singular_alpha(sigma)
+    if not math.isfinite(lam):
+        raise SingularProbeError(f"lambda must be finite, got {lam}")
     if not t >= 0:
         raise SingularProbeError(f"time must be >= 0, got {t}")
+    if not math.isfinite(t):
+        raise SingularProbeError(f"time t must be finite, got {t}")
     if not (math.isfinite(delta_amp) and delta_amp != 0):
         raise SingularProbeError(f"amplitude must be finite and nonzero, got {delta_amp}")
     rho_list = [float(rho) for rho in rho_list]
@@ -177,6 +187,8 @@ def check_probe_args(t: float, rho_list, quad_tol: float,
             f"quadrature tolerance must be >= {QUAD_TOL_MIN:g}, the rounding floor of "
             f"the Gauss-Legendre rules, got {quad_tol}"
         )
+    if not math.isfinite(quad_tol):
+        raise SingularProbeError(f"quadrature tolerance quad_tol must be finite, got {quad_tol}")
     return rho_list
 
 
@@ -196,8 +208,8 @@ def run_singular_probe(sigma: float, lam: float, t: float, rho_list,
     while the Iv increments stay positive with consecutive ratios in
     [0.5, 1.0] (harmonic-type decay, never geometric).
     """
+    rho_list = check_probe_args(sigma, lam, t, rho_list, quad_tol, delta_amp)
     alpha = singular_alpha(sigma)
-    rho_list = check_probe_args(t, rho_list, quad_tol, delta_amp)
 
     factor = 4.0 * sigma**2 * lam**2 * t**2
     c0 = 2.0 * math.pi * delta_amp**2 * alpha**2

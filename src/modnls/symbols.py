@@ -72,6 +72,11 @@ class Symbol:
         return np.asarray(self._fn(*(np.asarray(c, dtype=np.float64) for c in xi)),
                           dtype=np.float64)
 
+    def check_dims(self, d: int) -> None:
+        """Reject a spatial dimension d that the symbol is not defined for."""
+        if self.dims is not None and self.dims != d:
+            raise SymbolError(f"symbol {self.spec_string()} is restricted to d = {self.dims}")
+
     def on_grid(self, grid: Grid) -> np.ndarray:
         """Lattice values P(xi_k), cached per grid and validated finite."""
         cached = self._lattice_cache.get(grid)

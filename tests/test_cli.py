@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import inspect
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +14,9 @@ import pytest
 
 import modnls
 from modnls import Field, SolveConfig, evolve, make_grid, make_symbol, sobolev_norm
+from modnls import cli
 from modnls.cli import EXIT_ERROR, EXIT_FAIL, EXIT_PASS, main
+from modnls.reports import ExperimentReport
 
 SINGULAR_CFG = """
 [singular]
@@ -239,12 +243,34 @@ class TestRejectedBeforeAnyCompute:
          "probe at N = 64.0 needs n = 4096 points per axis, above the ceiling 2048"),
         ("strichartz", "N_list = 8, 16", "N_list = 8, 1e308",
          "probe at N = 1e+308 needs n = inf points per axis, above the ceiling 16384"),
+        ("inflate", "lambda = 0", "lambda = inf", "lambda must be finite, got inf"),
+        ("inflate", "lambda = 0", "lambda = nan", "lambda must be finite, got nan"),
+        ("inflate", "h_list", "delta = inf\nh_list", "delta must be finite, got inf"),
+        ("inflate", "h_list", "theta = inf\nh_list", "theta must be finite, got inf"),
+        ("inflate", "symbol = arctan_step(h=1)\nlambda = 0\nsigma = 2\n\n[inflate]\nd = 1",
+         "symbol = transport(c=1)\nsigma = 2\n[inflate]\nd = 2\nomega = 1",
+         "symbol transport(c=1) is restricted to d = 1"),
+        ("simulate", "sigma = 1", "sigma = inf", "nonlinearity power sigma must be finite"),
+        ("simulate", "lambda = -1", "lambda = nan", "lambda must be finite, got nan"),
+        ("singular", "sigma = 1", "sigma = inf", "sigma must be finite, got inf"),
+        ("singular", "t = 1.0", "t = inf", "time t must be finite, got inf"),
+        ("singular", "t = 1.0", "t = 1.0\nlambda = nan", "lambda must be finite, got nan"),
+        ("singular", "t = 1.0", "t = 1.0\nquad_tol = inf",
+         "quadrature tolerance quad_tol must be finite, got inf"),
+        ("strichartz", "p = 8\nq = 4", "d = 3\np = 4\nq = 3",
+         "spatial dimension must be 1 or 2, got 3"),
     ], ids=["t_end inf", "box_L nan", "box_L negative", "n_ceiling zero", "contrast 7",
             "T inf", "dt inf", "quad_tol below the floor", "min_ratio_growth nan",
             "min_ratio_growth negative", "k_grid nan", "initial amplitude nan",
-            "initial width inf", "p inf", "last N above n_ceiling", "N overflows the grid rule"])
+            "initial width inf", "p inf", "last N above n_ceiling", "N overflows the grid rule",
+            "inflate lambda inf", "inflate lambda nan", "inflate delta inf", "inflate theta inf",
+            "inflate transport in d = 2", "simulate sigma inf", "simulate lambda nan",
+            "singular sigma inf", "singular t inf", "singular lambda nan", "singular quad_tol inf",
+            "strichartz d = 3"])
     def test_driver_input_is_checked_before_compute(self, tmp_path, capsys, monkeypatch,
                                                      sub, old, new, message):
+        assert old in {"strichartz": STRICHARTZ_CFG, "simulate": SIMULATE_T0_CFG,
+                       "singular": SINGULAR_CFG, "inflate": INFLATE_LAM0_CFG}[sub]
         def no_compute(*args, **kwargs):
             raise AssertionError(f"{sub} computed before rejecting {new!r}")
 
@@ -259,6 +285,40 @@ class TestRejectedBeforeAnyCompute:
         assert main([sub, "--config", str(cfg), "--out", str(out)]) == EXIT_ERROR
         assert message in capsys.readouterr().err
         assert not (out / "report.csv").exists()
+
+
+# a valid config per traced driver and a value each driver must receive from it
+TRACED_DRIVERS = [
+    ("inflate", "run_norm_inflation", INFLATE_LAM0_CFG,
+     {"h_list": (math.exp(-2), math.exp(-3)), "lam": 0.0}),
+    ("ode-approx", "run_ode_approx", ODE_CFG, {"eps_list": (0.1, 0.05), "r": 1}),
+    ("strichartz", "run_strichartz_probe", STRICHARTZ_CFG,
+     {"p": 8.0, "q": 4.0, "N_list": (8.0, 16.0), "include_contrast": 0}),
+    ("singular", "run_singular_probe", SINGULAR_CFG,
+     {"sigma": 1.0, "t": 1.0, "rho_list": (1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8)}),
+]
+
+
+@pytest.mark.parametrize("sub,name,text,expected", TRACED_DRIVERS,
+                         ids=[row[1] for row in TRACED_DRIVERS])
+def test_cli_calls_the_driver_bound_on_its_module(tmp_path, monkeypatch, sub, name, text,
+                                                  expected):
+    # the benchmark's tracer wraps these module attributes; a CLI that bound
+    # the drivers at import time would bypass the wrappers
+    calls = []
+    real = getattr(cli, name)
+
+    def stub(*args, **kwargs):
+        calls.append(inspect.signature(real).bind(*args, **kwargs).arguments)
+        return ExperimentReport(sub, [{"x": 1.0}], {}, verdict=True)
+
+    monkeypatch.setattr(cli, name, stub)
+    cfg = write(tmp_path, "run.cfg", text)
+    assert main([sub, "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_PASS
+    assert len(calls) == 1
+    for key, value in expected.items():
+        assert calls[0][key] == (pytest.approx(value, rel=1e-15)
+                                 if isinstance(value, tuple) else value)
 
 
 def _modules_after_cli_import(package: str) -> str:

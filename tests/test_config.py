@@ -4,22 +4,18 @@ import math
 
 import pytest
 
-from modnls import BOUNDED, SolveConfig, compute_scaling, make_symbol
-from modnls.config import ConfigError, parse_config, parse_config_text, render_config
+from modnls import BOUNDED, HOMOGENEOUS, SolveConfig, compute_scaling, make_grid, make_symbol
+from modnls.config import ConfigError, _SCHEMAS, parse_config, parse_config_text, render_config
 from modnls.evolution import EvolutionError
 from modnls.experiments import (
     ExperimentError,
-    check_admissible_pair,
-    check_h_list,
-    check_k_grid,
-    check_min_ratio_growth,
-    check_N_list,
+    check_inflate_args,
     check_ode_approx_args,
-    check_rotation_budget,
     check_strichartz_args,
 )
 from modnls.scaling import ScalingError
 from modnls.singular import SingularProbeError, check_probe_args
+from modnls.symbols import SymbolError
 
 INFLATE_OK = """
 [equation]
@@ -163,81 +159,189 @@ INVALID_CASES = [
     ("initial width zero", "simulate", SIMULATE_OK + "initial = gaussian(amplitude=1,width=0)\n"),
 ]
 
-# the plan INFLATE_OK and ODE_OK describe
+# the plan, symbol, grid and sweeps INFLATE_OK and ODE_OK describe
 _PLAN = compute_scaling(1, 2.0, 0.25, BOUNDED, theta=0.05, delta=0.1)
+_ARCTAN = make_symbol("arctan_step", h=1.0)
+_GRID = make_grid(1, 256, 8.0)
+_H_LIST = [math.exp(-2), math.exp(-3), math.exp(-4)]
+_EPS_LIST = [0.1, 0.03, 0.01]
+# the k_grid default of [strichartz]
+_K_GRID = [0.0, 0.25, 0.5]
+
+# transport(c=1) is defined in d = 1 only; these configs ask for d = 2
+TRANSPORT_2D = {
+    "inflate": "[equation]\nsymbol = transport(c=1)\nsigma = 2\n"
+               "[inflate]\nd = 2\ns = 0.25\nomega = 1\nh_list = e^-2, e^-3\n",
+    "ode-approx": "[equation]\nsymbol = transport(c=1)\nsigma = 2\n"
+                  "[ode-approx]\nd = 2\ns = 0.25\nr = 2\nomega = 1\neps_list = 0.1, 0.03\n",
+}
+_PLAN_2D = compute_scaling(2, 2.0, 0.25, HOMOGENEOUS, m=1.0, omega=1.0)
+_TRANSPORT = make_symbol("transport", c=1.0)
 
 STRICHARTZ_OK = "[equation]\nsymbol = arctan_step(h=1)\n[strichartz]\np = 8\nq = 4\nN_list = 8, 16\n"
 
 # config rejects these through the driver's own check, so the messages match
 DRIVER_CHECK_CASES = [
     ("t_end not finite", "strichartz", STRICHARTZ_OK + "t_end = inf\n",
-     lambda: check_strichartz_args([8.0, 16.0], (0.0, math.inf), 4.0, 16384, 1)),
+     lambda: check_strichartz_args(_ARCTAN, 8.0, 4.0, _K_GRID, [8.0, 16.0], (0.0, math.inf))),
     ("box_L nan", "strichartz", STRICHARTZ_OK + "box_L = nan\n",
-     lambda: check_strichartz_args([8.0, 16.0], (0.0, 1.0), math.nan, 16384, 1)),
+     lambda: check_strichartz_args(_ARCTAN, 8.0, 4.0, _K_GRID, [8.0, 16.0], box_L=math.nan)),
     ("box_L negative", "strichartz", STRICHARTZ_OK + "box_L = -1\n",
-     lambda: check_strichartz_args([8.0, 16.0], (0.0, 1.0), -1.0, 16384, 1)),
+     lambda: check_strichartz_args(_ARCTAN, 8.0, 4.0, _K_GRID, [8.0, 16.0], box_L=-1.0)),
     ("n_ceiling zero", "strichartz", STRICHARTZ_OK + "n_ceiling = 0\n",
-     lambda: check_strichartz_args([8.0, 16.0], (0.0, 1.0), 4.0, 0, 1)),
+     lambda: check_strichartz_args(_ARCTAN, 8.0, 4.0, _K_GRID, [8.0, 16.0], n_ceiling=0)),
     ("contrast not 0 or 1", "strichartz", STRICHARTZ_OK + "contrast = 7\n",
-     lambda: check_strichartz_args([8.0, 16.0], (0.0, 1.0), 4.0, 16384, 7)),
+     lambda: check_strichartz_args(_ARCTAN, 8.0, 4.0, _K_GRID, [8.0, 16.0],
+                                   include_contrast=7)),
     ("last N above n_ceiling", "strichartz",
      _swap(STRICHARTZ_OK, "N_list = 8, 16", "N_list = 8, 16, 32, 64\nn_ceiling = 2048"),
-     lambda: check_strichartz_args([8.0, 16.0, 32.0, 64.0], (0.0, 1.0), 4.0, 2048, 1)),
+     lambda: check_strichartz_args(_ARCTAN, 8.0, 4.0, _K_GRID, [8.0, 16.0, 32.0, 64.0],
+                                   n_ceiling=2048)),
     ("time exponent p infinite", "strichartz",
      _swap(STRICHARTZ_OK, "p = 8\nq = 4", "p = inf\nq = 2"),
-     lambda: check_admissible_pair(math.inf, 2.0, 1)),
+     lambda: check_strichartz_args(_ARCTAN, math.inf, 2.0, _K_GRID, [8.0, 16.0])),
     ("simulate T not finite", "simulate", _swap(SIMULATE_OK, "T = 0.01", "T = inf"),
      lambda: SolveConfig(make_symbol("laplacian"), -1.0, 1.0, 0.001, math.inf)),
     ("simulate dt not finite", "simulate", _swap(SIMULATE_OK, "dt = 0.001", "dt = inf"),
      lambda: SolveConfig(make_symbol("laplacian"), -1.0, 1.0, math.inf, 0.01)),
     ("quad_tol below the floor", "singular",
      "[singular]\nsigma = 1\nt = 1\nrho_list = 1e-3, 1e-4, 1e-5\nquad_tol = 1e-15\n",
-     lambda: check_probe_args(1.0, [1e-3, 1e-4, 1e-5], 1e-15)),
+     lambda: check_probe_args(1.0, 1.0, 1.0, [1e-3, 1e-4, 1e-5], 1e-15)),
     ("N_list", "strichartz",
      "[equation]\nsymbol = arctan_step(h=1)\n[strichartz]\np = 8\nq = 4\nN_list = 8\n",
-     lambda: check_N_list([8.0])),
+     lambda: check_strichartz_args(_ARCTAN, 8.0, 4.0, _K_GRID, [8.0])),
     ("N not positive", "strichartz",
      "[equation]\nsymbol = arctan_step(h=1)\n[strichartz]\np = 8\nq = 4\nN_list = 0, 2, 4\n",
-     lambda: check_N_list([0.0, 2.0, 4.0])),
+     lambda: check_strichartz_args(_ARCTAN, 8.0, 4.0, _K_GRID, [0.0, 2.0, 4.0])),
     ("h_list not decreasing", "inflate", _swap(INFLATE_OK, "e^-2, e^-3, e^-4", "e^-3, e^-2"),
-     lambda: check_h_list(_PLAN, [math.exp(-3), math.exp(-2)])),
+     lambda: check_inflate_args(_PLAN, _ARCTAN, _GRID, [math.exp(-3), math.exp(-2)])),
     ("inflate rotation_budget zero", "inflate", INFLATE_OK + "rotation_budget = 0\n",
-     lambda: check_rotation_budget(0.0)),
+     lambda: check_inflate_args(_PLAN, _ARCTAN, _GRID, _H_LIST, rotation_budget=0.0)),
     ("min_ratio_growth nan", "inflate", INFLATE_OK + "min_ratio_growth = nan\n",
-     lambda: check_min_ratio_growth(math.nan)),
+     lambda: check_inflate_args(_PLAN, _ARCTAN, _GRID, _H_LIST, min_ratio_growth=math.nan)),
     ("min_ratio_growth negative", "inflate", INFLATE_OK + "min_ratio_growth = -5\n",
-     lambda: check_min_ratio_growth(-5.0)),
+     lambda: check_inflate_args(_PLAN, _ARCTAN, _GRID, _H_LIST, min_ratio_growth=-5.0)),
     ("min_ratio_growth one", "inflate", INFLATE_OK + "min_ratio_growth = 1\n",
-     lambda: check_min_ratio_growth(1.0)),
+     lambda: check_inflate_args(_PLAN, _ARCTAN, _GRID, _H_LIST, min_ratio_growth=1.0)),
     ("k_grid entry nan", "strichartz", STRICHARTZ_OK + "k_grid = 0.25, nan\n",
-     lambda: check_k_grid([0.25, math.nan])),
+     lambda: check_strichartz_args(_ARCTAN, 8.0, 4.0, [0.25, math.nan], [8.0, 16.0])),
     ("ode-approx rotation_budget negative", "ode-approx", ODE_OK + "rotation_budget = -1\n",
-     lambda: check_rotation_budget(-1.0)),
+     lambda: check_ode_approx_args(_PLAN, _ARCTAN, _GRID, _EPS_LIST, 1, rotation_budget=-1.0)),
     ("h above e^-1", "inflate", _swap(INFLATE_OK, "e^-2, e^-3, e^-4", "0.5, e^-3"),
-     lambda: check_h_list(_PLAN, [0.5, math.exp(-3)])),
+     lambda: check_inflate_args(_PLAN, _ARCTAN, _GRID, [0.5, math.exp(-3)])),
     ("eps_list not decreasing", "ode-approx", _swap(ODE_OK, "0.1, 0.03, 0.01", "0.01, 0.1"),
-     lambda: check_ode_approx_args(_PLAN, [0.01, 0.1], 1)),
+     lambda: check_ode_approx_args(_PLAN, _ARCTAN, _GRID, [0.01, 0.1], 1)),
     ("eps not positive", "ode-approx", _swap(ODE_OK, "0.1, 0.03, 0.01", "0.1, 0.05, -1"),
-     lambda: check_ode_approx_args(_PLAN, [0.1, 0.05, -1.0], 1)),
+     lambda: check_ode_approx_args(_PLAN, _ARCTAN, _GRID, [0.1, 0.05, -1.0], 1)),
     ("r below d/2", "ode-approx", _swap(ODE_OK, "r = 1", "r = 0"),
-     lambda: check_ode_approx_args(_PLAN, [0.1, 0.03, 0.01], 0)),
+     lambda: check_ode_approx_args(_PLAN, _ARCTAN, _GRID, [0.1, 0.03, 0.01], 0)),
     ("rho_list increasing", "singular",
      "[singular]\nsigma = 1\nt = 1\nrho_list = 1e-5, 1e-4, 1e-3\n",
-     lambda: check_probe_args(1.0, [1e-5, 1e-4, 1e-3], 1e-9)),
+     lambda: check_probe_args(1.0, 1.0, 1.0, [1e-5, 1e-4, 1e-3], 1e-9)),
     ("rho above 1", "singular", "[singular]\nsigma = 1\nt = 1\nrho_list = 2, 1e-3, 1e-4\n",
-     lambda: check_probe_args(1.0, [2.0, 1e-3, 1e-4], 1e-9)),
+     lambda: check_probe_args(1.0, 1.0, 1.0, [2.0, 1e-3, 1e-4], 1e-9)),
     ("rho_list too short", "singular", "[singular]\nsigma = 1\nt = 1\nrho_list = 1e-3, 1e-4\n",
-     lambda: check_probe_args(1.0, [1e-3, 1e-4], 1e-9)),
+     lambda: check_probe_args(1.0, 1.0, 1.0, [1e-3, 1e-4], 1e-9)),
     ("second rho beyond the cutoff", "singular",
      "[singular]\nsigma = 1\nt = 1\nrho_list = 0.9, 0.8, 1e-3\n",
-     lambda: check_probe_args(1.0, [0.9, 0.8, 1e-3], 1e-9)),
+     lambda: check_probe_args(1.0, 1.0, 1.0, [0.9, 0.8, 1e-3], 1e-9)),
     ("amplitude zero", "singular",
      "[singular]\nsigma = 1\nt = 1\nrho_list = 1e-3, 1e-4\namplitude = 0\n",
-     lambda: check_probe_args(1.0, [1e-3, 1e-4], 1e-9, 0.0)),
+     lambda: check_probe_args(1.0, 1.0, 1.0, [1e-3, 1e-4], 1e-9, 0.0)),
     ("amplitude not finite", "singular",
      "[singular]\nsigma = 1\nt = 1\nrho_list = 1e-3, 1e-4\namplitude = inf\n",
-     lambda: check_probe_args(1.0, [1e-3, 1e-4], 1e-9, math.inf)),
+     lambda: check_probe_args(1.0, 1.0, 1.0, [1e-3, 1e-4], 1e-9, math.inf)),
+    ("inflate symbol restricted to d = 1", "inflate", TRANSPORT_2D["inflate"],
+     lambda: check_inflate_args(_PLAN_2D, _TRANSPORT, make_grid(2, 256, 8.0),
+                                [math.exp(-2), math.exp(-3)])),
+    ("ode-approx symbol restricted to d = 1", "ode-approx", TRANSPORT_2D["ode-approx"],
+     lambda: check_ode_approx_args(_PLAN_2D, _TRANSPORT, make_grid(2, 256, 8.0), [0.1, 0.03], 2)),
+    ("strichartz in d = 3", "strichartz",
+     "[equation]\nsymbol = arctan_step(h=1)\n[strichartz]\nd = 3\np = 4\nq = 3\nN_list = 8, 16\n",
+     lambda: check_strichartz_args(_ARCTAN, 4.0, 3.0, _K_GRID, [8.0, 16.0], d=3)),
+    ("inflate lambda nan", "inflate", _swap(INFLATE_OK, "lambda = 1.0", "lambda = nan"),
+     lambda: check_inflate_args(_PLAN, _ARCTAN, _GRID, _H_LIST, lam=math.nan)),
+    ("ode-approx lambda inf", "ode-approx", _swap(ODE_OK, "sigma = 2", "sigma = 2\nlambda = inf"),
+     lambda: check_ode_approx_args(_PLAN, _ARCTAN, _GRID, _EPS_LIST, 1, lam=math.inf)),
+    ("inflate theta inf", "inflate", INFLATE_OK + "theta = inf\n",
+     lambda: compute_scaling(1, 2.0, 0.25, BOUNDED, theta=math.inf)),
+    ("inflate delta inf", "inflate", INFLATE_OK + "delta = inf\n",
+     lambda: compute_scaling(1, 2.0, 0.25, BOUNDED, delta=math.inf)),
+    ("simulate sigma inf", "simulate", _swap(SIMULATE_OK, "sigma = 1", "sigma = inf"),
+     lambda: SolveConfig(make_symbol("laplacian"), -1.0, math.inf, 0.001, 0.01)),
+    ("simulate lambda nan", "simulate", _swap(SIMULATE_OK, "lambda = -1", "lambda = nan"),
+     lambda: SolveConfig(make_symbol("laplacian"), math.nan, 1.0, 0.001, 0.01)),
+    ("singular sigma inf", "singular",
+     "[singular]\nsigma = inf\nt = 1\nrho_list = 1e-3, 1e-4, 1e-5\n",
+     lambda: check_probe_args(math.inf, 1.0, 1.0, [1e-3, 1e-4, 1e-5])),
+    ("singular lambda inf", "singular",
+     "[singular]\nsigma = 1\nlambda = inf\nt = 1\nrho_list = 1e-3, 1e-4, 1e-5\n",
+     lambda: check_probe_args(1.0, math.inf, 1.0, [1e-3, 1e-4, 1e-5])),
+    ("singular t inf", "singular",
+     "[singular]\nsigma = 1\nt = inf\nrho_list = 1e-3, 1e-4, 1e-5\n",
+     lambda: check_probe_args(1.0, 1.0, math.inf, [1e-3, 1e-4, 1e-5])),
+    ("singular quad_tol inf", "singular",
+     "[singular]\nsigma = 1\nt = 1\nrho_list = 1e-3, 1e-4, 1e-5\nquad_tol = inf\n",
+     lambda: check_probe_args(1.0, 1.0, 1.0, [1e-3, 1e-4, 1e-5], math.inf)),
 ]
+
+
+SINGULAR_OK = "[singular]\nsigma = 1\nt = 1\nrho_list = 1e-3, 1e-4, 1e-5\n"
+
+# a valid config per subcommand; strichartz takes the sup-norm pair so that q = inf is valid
+VALID = {
+    "simulate": SIMULATE_OK,
+    "inflate": INFLATE_OK,
+    "ode-approx": ODE_OK,
+    "strichartz": _swap(STRICHARTZ_OK, "p = 8\nq = 4", "p = 4\nq = inf"),
+    "singular": SINGULAR_OK,
+}
+
+# (subcommand, key, value) -> why the non-finite value is a valid input
+NON_FINITE_ALLOWED = {
+    ("strichartz", "q", "inf"): "(p, q) = (4, inf) is an admissible pair in d = 1",
+}
+
+
+def _with_value(text: str, section: str, key: str, value: str) -> str:
+    sections = {sec: {k: v for k, (v, _) in keys.items()}
+                for sec, keys in parse_config_text(text).items()}
+    sections.setdefault(section, {})[key] = value
+    return "".join(f"[{sec}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items())
+                   for sec, keys in sections.items())
+
+
+def _non_finite_cases():
+    for sub, schema in _SCHEMAS.items():
+        for key in schema:
+            if key.kind not in ("float", "float_list"):
+                continue
+            for bad in ("nan", "inf", "-inf"):
+                yield sub, key, bad
+
+
+NON_FINITE_CASES = list(_non_finite_cases())
+
+
+class TestNonFiniteTable:
+    @pytest.mark.parametrize("sub,key,bad", NON_FINITE_CASES,
+                             ids=[f"{sub}-{key.name}-{bad}" for sub, key, bad in NON_FINITE_CASES])
+    def test_rejected_unless_allowed(self, sub, key, bad):
+        base = VALID[sub]
+        value = bad
+        if key.kind == "float_list":
+            # the valid sweep with the non-finite value appended
+            current = parse_config(sub, base).params[key.name]
+            value = ", ".join(format(v, ".17g") for v in current) + f", {bad}"
+        text = _with_value(base, key.section, key.name, value)
+        if (sub, key.name, bad) in NON_FINITE_ALLOWED:
+            parse_config(sub, text)
+        else:
+            with pytest.raises(ConfigError):
+                parse_config(sub, text)
+
+    def test_table_covers_every_float_key(self):
+        assert len(NON_FINITE_CASES) == 3 * 37
 
 
 class TestInvalidTable:
@@ -253,7 +357,7 @@ class TestInvalidTable:
                              ids=[c[0] for c in DRIVER_CHECK_CASES])
     def test_rejected_with_the_drivers_message(self, label, sub, text, driver_check):
         with pytest.raises((ExperimentError, ScalingError, SingularProbeError,
-                            EvolutionError)) as driver:
+                            EvolutionError, SymbolError)) as driver:
             driver_check()
         with pytest.raises(ConfigError) as config:
             parse_config(sub, text)

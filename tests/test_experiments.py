@@ -16,8 +16,6 @@ from modnls import (
     Field,
     ScalingError,
     SolveConfig,
-    check_admissible_pair,
-    check_N_list,
     compute_scaling,
     evolve,
     free_propagate,
@@ -35,6 +33,7 @@ from modnls import (
 )
 from modnls import experiments
 from modnls.spectral import _lq_norms, _propagator
+from modnls.symbols import SymbolError
 
 
 @pytest.fixture
@@ -387,20 +386,44 @@ class TestRunNormInflation:
             run_norm_inflation(bounded_plan, make_symbol("arctan_step", h=1.0),
                                grid, [0.5, 0.1])
 
+    def test_ode_approx_rejects_a_grid_of_another_dimension(self, monkeypatch):
+        def no_evolve(*args, **kwargs):
+            raise AssertionError("evolve ran on a grid of the wrong dimension")
+
+        monkeypatch.setattr(experiments, "evolve", no_evolve)
+        plan = compute_scaling(1, 2.0, 0.25, BOUNDED)
+        with pytest.raises(ExperimentError,
+                           match="grid dimension 2 does not match plan dimension 1"):
+            run_ode_approx(plan, make_symbol("arctan_step", h=1.0), make_grid(2, 32, 8.0),
+                           [0.1, 0.03], r=1)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+    def test_non_finite_lambda_rejected_before_any_evolution(self, bounded_plan, grid, lam,
+                                                             monkeypatch):
+        def no_evolve(*args, **kwargs):
+            raise AssertionError("evolve ran with a non-finite lambda")
+
+        monkeypatch.setattr(experiments, "evolve", no_evolve)
+        sym = make_symbol("arctan_step", h=1.0)
+        with pytest.raises(ExperimentError, match="lambda must be finite"):
+            run_norm_inflation(bounded_plan, sym, grid, [math.exp(-2)], lam=lam)
+        with pytest.raises(ExperimentError, match="lambda must be finite"):
+            run_ode_approx(bounded_plan, sym, grid, [0.1], r=1, lam=lam)
+
 
 class TestStrichartzProbe:
     def test_admissibility_checks(self):
-        check_admissible_pair(8.0, 4.0, 1)
-        check_admissible_pair(4.0, np.inf, 1)
-        check_admissible_pair(4.0, 4.0, 2)
+        experiments._check_admissible_pair(8.0, 4.0, 1)
+        experiments._check_admissible_pair(4.0, np.inf, 1)
+        experiments._check_admissible_pair(4.0, 4.0, 2)
         with pytest.raises(ExperimentError, match="admissible"):
-            check_admissible_pair(8.0, 5.0, 1)
+            experiments._check_admissible_pair(8.0, 5.0, 1)
         with pytest.raises(ExperimentError, match="p, q >= 2"):
-            check_admissible_pair(1.5, 4.0, 1)
+            experiments._check_admissible_pair(1.5, 4.0, 1)
         with pytest.raises(ExperimentError, match="excluded"):
-            check_admissible_pair(2.0, np.inf, 1)
+            experiments._check_admissible_pair(2.0, np.inf, 1)
         with pytest.raises(ExperimentError, match="time exponent p must be finite"):
-            check_admissible_pair(np.inf, 2.0, 1)
+            experiments._check_admissible_pair(np.inf, 2.0, 1)
 
     def test_probe_data_hk_norm_scales_like_Nk(self):
         norms = {}
@@ -436,6 +459,39 @@ class TestStrichartzProbe:
         names = {row["symbol"] for row in rep.rows}
         assert names == {"arctan_step(h=1)", "laplacian"}
         assert "khat_contrast" in rep.fitted
+
+    def test_contrast_shares_each_N_s_data_and_matches_separate_runs(self, monkeypatch):
+        built = Counter()
+        probe_data = experiments.strichartz_probe_data
+
+        def counting_probe_data(grid, N):
+            built[N] += 1
+            return probe_data(grid, N)
+
+        symbol = make_symbol("arctan_step", h=1.0)
+        args = (8.0, 4.0, [0.0, 0.25], [8, 16])
+        alone = [run_strichartz_probe(s, *args, include_contrast=False, time_samples=257)
+                 for s in (symbol, make_symbol("laplacian"))]
+        monkeypatch.setattr(experiments, "strichartz_probe_data", counting_probe_data)
+        both = run_strichartz_probe(symbol, *args, include_contrast=True, time_samples=257)
+        assert built == {8.0: 1, 16.0: 1}
+        assert both.rows == alone[0].rows + alone[1].rows
+        assert both.fitted["khat"] == alone[0].fitted["khat"]
+        assert both.fitted["khat_contrast"] == alone[1].fitted["khat"]
+
+    @pytest.mark.parametrize("name, d", [("transport", 2), ("arctan_step", 3)])
+    def test_dimension_rejected_before_any_sweep(self, name, d, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before d was checked")
+
+        monkeypatch.setattr(experiments, "_probe_sweep", no_sweep)
+        params = {"c": 1.0} if name == "transport" else {"h": 1.0}
+        message = ("symbol transport(c=1) is restricted to d = 1" if name == "transport"
+                   else "spatial dimension must be 1 or 2, got 3")
+        p, q = (4.0, 4.0) if d == 2 else (4.0, 3.0)
+        with pytest.raises((ExperimentError, SymbolError), match=re.escape(message)):
+            run_strichartz_probe(make_symbol(name, **params), p, q, [0.0], [8, 16], d=d,
+                                 include_contrast=False)
 
     def test_resolution_ceiling_error(self):
         with pytest.raises(ExperimentError, match="ceiling"):
@@ -496,13 +552,13 @@ class TestStrichartzProbe:
                                  include_contrast=False)
 
     def test_N_list_check(self):
-        assert check_N_list([8, 16]) == [8.0, 16.0]
+        assert experiments._check_N_list([8, 16]) == [8.0, 16.0]
         for bad in ([8], [16, 8], [8, 8]):
             with pytest.raises(ExperimentError, match="strictly increasing"):
-                check_N_list(bad)
+                experiments._check_N_list(bad)
         for bad in ([0, 2, 4], [-2, 4], [8, math.inf], [math.nan, 8]):
             with pytest.raises(ExperimentError, match="finite and > 0"):
-                check_N_list(bad)
+                experiments._check_N_list(bad)
 
 
 class TestProbeBatching:

@@ -10,12 +10,12 @@ from modnls import (
     HOMOGENEOUS,
     ExperimentError,
     ScalingError,
-    check_h_list,
     compute_scaling,
     make_grid,
     make_symbol,
     run_norm_inflation,
 )
+from modnls import experiments
 
 
 # Closed forms of the plan's exponents, derived independently of
@@ -158,7 +158,7 @@ class TestConcentratedData:
     def test_h_one_rejected(self):
         plan = compute_scaling(1, 2.0, 0.25, BOUNDED)
         with pytest.raises(ScalingError, match="e\\^-1"):
-            check_h_list(plan, [1.0])
+            experiments._check_h_list(plan, [1.0])
 
     def test_dimension_mismatch(self):
         plan = compute_scaling(2, 2.0, 0.25, BOUNDED)
