@@ -26,7 +26,7 @@ from .experiments import (
 )
 from .scaling import ScalingError, ScalingPlan, compute_scaling
 from .singular import SingularProbeError, check_probe_args
-from .spectral import Field, SpectralError, make_grid
+from .spectral import Field, SpectralError, check_half_length, make_grid
 from .symbols import (
     BOUNDED,
     HOMOGENEOUS,
@@ -95,7 +95,7 @@ _SCHEMAS: dict[str, tuple[_Key, ...]] = {
         _Key("inflate", "h_list", "float_list", required=True),
         _Key("inflate", "grid_n", "int", default=256),
         _Key("inflate", "grid_L", "float", default=8.0),
-        _Key("inflate", "rotation_budget", "float", default=0.02),
+        _Key("inflate", "rotation_budget", "float", default=0.64),
         _Key("inflate", "min_ratio_growth", "float", default=3.0),
         _OUTPUT_DIR,
     ),
@@ -112,7 +112,7 @@ _SCHEMAS: dict[str, tuple[_Key, ...]] = {
         _Key("ode-approx", "eps_list", "float_list", required=True),
         _Key("ode-approx", "grid_n", "int", default=256),
         _Key("ode-approx", "grid_L", "float", default=8.0),
-        _Key("ode-approx", "rotation_budget", "float", default=0.02),
+        _Key("ode-approx", "rotation_budget", "float", default=0.64),
         _OUTPUT_DIR,
     ),
     "strichartz": (
@@ -249,6 +249,7 @@ def _simulate_args(p: dict) -> dict:
 
 def _window_args(p: dict) -> dict:
     # the arguments run_norm_inflation and run_ode_approx share
+    check_half_length(p["grid_L"], "grid_L")
     return {
         "plan": _plan_from_params(p),
         "symbol": p["symbol"],

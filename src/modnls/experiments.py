@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import threading
+import warnings
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .symbols import BOUNDED, Symbol, make_symbol
 
 __all__ = [
     "ExperimentError",
+    "TIME_RTOL",
     "ode_phase_profile",
     "window_symbol",
     "check_ode_approx_args",
@@ -104,14 +106,67 @@ def window_symbol(symbol: Symbol, plan: ScalingPlan, h: float) -> Symbol:
 
 def _window_steps(tau_star: float, eps: float, lam: float, kappa: float,
                   sigma: float, p_max: float, rotation_budget: float,
-                  min_steps: int = 8) -> tuple[float, int]:
-    # keep each sub-flow's phase rotation per step below rotation_budget rad
+                  min_steps: int = 8) -> int:
+    """The pilot step count of a window: the first run of :func:`_certified_row`.
+
+    It keeps each sub-flow's phase rotation per step of tau*/n below
+    rotation_budget rad: the kick turns the bump's peak by
+    |lam|*kappa^(2*sigma)*dt/eps, the free flow turns a mode by at most
+    p_max*dt/eps.  At least ``min_steps``.  Step doubling then chooses the
+    step count the row reports, so the budget sets where doubling starts,
+    not the time error.
+    """
     rate = abs(lam) * kappa ** (2.0 * sigma) + p_max
     if rate <= 0:
-        n = min_steps
+        return min_steps
+    return max(min_steps, math.ceil(tau_star * rate / (rotation_budget * eps)))
+
+
+# A window row is certified in time when the step-doubling (Richardson)
+# estimate |q(2n) - q(n)| / 3 of the time error of q(2n), exact in the limit
+# for the second-order Strang splitting, is at most TIME_RTOL * |q(2n)|.
+TIME_RTOL = 1e-3
+# An estimate at most ROUNDING_FLOOR times the row's scale is rounding and
+# certifies the row too: without it a q at rounding level (E of the lambda = 0,
+# P = 0 control, 1e-17 to 1e-13) never meets a relative target, and
+# the phase recurrence's drift of about 1e-16 per step grows with every
+# doubling.
+ROUNDING_FLOOR = 1e-12
+# Doublings after the pilot run before a row is reported uncertified.
+MAX_DOUBLINGS = 8
+
+
+def _certified_row(run, n0: int, key: str, scale: float) -> dict:
+    """The row of the first run at n0, 2*n0, 4*n0, ... Strang steps that step doubling certifies.
+
+    ``run(n)`` integrates the window in n steps of exactly tau*/n and returns
+    its row, whose ``key`` column is the certified quantity q.  The first 2n
+    whose estimate |q(2n) - q(n)| / 3 is at most TIME_RTOL*|q(2n)| or at most
+    ROUNDING_FLOOR*scale is accepted: its row is returned, with ``n_steps``
+    = 2n and a new column ``time_err``, the estimate relative to |q(2n)|, or
+    to ROUNDING_FLOOR*scale/TIME_RTOL when |q(2n)| is smaller, so that
+    ``time_err <= TIME_RTOL`` exactly when the row is certified.  After
+    MAX_DOUBLINGS doublings the finest run is returned and a warning names
+    its estimate.
+    """
+    q_floor = ROUNDING_FLOOR * scale / TIME_RTOL
+    n = n0
+    row = run(n)
+    for _ in range(MAX_DOUBLINGS):
+        n *= 2
+        coarse, row = row[key], run(n)
+        rel = abs(row[key] - coarse) / 3.0 / max(abs(row[key]), q_floor)
+        if rel <= TIME_RTOL:
+            break
     else:
-        n = max(min_steps, math.ceil(tau_star * rate / (rotation_budget * eps)))
-    return tau_star / n, n
+        warnings.warn(
+            f"{key} is not certified in time: its step-doubling estimate {rel:.3e} "
+            f"(relative) at {n} steps exceeds TIME_RTOL = {TIME_RTOL:g} after "
+            f"{MAX_DOUBLINGS} doublings",
+            stacklevel=3,
+        )
+    row["time_err"] = rel
+    return row
 
 
 def _check_decreasing_sweep(values, label: str) -> list[float]:
@@ -144,7 +199,7 @@ def _check_window_args(plan: ScalingPlan, symbol: Symbol, grid: Grid, lam: float
     """The checks of run_norm_inflation and run_ode_approx; return rotation_budget as a float.
 
     rotation_budget is the largest phase rotation per step of either
-    sub-flow, and divides the window length when the step count is chosen.
+    sub-flow, and divides the window length when the pilot step count is chosen.
     """
     if grid.d != plan.d:
         raise ExperimentError(f"grid dimension {grid.d} does not match plan dimension {plan.d}")
@@ -156,7 +211,7 @@ def _check_window_args(plan: ScalingPlan, symbol: Symbol, grid: Grid, lam: float
 
 def check_ode_approx_args(plan: ScalingPlan, symbol: Symbol, grid: Grid, eps_list, r,
                           lam: float = 1.0,
-                          rotation_budget: float = 0.02) -> tuple[list[float], int, float]:
+                          rotation_budget: float = 0.64) -> tuple[list[float], int, float]:
     """Reject every input :func:`run_ode_approx` cannot run, before any evolution.
 
     Returns (eps_list as floats, int r, rotation_budget as a float).
@@ -176,7 +231,7 @@ def check_ode_approx_args(plan: ScalingPlan, symbol: Symbol, grid: Grid, eps_lis
 
 
 def check_inflate_args(plan: ScalingPlan, symbol: Symbol, grid: Grid, h_list,
-                       lam: float = 1.0, rotation_budget: float = 0.02,
+                       lam: float = 1.0, rotation_budget: float = 0.64,
                        min_ratio_growth: float = 3.0) -> tuple[list[float], float, float]:
     """Reject every input :func:`run_norm_inflation` cannot run, before any evolution.
 
@@ -191,25 +246,29 @@ def check_inflate_args(plan: ScalingPlan, symbol: Symbol, grid: Grid, h_list,
 
 
 def _window_config(plan: ScalingPlan, symbol: Symbol, grid: Grid, h: float, kappa: float,
-                   eps: float, lam: float, rotation_budget: float, every_step: bool):
-    """Initial data psi0 = kappa*a0 and the solver config up to tau*(eps).
+                   eps: float, lam: float, rotation_budget: float):
+    """Initial data psi0 = kappa*a0 and the solver configs up to tau*(eps).
 
-    Returns (psi0, cfg, n_steps, p_max) for :func:`evolve`.
+    Returns (psi0, config, n0, p_max): ``config(n, every_step)`` is the
+    :func:`evolve` config of n steps of exactly tau*/n, with a snapshot at
+    every step or at tau* only, and n0 is the pilot step count.
     """
     tau_star = plan.tau_star_of_eps(eps)
     sym_h = window_symbol(symbol, plan, h)
     p_max = float(np.abs(sym_h.on_grid(grid)).max())
-    dt, n_steps = _window_steps(tau_star, eps, lam, kappa, plan.sigma,
-                                p_max, rotation_budget)
+    n0 = _window_steps(tau_star, eps, lam, kappa, plan.sigma, p_max, rotation_budget)
     psi0 = Field(grid, kappa * _envelope(grid))
-    cfg = SolveConfig(sym_h, lam, plan.sigma, dt, tau_star, eps,
-                      snapshot_every=1 if every_step else n_steps)
-    return psi0, cfg, n_steps, p_max
+
+    def config(n: int, every_step: bool) -> SolveConfig:
+        return SolveConfig(sym_h, lam, plan.sigma, tau_star / n, tau_star, eps,
+                           snapshot_every=1 if every_step else n)
+
+    return psi0, config, n0, p_max
 
 
 def run_ode_approx(plan: ScalingPlan, symbol: Symbol, grid: Grid, eps_list,
                    r: int, lam: float = 1.0,
-                   rotation_budget: float = 0.02) -> ExperimentReport:
+                   rotation_budget: float = 0.64) -> ExperimentReport:
     """Measure E(eps) = sup over the window of the H^r gap to the phase-ODE profile.
 
     The rescaled equation is integrated from kappa*a0 up to
@@ -217,9 +276,16 @@ def run_ode_approx(plan: ScalingPlan, symbol: Symbol, grid: Grid, eps_list,
     times (every step) of |psi(tau) - phi(tau)|_{H^r}, reduced while the
     stepper runs.  phi advances by one stored rotation per step and is
     rebuilt in closed form at tau*, so a snapshot costs one complex multiply
-    and one FFT of phi; at tau* it also reads the ``tail_mass``.  Verdict:
-    E strictly decreasing along the (decreasing) eps sweep, with
-    E(min)/E(max) < 0.5.
+    and one FFT of phi; at tau* it also reads the ``tail_mass``.
+
+    Each row is certified in time by :func:`_certified_row`: the window is
+    run at n0, 2*n0, 4*n0, ... steps, from the pilot count n0 that
+    ``rotation_budget`` sets, until the step-doubling estimate of E's time
+    error is at most TIME_RTOL*E (or at rounding level, below
+    ROUNDING_FLOOR*|kappa*a0|_{H^r}).  The row reports that run: its
+    ``n_steps`` and the relative estimate ``time_err``.  Verdict: E strictly
+    decreasing along the (decreasing) eps sweep, with E(min)/E(max) < 0.5;
+    ``fitted.max_time_err`` is the largest ``time_err``.
     """
     eps_list, r, rotation_budget = check_ode_approx_args(plan, symbol, grid, eps_list, r, lam,
                                                          rotation_budget)
@@ -228,47 +294,56 @@ def run_ode_approx(plan: ScalingPlan, symbol: Symbol, grid: Grid, eps_list,
     for eps in eps_list:
         h = plan.h_for_eps(eps)
         kappa = plan.kappa(h)
-        psi0, cfg, n_steps, p_max = _window_config(plan, symbol, grid, h, kappa, eps, lam,
-                                                   rotation_budget, every_step=True)
-        profiles = _phase_profiles(grid, kappa, lam, plan.sigma, eps, cfg.dt)
-        gaps, tail = [], []
+        psi0, config, n0, p_max = _window_config(plan, symbol, grid, h, kappa, eps, lam,
+                                                 rotation_budget)
 
-        def reduce_gap(tau, coeffs):
-            # snapshots come at tau = k*dt, then at T; the gap is taken on coefficients
-            if tau < cfg.T:
-                phi = next(profiles)
-            else:
-                profiles.close()  # frees phi and w before the closed form at T
-                phi = _phase_profile(tau, grid, kappa, lam, plan.sigma, eps)
-                tail.append(_coeff_tail_mass(coeffs, grid))
-            diff = np.fft.fftn(phi)
-            np.subtract(coeffs, diff, out=diff)
-            gaps.append(_coeff_sobolev_norm(diff, grid, r))
+        def run(n):
+            cfg = config(n, every_step=True)
+            profiles = _phase_profiles(grid, kappa, lam, plan.sigma, eps, cfg.dt)
+            gaps, tail = [], []
 
-        evolve(psi0, cfg, reduce_gap)
-        rows.append({
-            "eps": eps,
-            "h": h,
-            "kappa": kappa,
-            "tau_star": cfg.T,
-            "n_steps": n_steps,
-            "p_max": p_max,
-            "E": max(gaps),
-            "tail_mass": tail[0],
-        })
+            def reduce_gap(tau, coeffs):
+                # snapshots come at tau = k*dt, then at T; the gap is taken on coefficients
+                if tau < cfg.T:
+                    phi = next(profiles)
+                else:
+                    profiles.close()  # frees phi and w before the closed form at T
+                    phi = _phase_profile(tau, grid, kappa, lam, plan.sigma, eps)
+                    tail.append(_coeff_tail_mass(coeffs, grid))
+                diff = np.fft.fftn(phi)
+                np.subtract(coeffs, diff, out=diff)
+                gaps.append(_coeff_sobolev_norm(diff, grid, r))
+
+            evolve(psi0, cfg, reduce_gap)
+            return {
+                "eps": eps,
+                "h": h,
+                "kappa": kappa,
+                "tau_star": cfg.T,
+                "n_steps": n,
+                "p_max": p_max,
+                "E": max(gaps),
+                "tail_mass": tail[0],
+            }
+
+        rows.append(_certified_row(run, n0, "E", scale=sobolev_norm(psi0, r)))
 
     errors = [row["E"] for row in rows]
     decreasing = all(b < a for a, b in zip(errors, errors[1:]))
     ratio = errors[-1] / errors[0] if errors[0] > 0 else 0.0
     verdict = decreasing and ratio < 0.5
-    fitted = {"error_ratio": ratio, "strictly_decreasing": float(decreasing)}
+    fitted = {
+        "error_ratio": ratio,
+        "strictly_decreasing": float(decreasing),
+        "max_time_err": max(row["time_err"] for row in rows),
+    }
     return ExperimentReport("ode_approx", rows, fitted, verdict,
                             tolerances={"max_error_ratio": 0.5})
 
 
 def run_norm_inflation(plan: ScalingPlan, symbol: Symbol, grid: Grid, h_list,
                        lam: float = 1.0,
-                       rotation_budget: float = 0.02,
+                       rotation_budget: float = 0.64,
                        min_ratio_growth: float = 3.0) -> ExperimentReport:
     """Track |u_h(t_h)|_{H^s} / |u0_h|_{H^s} along a decreasing h sweep.
 
@@ -277,6 +352,13 @@ def run_norm_inflation(plan: ScalingPlan, symbol: Symbol, grid: Grid, h_list,
     initial norms decrease monotonically and the inflation ratio grows by
     at least ``min_ratio_growth`` from the largest to the smallest h.  A
     row's ``tail_mass`` is read from the coefficients at the window end.
+
+    Each row is certified in time by :func:`_certified_row`: the window is
+    run at n0, 2*n0, 4*n0, ... steps, from the pilot count n0 that
+    ``rotation_budget`` sets, until the step-doubling estimate of the
+    ratio's time error is at most TIME_RTOL times the ratio.  The row
+    reports that run: its ``n_steps`` and the relative estimate
+    ``time_err``; ``fitted.max_time_err`` is the largest ``time_err``.
 
     The phase-ODE ratio at the window end grows like
     log(1/h)^(s*(delta - 2*sigma*theta)), so the ratio can only grow along
@@ -292,36 +374,41 @@ def run_norm_inflation(plan: ScalingPlan, symbol: Symbol, grid: Grid, h_list,
     for h in h_list:
         eps = plan.eps(h)
         kappa = plan.kappa(h)
-        psi0, cfg, n_steps, _ = _window_config(plan, symbol, grid, h, kappa, eps, lam,
-                                               rotation_budget, every_step=False)
-        tail = []
-
-        def reduce_tail(t, coeffs):
-            if t == cfg.T:
-                tail.append(_coeff_tail_mass(coeffs, grid))
-
-        psi_end = evolve(psi0, cfg, reduce_tail)
-
+        psi0, config, n0, _ = _window_config(plan, symbol, grid, h, kappa, eps, lam,
+                                             rotation_budget)
         l2_0 = sobolev_norm(psi0, 0.0)
         hs_0 = sobolev_norm(psi0, plan.s, homogeneous=True)
-        l2_T = sobolev_norm(psi_end, 0.0)
-        hs_T = sobolev_norm(psi_end, plan.s, homogeneous=True)
         hs_scale = h**plan.s
         u0_norm = math.hypot(hs_scale * l2_0, hs_0)
-        uT_norm = math.hypot(hs_scale * l2_T, hs_T)
-        rows.append({
-            "h": h,
-            "kappa": kappa,
-            "eps": eps,
-            "tau_star": cfg.T,
-            "t_h": plan.t_h(h),
-            "n_steps": n_steps,
-            "u0_hs": u0_norm,
-            "ut_hs": uT_norm,
-            "ratio": uT_norm / u0_norm,
-            "l2_drift": abs(l2_T - l2_0) / l2_0,
-            "tail_mass": tail[0],
-        })
+
+        def run(n):
+            cfg = config(n, every_step=False)
+            tail = []
+
+            def reduce_tail(t, coeffs):
+                if t == cfg.T:
+                    tail.append(_coeff_tail_mass(coeffs, grid))
+
+            psi_end = evolve(psi0, cfg, reduce_tail)
+            l2_T = sobolev_norm(psi_end, 0.0)
+            hs_T = sobolev_norm(psi_end, plan.s, homogeneous=True)
+            uT_norm = math.hypot(hs_scale * l2_T, hs_T)
+            return {
+                "h": h,
+                "kappa": kappa,
+                "eps": eps,
+                "tau_star": cfg.T,
+                "t_h": plan.t_h(h),
+                "n_steps": n,
+                "u0_hs": u0_norm,
+                "ut_hs": uT_norm,
+                "ratio": uT_norm / u0_norm,
+                "l2_drift": abs(l2_T - l2_0) / l2_0,
+                "tail_mass": tail[0],
+            }
+
+        # the ratio is 1 at tau = 0, which sets its rounding scale
+        rows.append(_certified_row(run, n0, "ratio", scale=1.0))
 
     initial = [row["u0_hs"] for row in rows]
     ratios = [row["ratio"] for row in rows]
@@ -331,6 +418,7 @@ def run_norm_inflation(plan: ScalingPlan, symbol: Symbol, grid: Grid, h_list,
     fitted = {
         "ratio_growth": growth,
         "initial_norms_decreasing": float(initial_decreasing),
+        "max_time_err": max(row["time_err"] for row in rows),
     }
     return ExperimentReport("inflate", rows, fitted, verdict,
                             tolerances={"min_ratio_growth": min_ratio_growth})

@@ -19,6 +19,7 @@ __all__ = [
     "Grid",
     "Field",
     "make_grid",
+    "check_half_length",
     "free_propagate",
     "sobolev_norm",
     "spacetime_norm_from_samples",
@@ -32,6 +33,12 @@ class SpectralError(ValueError):
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
+
+
+def check_half_length(L: float, key: str = "L") -> None:
+    """Reject a box half-length unless finite and > 0; ``key`` names it in the message."""
+    if not (np.isfinite(L) and L > 0):
+        raise SpectralError(f"box half-length {key} must be finite and > 0, got {L}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,8 +65,7 @@ class Grid:
             raise SpectralError(f"spatial dimension must be 1 or 2, got {self.d}")
         if not isinstance(self.n, (int, np.integer)) or self.n < 8 or not _is_power_of_two(int(self.n)):
             raise SpectralError(f"points per axis must be a power of two >= 8, got {self.n}")
-        if not (np.isfinite(self.L) and self.L > 0):
-            raise SpectralError(f"box half-length must be positive, got {self.L}")
+        check_half_length(self.L)
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "L", float(self.L))
         axis = -self.L + 2.0 * self.L * np.arange(self.n) / self.n

@@ -30,6 +30,7 @@ from modnls.cli import EXIT_ERROR, EXIT_FAIL, EXIT_PASS, main
 from conftest import evolve_with_diagnostics, gaussian_field, random_smooth_field
 from test_config import INVALID_CASES
 from modnls.config import ConfigError, parse_config
+from modnls.experiments import TIME_RTOL
 
 S_VALUES = (-1.0, 0.0, 0.5, 1.0, 2.0)
 
@@ -231,7 +232,9 @@ def test_criterion_5_norm_inflation():
     * the bounded arctan_step(h=1) flow inflates the ratio at least 3x with
       decreasing initial norms, and the lam = 0 control fails;
     * grid check: the growth at n = 4096 is within 1% of the growth at the
-      run grid n = 8192, so the verdict is not a resolution artefact.
+      run grid n = 8192, so the verdict is not a resolution artefact;
+    * time check: every row of the three sweeps is certified in time, with
+      a step-doubling estimate ``time_err`` of at most TIME_RTOL.
     """
     started = time.perf_counter()
     plan = compute_scaling(1, 2.0, 0.25, "bounded", theta=0.05, delta=8.0)
@@ -256,11 +259,15 @@ def test_criterion_5_norm_inflation():
     growth = rep.fitted["ratio_growth"]
     initial_decreasing = all(b < a for a, b in zip(initial, initial[1:]))
 
-    coarse_growth = run_norm_inflation(plan, sym, coarse, hs, lam=1.0).fitted["ratio_growth"]
+    coarse_rep = run_norm_inflation(plan, sym, coarse, hs, lam=1.0)
+    coarse_growth = coarse_rep.fitted["ratio_growth"]
     grid_change = abs(coarse_growth - growth) / growth
 
     control = run_norm_inflation(plan, sym, grid, hs, lam=0.0)
     control_fails = not control.verdict
+
+    max_time_err = max(row["time_err"]
+                       for sweep in (rep, coarse_rep, control) for row in sweep.rows)
 
     elapsed = time.perf_counter() - started
     ok = (
@@ -269,6 +276,7 @@ def test_criterion_5_norm_inflation():
         and growth >= 3.0
         and grid_change <= 0.01
         and control_fails
+        and max_time_err <= TIME_RTOL
         and elapsed < 900.0
     )
     report_line(
@@ -277,7 +285,7 @@ def test_criterion_5_norm_inflation():
         f"initial decreasing {initial_decreasing}, ratios {[f'{r:.4f}' for r in ratios]}, "
         f"growth {growth:.4f} (need >= 3), n=4096 growth {coarse_growth:.4f} "
         f"(change {grid_change:.2%}, need <= 1%), lam=0 control fails {control_fails}, "
-        f"{elapsed:.1f}s",
+        f"max time_err {max_time_err:.2e} (need <= {TIME_RTOL:g}), {elapsed:.1f}s",
     )
     assert ode_growth >= 3.0, (
         f"closed-form ODE ratio growth {ode_growth:.4f} < 3: the pinned window "
@@ -288,6 +296,9 @@ def test_criterion_5_norm_inflation():
     assert growth >= 3.0, f"inflation ratio growth {growth:.4f} < 3"
     assert grid_change <= 0.01, (
         f"growth moves by {grid_change:.2%} from n = 8192 to n = 4096: not grid-converged"
+    )
+    assert max_time_err <= TIME_RTOL, (
+        f"a row's step-doubling time error estimate {max_time_err:.3e} exceeds {TIME_RTOL:g}"
     )
 
 

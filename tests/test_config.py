@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import math
 
 import pytest
@@ -12,9 +13,12 @@ from modnls.experiments import (
     check_inflate_args,
     check_ode_approx_args,
     check_strichartz_args,
+    run_norm_inflation,
+    run_ode_approx,
 )
 from modnls.scaling import ScalingError
 from modnls.singular import SingularProbeError, check_probe_args
+from modnls.spectral import SpectralError, check_half_length
 from modnls.symbols import SymbolError
 
 INFLATE_OK = """
@@ -93,6 +97,17 @@ class TestValidation:
         message = str(err.value)
         for needed in ("symbol", "sigma", " s", "h_list", "d"):
             assert needed in message
+
+    @pytest.mark.parametrize("sub,text,functions", [
+        ("inflate", INFLATE_OK, (run_norm_inflation, check_inflate_args)),
+        ("ode-approx", ODE_OK, (run_ode_approx, check_ode_approx_args)),
+    ])
+    def test_rotation_budget_default_is_the_drivers(self, sub, text, functions):
+        # the pilot rotation budget is defaulted in three places; they agree
+        budget = parse_config(sub, text).args["rotation_budget"]
+        assert budget == 0.64
+        for function in functions:
+            assert inspect.signature(function).parameters["rotation_budget"].default == budget
 
     def test_round_trip_is_stable(self):
         cfg = parse_config("inflate", INFLATE_OK)
@@ -283,6 +298,14 @@ DRIVER_CHECK_CASES = [
     ("singular quad_tol inf", "singular",
      "[singular]\nsigma = 1\nt = 1\nrho_list = 1e-3, 1e-4, 1e-5\nquad_tol = inf\n",
      lambda: check_probe_args(1.0, 1.0, 1.0, [1e-3, 1e-4, 1e-5], math.inf)),
+    ("inflate grid_L inf", "inflate", INFLATE_OK + "grid_L = inf\n",
+     lambda: check_half_length(math.inf, "grid_L")),
+    ("ode-approx grid_L nan", "ode-approx", ODE_OK + "grid_L = nan\n",
+     lambda: check_half_length(math.nan, "grid_L")),
+    ("simulate L inf", "simulate", _swap(SIMULATE_OK, "L = 8", "L = inf"),
+     lambda: make_grid(1, 64, math.inf)),
+    ("simulate L nan", "simulate", _swap(SIMULATE_OK, "L = 8", "L = nan"),
+     lambda: make_grid(1, 64, math.nan)),
 ]
 
 
@@ -357,11 +380,20 @@ class TestInvalidTable:
                              ids=[c[0] for c in DRIVER_CHECK_CASES])
     def test_rejected_with_the_drivers_message(self, label, sub, text, driver_check):
         with pytest.raises((ExperimentError, ScalingError, SingularProbeError,
-                            EvolutionError, SymbolError)) as driver:
+                            EvolutionError, SymbolError, SpectralError)) as driver:
             driver_check()
         with pytest.raises(ConfigError) as config:
             parse_config(sub, text)
         assert str(config.value) == str(driver.value)
+
+    @pytest.mark.parametrize("sub,text,key", [
+        ("inflate", INFLATE_OK + "grid_L = inf\n", "grid_L"),
+        ("ode-approx", ODE_OK + "grid_L = nan\n", "grid_L"),
+        ("simulate", _swap(SIMULATE_OK, "L = 8", "L = -inf"), "L"),
+    ])
+    def test_box_half_length_message_names_the_key(self, sub, text, key):
+        with pytest.raises(ConfigError, match=f"box half-length {key} must be finite and > 0"):
+            parse_config(sub, text)
 
     def test_bounded_violation_message_names_the_bound(self):
         with pytest.raises(ConfigError, match="d/2"):

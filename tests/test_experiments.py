@@ -4,6 +4,7 @@ import math
 import re
 import sys
 import threading
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -158,24 +159,36 @@ class TestRunOdeApprox:
 
     def test_rotated_profile_over_a_long_window(self, bounded_plan, grid, monkeypatch):
         # phi advanced by thousands of stored rotations: E, and the gap at
-        # every step, against a stored run and the closed-form profile
+        # every step of every run (pilot and accepted), against a stored run
+        # and the closed-form profile
         eps, lam, r = 0.1, 1.0, 1
         sym = make_symbol("arctan_step", h=1.0)
-        streamed = []
+        streamed, runs = [], []
         coeff_norm = experiments._coeff_sobolev_norm
+        stepper = experiments.evolve
 
         def recording_norm(*args):
             streamed.append(coeff_norm(*args))
             return streamed[-1]
 
+        def recording_evolve(u0, cfg, on_snapshot=None):
+            runs.append((len(streamed), round(cfg.T / cfg.dt)))
+            return stepper(u0, cfg, on_snapshot)
+
         monkeypatch.setattr(experiments, "_coeff_sobolev_norm", recording_norm)
+        monkeypatch.setattr(experiments, "evolve", recording_evolve)
         rep = run_ode_approx(bounded_plan, sym, grid, [eps], r=r, lam=lam,
                              rotation_budget=2.5e-4)
         row = rep.rows[0]
         assert row["n_steps"] >= 2000
-        stored = _stored_run_gaps(bounded_plan, sym, grid, row, lam, r)
+        assert len(runs) >= 2 and runs[-1][1] == row["n_steps"]
+        ends = [start for start, _ in runs[1:]] + [len(streamed)]
+        for (start, n_steps), end in zip(runs, ends):
+            stored = _stored_run_gaps(bounded_plan, sym, grid, {**row, "n_steps": n_steps}, lam, r)
+            assert end - start == n_steps + 1
+            assert np.abs(np.array(streamed[start:end]) - stored).max() <= 1e-10 * max(stored)
+        # the row reports the accepted (last) run
         assert row["E"] == pytest.approx(max(stored), rel=1e-10)
-        assert np.abs(np.array(streamed) - stored).max() <= 1e-10 * row["E"]
 
 
 def _stored_run_gaps(plan, sym, grid, row, lam, r):
@@ -216,16 +229,18 @@ class TestOdeApproxCost:
     """A snapshot of ode-approx costs one rotation multiply and one FFT of phi."""
 
     @pytest.fixture
-    def counts(self, monkeypatch):
-        """Calls of np.exp and np.fft.fftn made inside the ode-approx reducer."""
-        counts = Counter()
+    def runs(self, monkeypatch):
+        """One Counter per evolve call of the driver: its steps, and the
+        snapshots and the np.exp and np.fft.fftn calls made inside its reducer."""
+        runs = []
         inside = [False]
 
         def count_inside(owner, name):
             original = getattr(owner, name)
 
             def counting(*args, **kwargs):
-                counts[name] += inside[0]
+                if inside[0]:
+                    runs[-1][name] += 1
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(owner, name, counting)
@@ -235,8 +250,10 @@ class TestOdeApproxCost:
         stepper = experiments.evolve
 
         def counting_evolve(u0, cfg, on_snapshot=None):
+            runs.append(Counter(steps=round(cfg.T / cfg.dt)))
+
             def reducer(t, coeffs):
-                counts["snapshots"] += 1
+                runs[-1]["snapshots"] += 1
                 inside[0] = True
                 try:
                     on_snapshot(t, coeffs)
@@ -245,9 +262,9 @@ class TestOdeApproxCost:
             return stepper(u0, cfg, reducer if on_snapshot else None)
 
         monkeypatch.setattr(experiments, "evolve", counting_evolve)
-        return counts
+        return runs
 
-    def test_exponentials_do_not_grow_with_the_step_count(self, bounded_plan, grid, counts,
+    def test_exponentials_do_not_grow_with_the_step_count(self, bounded_plan, grid, runs,
                                                           monkeypatch):
         rotations = []
         rotation = experiments._phase_rotation
@@ -261,34 +278,38 @@ class TestOdeApproxCost:
         eps_list = [0.1, 0.05]
         exps = []
         for budget in (0.02, 0.001):
-            counts.clear()
+            runs.clear()
             rotations.clear()
             rep = run_ode_approx(bounded_plan, sym, grid, eps_list, r=1, rotation_budget=budget)
-            assert counts["snapshots"] == sum(row["n_steps"] + 1 for row in rep.rows)
-            assert len(rotations) <= 3 * len(eps_list)
-            exps.append(counts["exp"])
+            assert all(run["snapshots"] == run["steps"] + 1 for run in runs)
+            assert {row["n_steps"] for row in rep.rows} <= {run["steps"] for run in runs}
+            assert len(rotations) <= 3 * len(runs)
+            exps.extend(run["exp"] for run in runs)
         assert rep.rows[0]["n_steps"] >= 800
-        assert exps[0] == exps[1]
+        # every run of both budgets takes as many, whatever its step count
+        assert len(set(exps)) == 1
 
-    def test_one_fft_of_phi_per_snapshot(self, bounded_plan, grid, counts):
+    def test_one_fft_of_phi_per_snapshot(self, bounded_plan, grid, runs):
         rep = run_ode_approx(bounded_plan, make_symbol("arctan_step", h=1.0), grid,
                              [0.1, 0.05], r=1)
-        assert counts["snapshots"] == sum(row["n_steps"] + 1 for row in rep.rows)
-        assert counts["fftn"] == counts["snapshots"]
+        assert {row["n_steps"] for row in rep.rows} <= {run["steps"] for run in runs}
+        for run in runs:
+            assert run["snapshots"] == run["steps"] + 1
+            assert run["fftn"] == run["snapshots"]
 
 
 class TestTailMassColumn:
-    """A row's tail_mass is the spectral tail mass of the sweep's final state."""
+    """A row's tail_mass is the spectral tail mass of its accepted run's final state."""
 
     @pytest.fixture
     def finals(self, monkeypatch):
-        """The states evolve returns inside the drivers, in call order."""
+        """(config, returned state) of every evolve call inside the drivers, in call order."""
         finals = []
         stepper = experiments.evolve
 
         def recording_evolve(u0, cfg, on_snapshot=None):
-            finals.append(stepper(u0, cfg, on_snapshot))
-            return finals[-1]
+            finals.append((cfg, stepper(u0, cfg, on_snapshot)))
+            return finals[-1][1]
 
         monkeypatch.setattr(experiments, "evolve", recording_evolve)
         return finals
@@ -303,10 +324,92 @@ class TestTailMassColumn:
             rep = run_norm_inflation(bounded_plan, sym, grid, [math.exp(-2), math.exp(-3)])
         else:
             rep = run_ode_approx(bounded_plan, sym, grid, [0.1, 0.05], r=1)
-        assert len(finals) == len(rep.rows) == 2
-        for row, final in zip(rep.rows, finals):
+        assert len(rep.rows) == 2
+        for row in rep.rows:
+            # the row's runs share its window; the last of them is the accepted one
+            cfg, final = [run for run in finals if run[0].T == row["tau_star"]][-1]
+            assert round(cfg.T / cfg.dt) == row["n_steps"]
             assert row["tail_mass"] > 1e-7
             assert row["tail_mass"] == pytest.approx(spectral_tail_mass(final), rel=1e-10, abs=0.0)
+
+
+class TestCertifiedSteps:
+    """Each window row runs at n0, 2*n0, ... steps until step doubling certifies it."""
+
+    def test_inflate_estimate_tracks_the_true_time_error(self):
+        # a window of inflate-long's shape at n = 1024; the true error is taken
+        # against a run at 16x the accepted steps
+        plan = compute_scaling(1, 2.0, 0.25, BOUNDED, theta=0.05, delta=8.0)
+        grid = make_grid(1, 1024, 8.0)
+        sym = make_symbol("arctan_step", h=1.0)
+        h = math.exp(-3)
+        row = run_norm_inflation(plan, sym, grid, [h]).rows[0]
+        eps, kappa = plan.eps(h), plan.kappa(h)
+        n_fine = 16 * row["n_steps"]
+        psi0 = Field(grid, kappa * np.exp(-grid.x[0] ** 2))
+        cfg = SolveConfig(window_symbol(sym, plan, h), 1.0, plan.sigma,
+                          row["tau_star"] / n_fine, row["tau_star"], eps)
+        end = evolve(psi0, cfg)
+
+        def hs_norm(f):
+            return math.hypot(h**plan.s * sobolev_norm(f, 0.0),
+                              sobolev_norm(f, plan.s, homogeneous=True))
+
+        fine = hs_norm(end) / hs_norm(psi0)
+        true_err = abs(row["ratio"] - fine) / fine
+        assert 0.0 < row["time_err"] <= experiments.TIME_RTOL
+        assert true_err / 2 <= row["time_err"] <= 2 * true_err
+
+    def test_ode_approx_estimate_tracks_the_true_time_error(self, bounded_plan, grid):
+        sym = make_symbol("arctan_step", h=1.0)
+        row = run_ode_approx(bounded_plan, sym, grid, [0.1], r=1).rows[0]
+        fine = max(_stored_run_gaps(bounded_plan, sym, grid,
+                                    {**row, "n_steps": 16 * row["n_steps"]}, 1.0, 1))
+        true_err = abs(row["E"] - fine) / fine
+        assert 0.0 < row["time_err"] <= experiments.TIME_RTOL
+        assert true_err / 2 <= row["time_err"] <= 2 * true_err
+
+    def test_accepted_run_is_a_doubling_of_the_pilot(self, bounded_plan, grid, monkeypatch):
+        steps = []
+        stepper = experiments.evolve
+
+        def recording_evolve(u0, cfg, on_snapshot=None):
+            steps.append(round(cfg.T / cfg.dt))
+            assert cfg.dt == cfg.T / steps[-1]
+            return stepper(u0, cfg, on_snapshot)
+
+        monkeypatch.setattr(experiments, "evolve", recording_evolve)
+        rep = run_norm_inflation(bounded_plan, make_symbol("arctan_step", h=1.0), grid,
+                                 [math.exp(-2)])
+        assert len(steps) >= 2
+        assert steps == [steps[0] * 2**k for k in range(len(steps))]
+        assert rep.rows[0]["n_steps"] == steps[-1]
+        assert rep.fitted["max_time_err"] == rep.rows[0]["time_err"]
+
+    def test_rounding_floor_certifies_a_vanishing_error(self, bounded_plan, grid):
+        # E of the lambda = 0, P = 0 control is rounding (about 1e-14 here): no
+        # relative target holds, and the floor certifies it at the first doubling
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = run_ode_approx(bounded_plan, make_symbol("constant", c=0.0), grid,
+                                 [0.1, 0.05], r=1, lam=0.0)
+        for row in rep.rows:
+            assert row["E"] <= 1e-12
+            assert row["n_steps"] == 2 * 8  # the pilot's minimum, doubled once
+            assert row["time_err"] <= experiments.TIME_RTOL
+
+    def test_unreachable_target_warns_with_the_estimate(self, bounded_plan, grid, monkeypatch):
+        monkeypatch.setattr(experiments, "TIME_RTOL", 1e-15)
+        monkeypatch.setattr(experiments, "ROUNDING_FLOOR", 0.0)
+        monkeypatch.setattr(experiments, "MAX_DOUBLINGS", 2)
+        with pytest.warns(UserWarning, match="not certified in time") as caught:
+            rep = run_norm_inflation(bounded_plan, make_symbol("arctan_step", h=1.0), grid,
+                                     [math.exp(-2)])
+        row = rep.rows[0]
+        assert row["time_err"] > 1e-15
+        assert len(caught) == 1
+        assert f"estimate {row['time_err']:.3e}" in str(caught[0].message)
+        assert f"at {row['n_steps']} steps" in str(caught[0].message)
 
 
 class TestRunNormInflation:
