@@ -465,8 +465,9 @@ def check_strichartz_args(symbol: Symbol, p: float, q: float, k_grid, N_list,
     this rejects a time interval (t0, t_end) that is not finite with
     0 <= t0 < t_end, a box_L that is not finite and > 0, an n_ceiling
     below 1, an include_contrast (the config key ``contrast``) other than 0
-    or 1, an N whose grid needs more than n_ceiling points per axis, and a
-    non-finite k.  Returns (k_grid, N_list) as floats.
+    or 1, an N whose grid needs more than n_ceiling points per axis, an N
+    whose N^2 is not finite, a row whose :func:`_probe_samples` count is
+    not finite, and a non-finite k.  Returns (k_grid, N_list) as floats.
     """
     if d not in (1, 2):
         raise ExperimentError(f"spatial dimension must be 1 or 2, got {d}")
@@ -490,12 +491,22 @@ def check_strichartz_args(symbol: Symbol, p: float, q: float, k_grid, N_list,
         raise ExperimentError(f"n_ceiling must be >= 1, got {n_ceiling}")
     if include_contrast not in (0, 1):
         raise ExperimentError(f"contrast must be 0 or 1, got {include_contrast}")
+    symbols = _probe_symbols(symbol, include_contrast)
     for N in N_list:
         n = _probe_points(N, box_L)
         if n > n_ceiling:
             raise ExperimentError(
                 f"probe at N = {N} needs n = {n} points per axis, above the ceiling {n_ceiling}"
             )
+        if not math.isfinite(N * N):
+            raise ExperimentError(f"the probe data at N = {N} need a finite N^2, got {N * N}")
+        for sym in symbols:
+            n_t = _probe_samples(sym, N, interval, time_samples)
+            if not math.isfinite(n_t):
+                raise ExperimentError(
+                    f"probe of {sym.spec_string()} at N = {N} needs {n_t} time samples, "
+                    f"not a finite count"
+                )
     k_grid = [float(k) for k in k_grid]
     if not all(math.isfinite(k) for k in k_grid):
         raise ExperimentError(f"every k in k_grid must be finite, got {k_grid}")
@@ -515,6 +526,37 @@ def _probe_points(N: float, box_L: float) -> int | float:
     which also resolves frequencies up to ~12*N.  inf when 16*box_L*N overflows."""
     need = max(16.0 * box_L * N, 8.0)
     return 2 ** math.ceil(math.log2(need)) if math.isfinite(need) else math.inf
+
+
+# The least time-sample count the rule of _probe_samples gives a row.
+_PROBE_MIN_SAMPLES = 1025
+
+
+def _probe_samples(symbol: Symbol, N: float, interval, time_samples) -> int | float:
+    """Uniform time samples of the probe row of ``symbol`` at N; inf when the count overflows.
+
+    An explicit ``time_samples`` serves every symbol.  A bounded symbol with
+    |P| <= M turns every mode by at most M*dt per sample, whatever N is, so
+    it gets max(1025, 2*ceil(128*M*|I|) + 1): an odd count whose spacing
+    turns the fastest mode by at most 2^-8 rad.  Every other symbol gets
+    max(1025, 4*N^2*|I| + 1), the Laplacian's rate at the data's frequencies.
+    """
+    if time_samples is not None:
+        return time_samples
+    t0, t1 = interval
+    if symbol.kind == BOUNDED and symbol.bound is not None:
+        # half the sample intervals that keep M*dt <= 2^-8
+        half_intervals = 128.0 * symbol.bound * (t1 - t0)
+        if not math.isfinite(half_intervals):
+            return math.inf
+        return max(_PROBE_MIN_SAMPLES, 2 * math.ceil(half_intervals) + 1)
+    rate = 4.0 * N * N * (t1 - t0)
+    return max(_PROBE_MIN_SAMPLES, int(rate) + 1) if math.isfinite(rate) else math.inf
+
+
+def _probe_symbols(symbol: Symbol, include_contrast) -> list:
+    """The probed symbol, then the Laplacian contrast when ``include_contrast`` is set."""
+    return [symbol, make_symbol("laplacian")] if include_contrast else [symbol]
 
 
 # Elements per batch of the probe (rows x grid nodes): ~4 MB of complex128
@@ -584,31 +626,47 @@ def _probe_lq(pvals: np.ndarray, u0_hat: np.ndarray, times: np.ndarray, q: float
     return lq
 
 
+def _probe_time_err(times: np.ndarray, lq: np.ndarray, p: float, Q: float) -> float:
+    """Richardson estimate |Q - Q_sub|/3/Q of Q's relative time error.
+
+    Q_sub is the trapezoid over the even-indexed samples, the same interval
+    at twice the spacing, so the estimate costs no transform.  nan when the
+    count is even (the subsample misses t_end); an odd count is at least 3,
+    since the check admits no fewer than 2 samples.  0 when Q is 0, since
+    then every sample is.
+    """
+    if times.size % 2 == 0:
+        return math.nan
+    q_sub = spacetime_norm_from_samples(times[::2], lq[::2], p)
+    return abs(Q - q_sub) / 3.0 / Q if Q > 0 else 0.0
+
+
 def _probe_sweep(symbols, p: float, q: float, k_grid, N_list, interval, d: int,
                  box_L: float, time_samples) -> list:
     """One list of rows per symbol, in N_list order.
 
     The grid, the data, its transform and its H^k norms do not depend on the
-    symbol, so each is built once per N and shared by every symbol's row.
+    symbol, so each is built once per N and shared by every symbol's row;
+    each symbol samples time at its own :func:`_probe_samples` count.
     """
-    t0, t1 = interval
     sweeps = [[] for _ in symbols]
     for N in N_list:
         grid = make_grid(d, _probe_points(N, box_L), box_L)
         u0 = strichartz_probe_data(grid, N)
-        n_t = max(1025, int(4.0 * N * N * (t1 - t0)) + 1) if time_samples is None else time_samples
-        times = np.linspace(t0, t1, n_t)
         u0_hat = np.fft.fftn(u0.values)
         hk_norms = {f"hk_norm_{k:g}": _coeff_sobolev_norm(u0_hat, grid, k) for k in k_grid}
         for symbol, rows in zip(symbols, sweeps):
+            times = np.linspace(*interval, _probe_samples(symbol, N, interval, time_samples))
             lq = _probe_lq(symbol.on_grid(grid), u0_hat, times, q, grid.cell)
+            Q = spacetime_norm_from_samples(times, lq, p)
             rows.append({
                 "symbol": symbol.spec_string(),
                 "N": N,
                 "grid_n": grid.n,
-                "time_samples": n_t,
-                "Q": spacetime_norm_from_samples(times, lq, p),
+                "time_samples": times.size,
+                "Q": Q,
                 **hk_norms,
+                "time_err": _probe_time_err(times, lq, p, Q),
             })
     return sweeps
 
@@ -639,7 +697,14 @@ def run_strichartz_probe(symbol: Symbol, p: float, q: float, k_grid, N_list,
     rerun as a dispersive contrast when ``include_contrast`` is set.
 
     ``time_samples`` fixes the number of uniform samples of the interval per
-    N; None picks max(1025, 4*N^2*|I| + 1).  The samples are taken in
+    N for every symbol; None lets :func:`_probe_samples` pick each row's
+    count from its symbol: max(1025, 2*ceil(128*M*|I|) + 1) for a bounded
+    symbol with |P| <= M, max(1025, 4*N^2*|I| + 1) for the others, the
+    contrast included.  Each row's ``time_err`` is the Richardson estimate
+    |Q - Q_sub|/3/Q of its relative time error, Q_sub the trapezoid over the
+    even-indexed samples (nan for an even count); ``fitted.max_time_err``
+    and ``fitted.max_time_err_contrast`` are the largest of each sweep.  The
+    verdict does not read them.  The samples are taken in
     batches of about 2^18 complex values (at least 8 rows): each batch is
     one offset table exp(i*j*dt*P), built once per N, times the batch's
     start exp(i*t_lo*P)*u0_hat, followed by a batched inverse FFT.  The
@@ -655,14 +720,17 @@ def run_strichartz_probe(symbol: Symbol, p: float, q: float, k_grid, N_list,
     k_grid, N_list = check_strichartz_args(symbol, p, q, k_grid, N_list, interval, d, box_L,
                                            n_ceiling, include_contrast, time_samples)
 
-    symbols = [symbol, make_symbol("laplacian")] if include_contrast else [symbol]
+    symbols = _probe_symbols(symbol, include_contrast)
     sweeps = _probe_sweep(symbols, p, q, k_grid, N_list, interval, d, box_L, time_samples)
     khat, residual = _fit_slope(N_list, [row["Q"] for row in sweeps[0]])
-    fitted = {"khat": khat, "khat_residual": residual}
+    # np.max, unlike max, returns nan when any row's estimate is nan
+    fitted = {"khat": khat, "khat_residual": residual,
+              "max_time_err": float(np.max([row["time_err"] for row in sweeps[0]]))}
     if include_contrast:
         khat_contrast, res_contrast = _fit_slope(N_list, [row["Q"] for row in sweeps[1]])
         fitted["khat_contrast"] = khat_contrast
         fitted["khat_contrast_residual"] = res_contrast
+        fitted["max_time_err_contrast"] = float(np.max([row["time_err"] for row in sweeps[1]]))
     rows = [row for sweep in sweeps for row in sweep]
 
     inv_q = 0.0 if q == np.inf else 1.0 / q

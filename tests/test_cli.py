@@ -259,6 +259,10 @@ class TestRejectedBeforeAnyCompute:
          "quadrature tolerance quad_tol must be finite, got inf"),
         ("strichartz", "p = 8\nq = 4", "d = 3\np = 4\nq = 3",
          "spatial dimension must be 1 or 2, got 3"),
+        ("strichartz", "N_list = 8, 16", "N_list = 1e200, 2e200\nbox_L = 1e-300",
+         "the probe data at N = 1e+200 need a finite N^2, got inf"),
+        ("strichartz", "contrast = 0", "t_end = 1e307",
+         "probe of laplacian at N = 8.0 needs inf time samples"),
     ], ids=["t_end inf", "box_L nan", "box_L negative", "n_ceiling zero", "contrast 7",
             "T inf", "dt inf", "quad_tol below the floor", "min_ratio_growth nan",
             "min_ratio_growth negative", "k_grid nan", "initial amplitude nan",
@@ -266,7 +270,7 @@ class TestRejectedBeforeAnyCompute:
             "inflate lambda inf", "inflate lambda nan", "inflate delta inf", "inflate theta inf",
             "inflate transport in d = 2", "simulate sigma inf", "simulate lambda nan",
             "singular sigma inf", "singular t inf", "singular lambda nan", "singular quad_tol inf",
-            "strichartz d = 3"])
+            "strichartz d = 3", "N^2 overflows", "time samples overflow"])
     def test_driver_input_is_checked_before_compute(self, tmp_path, capsys, monkeypatch,
                                                      sub, old, new, message):
         assert old in {"strichartz": STRICHARTZ_CFG, "simulate": SIMULATE_T0_CFG,

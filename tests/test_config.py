@@ -154,6 +154,12 @@ INVALID_CASES = [
     ("last N above n_ceiling", "strichartz",
      "[equation]\nsymbol = arctan_step(h=1)\n[strichartz]\np = 8\nq = 4\n"
      "N_list = 8, 16, 32, 64\nn_ceiling = 2048\n"),
+    ("N^2 not finite", "strichartz",
+     "[equation]\nsymbol = arctan_step(h=1)\n[strichartz]\np = 8\nq = 4\n"
+     "N_list = 1e200, 2e200\nbox_L = 1e-300\ncontrast = 0\n"),
+    ("time samples not finite", "strichartz",
+     "[equation]\nsymbol = arctan_step(h=1)\n[strichartz]\np = 8\nq = 4\nN_list = 8, 16\n"
+     "t_end = 1e307\ncontrast = 0\n"),
     ("grid n not a power of two", "simulate", _swap(SIMULATE_OK, "n = 64", "n = 48")),
     ("grid L <= 0", "simulate", _swap(SIMULATE_OK, "L = 8", "L = -1")),
     ("grid n not finite", "simulate", _swap(SIMULATE_OK, "n = 64", "n = inf")),
@@ -215,6 +221,14 @@ DRIVER_CHECK_CASES = [
     ("time exponent p infinite", "strichartz",
      _swap(STRICHARTZ_OK, "p = 8\nq = 4", "p = inf\nq = 2"),
      lambda: check_strichartz_args(_ARCTAN, math.inf, 2.0, _K_GRID, [8.0, 16.0])),
+    ("N^2 not finite", "strichartz",
+     _swap(STRICHARTZ_OK, "N_list = 8, 16", "N_list = 1e200, 2e200\nbox_L = 1e-300"),
+     lambda: check_strichartz_args(_ARCTAN, 8.0, 4.0, _K_GRID, [1e200, 2e200], box_L=1e-300)),
+    ("time samples not finite", "strichartz", STRICHARTZ_OK + "t_end = 1e307\n",
+     lambda: check_strichartz_args(_ARCTAN, 8.0, 4.0, _K_GRID, [8.0, 16.0], (0.0, 1e307))),
+    ("contrast time samples not finite", "strichartz",
+     _swap(STRICHARTZ_OK, "N_list = 8, 16", "N_list = 1e153, 1e154\nbox_L = 1e-300"),
+     lambda: check_strichartz_args(_ARCTAN, 8.0, 4.0, _K_GRID, [1e153, 1e154], box_L=1e-300)),
     ("simulate T not finite", "simulate", _swap(SIMULATE_OK, "T = 0.01", "T = inf"),
      lambda: SolveConfig(make_symbol("laplacian"), -1.0, 1.0, 0.001, math.inf)),
     ("simulate dt not finite", "simulate", _swap(SIMULATE_OK, "dt = 0.001", "dt = inf"),

@@ -664,6 +664,82 @@ class TestStrichartzProbe:
                 experiments._check_N_list(bad)
 
 
+# the strichartz-probe config's sweep; I = [0, 1]
+PROBE_N_LIST = [8.0, 16.0, 32.0, 64.0]
+
+
+@pytest.fixture(scope="module")
+def probe_report():
+    """The strichartz-probe config's run at its default sampling."""
+    return run_strichartz_probe(make_symbol("arctan_step", h=1.0), 8.0, 4.0, [0.25],
+                                PROBE_N_LIST, include_contrast=True)
+
+
+class TestProbeSamples:
+    """Each probe row samples time at its symbol's rate and reports a Richardson estimate."""
+
+    def test_counts_of_the_probe_config(self, probe_report):
+        counts = {name: [row["time_samples"] for row in probe_report.rows
+                         if row["symbol"] == name]
+                  for name in ("arctan_step(h=1)", "laplacian")}
+        assert counts == {"arctan_step(h=1)": [1025] * 4,
+                          "laplacian": [1025, 1025, 4097, 16385]}
+
+    def test_bounded_count_turns_the_fastest_mode_by_at_most_2_to_the_minus_8(self):
+        for name, params, interval in [("constant", {"c": 40.0}, (0.0, 1.0)),
+                                       ("arctan_step", {"h": 0.01}, (0.5, 3.0))]:
+            symbol = make_symbol(name, **params)
+            n_t = experiments._probe_samples(symbol, 8.0, interval, None)
+            assert n_t > 1025 and n_t % 2 == 1
+            assert symbol.bound * (interval[1] - interval[0]) / (n_t - 1) <= 2.0**-8
+            # N does not enter a bounded symbol's count, and an explicit count wins
+            assert experiments._probe_samples(symbol, 1e6, interval, None) == n_t
+            assert experiments._probe_samples(symbol, 8.0, interval, 17) == 17
+
+    def test_contrast_Q_equals_a_run_at_those_counts(self, probe_report):
+        contrast = [row for row in probe_report.rows if row["symbol"] == "laplacian"]
+        for row in contrast:
+            explicit, = experiments._probe_sweep(
+                [make_symbol("laplacian")], 8.0, 4.0, [0.25], [row["N"]], (0.0, 1.0), 1, 4.0,
+                row["time_samples"])
+            assert explicit[0]["Q"] == row["Q"]
+
+    def test_contrast_rows_above_N_8_are_flagged(self, probe_report):
+        for row in probe_report.rows:
+            if row["symbol"] == "laplacian" and row["N"] >= 16:
+                assert row["time_err"] > experiments.TIME_RTOL
+        assert probe_report.fitted["max_time_err_contrast"] > experiments.TIME_RTOL
+        assert probe_report.fitted["max_time_err"] <= experiments.TIME_RTOL
+
+    def test_bounded_estimate_within_2x_of_the_true_error(self):
+        symbol = make_symbol("arctan_step", h=1.0)
+        rep = run_strichartz_probe(symbol, 8.0, 4.0, [0.0], [8, 16], include_contrast=False)
+        fine = run_strichartz_probe(symbol, 8.0, 4.0, [0.0], [8, 16], include_contrast=False,
+                                    time_samples=16 * 1024 + 1)
+        for row, ref in zip(rep.rows, fine.rows):
+            assert row["time_samples"] == 1025
+            true_err = abs(row["Q"] - ref["Q"]) / ref["Q"]
+            assert true_err / 2 <= row["time_err"] <= 2 * true_err
+
+    def test_even_count_gives_nan(self):
+        rep = run_strichartz_probe(make_symbol("arctan_step", h=1.0), 8.0, 4.0, [0.0], [8, 16],
+                                   include_contrast=True, time_samples=16)
+        assert all(math.isnan(row["time_err"]) for row in rep.rows)
+        assert math.isnan(rep.fitted["max_time_err"])
+        assert math.isnan(rep.fitted["max_time_err_contrast"])
+
+    def test_odd_count_estimate_is_the_even_subsample_difference(self):
+        rep = run_strichartz_probe(make_symbol("arctan_step", h=1.0), 8.0, 4.0, [0.0], [8, 16],
+                                   include_contrast=False, time_samples=33)
+        times = np.linspace(0.0, 1.0, 33)
+        for row in rep.rows:
+            grid, _, pvals, u0_hat = _probe_inputs(make_symbol("arctan_step", h=1.0), 1,
+                                                   row["N"], row["grid_n"])
+            lq = _serial_probe_lq(pvals, u0_hat, times, 4.0, grid.cell)
+            q_sub = spacetime_norm_from_samples(times[::2], lq[::2], 8.0)
+            assert row["time_err"] == abs(row["Q"] - q_sub) / 3.0 / row["Q"]
+
+
 class TestProbeBatching:
     """The batched probe sweep against one free_propagate per time sample."""
 
