@@ -28,7 +28,6 @@ from .experiments import (
     run_ode_approx,
     run_strichartz_probe,
     strichartz_probe_data,
-    window_symbol,
 )
 from .reports import ExperimentReport, write_report
 from .scaling import H_MAX, ScalingError, ScalingPlan, compute_scaling
@@ -44,7 +43,6 @@ from .spectral import (
     Grid,
     SpectralError,
     free_propagate,
-    make_grid,
     sobolev_norm,
     spacetime_norm_from_samples,
     spectral_tail_mass,

@@ -26,7 +26,7 @@ from .experiments import (
 )
 from .scaling import ScalingError, ScalingPlan, compute_scaling
 from .singular import SingularProbeError, check_probe_args
-from .spectral import Field, SpectralError, check_half_length, make_grid
+from .spectral import Field, Grid, SpectralError, check_half_length
 from .symbols import (
     BOUNDED,
     HOMOGENEOUS,
@@ -238,7 +238,7 @@ def _plan_from_params(params: dict) -> ScalingPlan:
 
 
 def _simulate_args(p: dict) -> dict:
-    grid = make_grid(p["d"], p["n"], p["L"])
+    grid = Grid(p["d"], p["n"], p["L"])
     solve = SolveConfig(p["symbol"], p["lambda"], p["sigma"], p["dt"], p["T"],
                         p["eps"], p["snapshot_every"], bool(p["dealias"]))
     p["symbol"].check_dims(grid.d)
@@ -253,7 +253,7 @@ def _window_args(p: dict) -> dict:
     return {
         "plan": _plan_from_params(p),
         "symbol": p["symbol"],
-        "grid": make_grid(p["d"], p["grid_n"], p["grid_L"]),
+        "grid": Grid(p["d"], p["grid_n"], p["grid_L"]),
         "lam": p["lambda"],
         "rotation_budget": p["rotation_budget"],
     }

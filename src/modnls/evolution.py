@@ -8,14 +8,14 @@ Two independent discretizations of the same flow:
   exactly, so only rounding accumulates.  The state lives in Fourier
   space between kicks: a step is two half-step multiplications and one
   inverse/forward transform pair around the kick, so it costs 2 FFTs
-  whatever the snapshot cadence.  It returns the final state only.
+  whatever the snapshot cadence.  It returns the final raw coefficients.
   Snapshots are neither stored nor measured; each one is handed, as raw
   coefficients, to an optional reducer that computes what the caller
   needs (norms, tail masses, gaps to a reference).
 * :func:`picard_solve` iterates the integral fixed-point map
   Phi(u)(t) = S(t)u0 - i*(lambda/eps) * int_0^t S(t-tau) |u|^(2sigma)u dtau
   on a stored time mesh with trapezoid quadrature, and serves as a
-  cross-validation oracle for the split-step path.
+  cross-validation oracle for the split-step path.  It needs numpy only.
 """
 
 from __future__ import annotations
@@ -29,12 +29,13 @@ import numpy as np
 from .spectral import (
     Field,
     Grid,
+    _coeff_tail_mass,
     _max_abs,
     _plancherel_scale,
     _propagator,
     _spatial_tail_mass,
-    spectral_tail_mass,
 )
+from .spectral import spectral_tail_mass  # noqa: F401  (perfbench's tracer wraps it here)
 from .symbols import Symbol
 
 __all__ = [
@@ -143,8 +144,8 @@ def _quadrature_l2(values: np.ndarray, grid: Grid) -> float:
         return float(np.sqrt(np.sum(np.abs(values) ** 2) * grid.cell))
 
 
-def evolve(u0: Field, cfg: SolveConfig, on_snapshot=None) -> Field:
-    """Integrate with repeated Strang steps and return the state at T.
+def evolve(u0: Field, cfg: SolveConfig, on_snapshot=None) -> np.ndarray:
+    """Integrate with repeated Strang steps and return the raw coefficients at T.
 
     Each step is a free half-step, the full phase kick, and a free half-step.
     The state is kept as its raw ``np.fft.fftn`` coefficients u_hat between
@@ -161,26 +162,25 @@ def evolve(u0: Field, cfg: SolveConfig, on_snapshot=None) -> Field:
     needs them later must copy them.
 
     The final snapshot lands exactly on T (the last step is shortened when T
-    is not a multiple of dt).  The return value is the state there,
-    transformed back once, or ``u0`` itself when T = 0.  Warns when the
-    initial data carry tail mass in space or frequency, and aborts with the
-    step index when values stop being finite.
+    is not a multiple of dt).  The return value is u_hat there, which the
+    caller owns: ``fftn(u0.values)`` when T = 0, and ``ifftn`` of it gives
+    the samples.  Warns when the initial data carry tail mass in space or
+    frequency, and aborts with the step index when values stop being finite.
     """
     grid = u0.grid
-    for label, mass in (("spatial", _spatial_tail_mass(u0)), ("spectral", spectral_tail_mass(u0))):
+    u_hat = np.fft.fftn(u0.values)
+    for label, mass in (("spatial", _spatial_tail_mass(u0)),
+                        ("spectral", _coeff_tail_mass(u_hat, grid))):
         if mass > TAIL_WARN_THRESHOLD:
             warnings.warn(
                 f"initial data {label} tail mass {mass:.3e} exceeds "
                 f"{TAIL_WARN_THRESHOLD:.0e}; box or resolution may be too small",
                 stacklevel=2,
             )
-    u_hat = np.fft.fftn(u0.values)
     coeffs = u_hat.view()  # the reducers' read-only view; u_hat only changes in place
     coeffs.flags.writeable = False
     if on_snapshot is not None:
         on_snapshot(0.0, coeffs)
-    if cfg.T == 0:
-        return u0
     pvals = cfg.symbol.on_grid(grid)
     n_full = int(math.floor(cfg.T / cfg.dt + 1e-9))
     remainder = cfg.T - n_full * cfg.dt
@@ -206,7 +206,16 @@ def evolve(u0: Field, cfg: SolveConfig, on_snapshot=None) -> Field:
         last = k + 1 == len(steps)
         if on_snapshot is not None and ((k + 1) % cfg.snapshot_every == 0 or last):
             on_snapshot(cfg.T if last else (k + 1) * cfg.dt, coeffs)
-    return Field(grid, np.fft.ifftn(u_hat))
+    return u_hat
+
+
+def _cumulative_trapezoid(f: np.ndarray, times: np.ndarray) -> np.ndarray:
+    """Trapezoid integrals of ``f`` along axis 0 from times[0] to every node, 0 at the first."""
+    d = np.diff(times).reshape((-1,) + (1,) * (f.ndim - 1))
+    cum = np.empty_like(f)
+    cum[0] = 0.0
+    cum[1:] = np.cumsum(d * (f[1:] + f[:-1]) / 2.0, axis=0)
+    return cum
 
 
 @dataclass(frozen=True)
@@ -243,10 +252,6 @@ def picard_solve(
     grid = u0.grid
     if cfg.T <= 0:
         return u0, PicardReport(True, (), (), 0, (), quadrature_met=True)
-    # imported here, not at module level: no driver needs scipy, and importing
-    # scipy.integrate would add about 0.5 s to every CLI start-up
-    from scipy.integrate import cumulative_trapezoid
-
     pvals = cfg.symbol.on_grid(grid)
     axes = tuple(range(1, grid.d + 1))
     scale = _plancherel_scale(grid)
@@ -263,7 +268,7 @@ def picard_solve(
                 u_phys = np.fft.ifftn(u_hat, axes=axes)
                 nl = np.abs(u_phys) ** (2.0 * cfg.sigma) * u_phys
                 integrand = prop.conj() * np.fft.fftn(nl, axes=axes)
-                cum = cumulative_trapezoid(integrand, x=times, axis=0, initial=0.0)
+                cum = _cumulative_trapezoid(integrand, times)
                 new_hat = prop * (u0_hat - 1j * (cfg.lam / cfg.eps) * cum)
                 diff2 = np.abs(new_hat - u_hat) ** 2
                 dist = float(np.sqrt(np.max(np.sum(weight * diff2, axis=axes)))) * scale

@@ -25,7 +25,6 @@ from .spectral import (
     _coeff_tail_mass,
     _lq_norms,
     _propagator,
-    make_grid,
     sobolev_norm,
     spacetime_norm_from_samples,
 )
@@ -35,7 +34,6 @@ __all__ = [
     "ExperimentError",
     "TIME_RTOL",
     "ode_phase_profile",
-    "window_symbol",
     "check_ode_approx_args",
     "run_ode_approx",
     "check_inflate_args",
@@ -97,11 +95,6 @@ def _phase_profiles(grid: Grid, kappa: float, lam: float, sigma: float, eps: flo
     while True:
         yield phi
         phi *= w
-
-
-def window_symbol(symbol: Symbol, plan: ScalingPlan, h: float) -> Symbol:
-    """The rescaled multiplier xi -> h^(2*sigma*(d/2-s)) * P(xi/h)."""
-    return symbol.rescaled(plan.window_amplitude(h), h)
 
 
 def _window_steps(tau_star: float, eps: float, lam: float, kappa: float,
@@ -249,19 +242,19 @@ def _window_config(plan: ScalingPlan, symbol: Symbol, grid: Grid, h: float, kapp
                    eps: float, lam: float, rotation_budget: float):
     """Initial data psi0 = kappa*a0 and the solver configs up to tau*(eps).
 
-    Returns (psi0, config, n0, p_max): ``config(n, every_step)`` is the
-    :func:`evolve` config of n steps of exactly tau*/n, with a snapshot at
-    every step or at tau* only, and n0 is the pilot step count.
+    Returns (psi0, config, n0, p_max): ``config(n)`` is the :func:`evolve`
+    config of n steps of exactly tau*/n on the rescaled multiplier
+    h^(2*sigma*(d/2-s)) * P(xi/h), with a snapshot at every step, and n0 is
+    the pilot step count.
     """
     tau_star = plan.tau_star_of_eps(eps)
-    sym_h = window_symbol(symbol, plan, h)
+    sym_h = symbol.rescaled(plan.window_amplitude(h), h)
     p_max = float(np.abs(sym_h.on_grid(grid)).max())
     n0 = _window_steps(tau_star, eps, lam, kappa, plan.sigma, p_max, rotation_budget)
     psi0 = Field(grid, kappa * _envelope(grid))
 
-    def config(n: int, every_step: bool) -> SolveConfig:
-        return SolveConfig(sym_h, lam, plan.sigma, tau_star / n, tau_star, eps,
-                           snapshot_every=1 if every_step else n)
+    def config(n: int) -> SolveConfig:
+        return SolveConfig(sym_h, lam, plan.sigma, tau_star / n, tau_star, eps)
 
     return psi0, config, n0, p_max
 
@@ -276,7 +269,7 @@ def run_ode_approx(plan: ScalingPlan, symbol: Symbol, grid: Grid, eps_list,
     times (every step) of |psi(tau) - phi(tau)|_{H^r}, reduced while the
     stepper runs.  phi advances by one stored rotation per step and is
     rebuilt in closed form at tau*, so a snapshot costs one complex multiply
-    and one FFT of phi; at tau* it also reads the ``tail_mass``.
+    and one FFT of phi; ``tail_mass`` comes from the returned coefficients.
 
     Each row is certified in time by :func:`_certified_row`: the window is
     run at n0, 2*n0, 4*n0, ... steps, from the pilot count n0 that
@@ -298,9 +291,9 @@ def run_ode_approx(plan: ScalingPlan, symbol: Symbol, grid: Grid, eps_list,
                                                  rotation_budget)
 
         def run(n):
-            cfg = config(n, every_step=True)
+            cfg = config(n)
             profiles = _phase_profiles(grid, kappa, lam, plan.sigma, eps, cfg.dt)
-            gaps, tail = [], []
+            gaps = []
 
             def reduce_gap(tau, coeffs):
                 # snapshots come at tau = k*dt, then at T; the gap is taken on coefficients
@@ -309,12 +302,11 @@ def run_ode_approx(plan: ScalingPlan, symbol: Symbol, grid: Grid, eps_list,
                 else:
                     profiles.close()  # frees phi and w before the closed form at T
                     phi = _phase_profile(tau, grid, kappa, lam, plan.sigma, eps)
-                    tail.append(_coeff_tail_mass(coeffs, grid))
                 diff = np.fft.fftn(phi)
                 np.subtract(coeffs, diff, out=diff)
                 gaps.append(_coeff_sobolev_norm(diff, grid, r))
 
-            evolve(psi0, cfg, reduce_gap)
+            final = evolve(psi0, cfg, reduce_gap)
             return {
                 "eps": eps,
                 "h": h,
@@ -323,7 +315,7 @@ def run_ode_approx(plan: ScalingPlan, symbol: Symbol, grid: Grid, eps_list,
                 "n_steps": n,
                 "p_max": p_max,
                 "E": max(gaps),
-                "tail_mass": tail[0],
+                "tail_mass": _coeff_tail_mass(final, grid),
             }
 
         rows.append(_certified_row(run, n0, "E", scale=sobolev_norm(psi0, r)))
@@ -350,8 +342,8 @@ def run_norm_inflation(plan: ScalingPlan, symbol: Symbol, grid: Grid, h_list,
     Norms of the unscaled solution are reconstructed from the rescaled run
     at s' in {0, s} and combined as sqrt(L2^2 + Hdot^s^2).  Verdict: the
     initial norms decrease monotonically and the inflation ratio grows by
-    at least ``min_ratio_growth`` from the largest to the smallest h.  A
-    row's ``tail_mass`` is read from the coefficients at the window end.
+    at least ``min_ratio_growth`` from the largest to the smallest h.  Every
+    norm and the row's ``tail_mass`` are read from coefficients.
 
     Each row is certified in time by :func:`_certified_row`: the window is
     run at n0, 2*n0, 4*n0, ... steps, from the pilot count n0 that
@@ -376,22 +368,17 @@ def run_norm_inflation(plan: ScalingPlan, symbol: Symbol, grid: Grid, h_list,
         kappa = plan.kappa(h)
         psi0, config, n0, _ = _window_config(plan, symbol, grid, h, kappa, eps, lam,
                                              rotation_budget)
-        l2_0 = sobolev_norm(psi0, 0.0)
-        hs_0 = sobolev_norm(psi0, plan.s, homogeneous=True)
+        psi0_hat = np.fft.fftn(psi0.values)
+        l2_0 = _coeff_sobolev_norm(psi0_hat, grid, 0.0)
+        hs_0 = _coeff_sobolev_norm(psi0_hat, grid, plan.s, homogeneous=True)
         hs_scale = h**plan.s
         u0_norm = math.hypot(hs_scale * l2_0, hs_0)
 
         def run(n):
-            cfg = config(n, every_step=False)
-            tail = []
-
-            def reduce_tail(t, coeffs):
-                if t == cfg.T:
-                    tail.append(_coeff_tail_mass(coeffs, grid))
-
-            psi_end = evolve(psi0, cfg, reduce_tail)
-            l2_T = sobolev_norm(psi_end, 0.0)
-            hs_T = sobolev_norm(psi_end, plan.s, homogeneous=True)
+            cfg = config(n)
+            final = evolve(psi0, cfg)
+            l2_T = _coeff_sobolev_norm(final, grid, 0.0)
+            hs_T = _coeff_sobolev_norm(final, grid, plan.s, homogeneous=True)
             uT_norm = math.hypot(hs_scale * l2_T, hs_T)
             return {
                 "h": h,
@@ -404,7 +391,7 @@ def run_norm_inflation(plan: ScalingPlan, symbol: Symbol, grid: Grid, h_list,
                 "ut_hs": uT_norm,
                 "ratio": uT_norm / u0_norm,
                 "l2_drift": abs(l2_T - l2_0) / l2_0,
-                "tail_mass": tail[0],
+                "tail_mass": _coeff_tail_mass(final, grid),
             }
 
         # the ratio is 1 at tau = 0, which sets its rounding scale
@@ -467,7 +454,8 @@ def check_strichartz_args(symbol: Symbol, p: float, q: float, k_grid, N_list,
     below 1, an include_contrast (the config key ``contrast``) other than 0
     or 1, an N whose grid needs more than n_ceiling points per axis, an N
     whose N^2 is not finite, a row whose :func:`_probe_samples` count is
-    not finite, and a non-finite k.  Returns (k_grid, N_list) as floats.
+    not finite or above _PROBE_MAX_SAMPLES, and a non-finite k.  Returns
+    (k_grid, N_list) as floats.
     """
     if d not in (1, 2):
         raise ExperimentError(f"spatial dimension must be 1 or 2, got {d}")
@@ -502,10 +490,10 @@ def check_strichartz_args(symbol: Symbol, p: float, q: float, k_grid, N_list,
             raise ExperimentError(f"the probe data at N = {N} need a finite N^2, got {N * N}")
         for sym in symbols:
             n_t = _probe_samples(sym, N, interval, time_samples)
-            if not math.isfinite(n_t):
+            if not n_t <= _PROBE_MAX_SAMPLES:
                 raise ExperimentError(
                     f"probe of {sym.spec_string()} at N = {N} needs {n_t} time samples, "
-                    f"not a finite count"
+                    f"above the ceiling {_PROBE_MAX_SAMPLES}"
                 )
     k_grid = [float(k) for k in k_grid]
     if not all(math.isfinite(k) for k in k_grid):
@@ -530,6 +518,8 @@ def _probe_points(N: float, box_L: float) -> int | float:
 
 # The least time-sample count the rule of _probe_samples gives a row.
 _PROBE_MIN_SAMPLES = 1025
+# The most a row may take: its times and L^q norms then stay within 256 MB.
+_PROBE_MAX_SAMPLES = 2**24
 
 
 def _probe_samples(symbol: Symbol, N: float, interval, time_samples) -> int | float:
@@ -632,13 +622,12 @@ def _probe_time_err(times: np.ndarray, lq: np.ndarray, p: float, Q: float) -> fl
     Q_sub is the trapezoid over the even-indexed samples, the same interval
     at twice the spacing, so the estimate costs no transform.  nan when the
     count is even (the subsample misses t_end); an odd count is at least 3,
-    since the check admits no fewer than 2 samples.  0 when Q is 0, since
-    then every sample is.
+    since the check admits no fewer than 2 samples.  Q is positive.
     """
     if times.size % 2 == 0:
         return math.nan
     q_sub = spacetime_norm_from_samples(times[::2], lq[::2], p)
-    return abs(Q - q_sub) / 3.0 / Q if Q > 0 else 0.0
+    return abs(Q - q_sub) / 3.0 / Q
 
 
 def _probe_sweep(symbols, p: float, q: float, k_grid, N_list, interval, d: int,
@@ -647,11 +636,12 @@ def _probe_sweep(symbols, p: float, q: float, k_grid, N_list, interval, d: int,
 
     The grid, the data, its transform and its H^k norms do not depend on the
     symbol, so each is built once per N and shared by every symbol's row;
-    each symbol samples time at its own :func:`_probe_samples` count.
+    each symbol samples time at its own :func:`_probe_samples` count.  A Q
+    of 0 or not finite, which has no logarithm to fit, raises ExperimentError.
     """
     sweeps = [[] for _ in symbols]
     for N in N_list:
-        grid = make_grid(d, _probe_points(N, box_L), box_L)
+        grid = Grid(d, _probe_points(N, box_L), box_L)
         u0 = strichartz_probe_data(grid, N)
         u0_hat = np.fft.fftn(u0.values)
         hk_norms = {f"hk_norm_{k:g}": _coeff_sobolev_norm(u0_hat, grid, k) for k in k_grid}
@@ -659,6 +649,9 @@ def _probe_sweep(symbols, p: float, q: float, k_grid, N_list, interval, d: int,
             times = np.linspace(*interval, _probe_samples(symbol, N, interval, time_samples))
             lq = _probe_lq(symbol.on_grid(grid), u0_hat, times, q, grid.cell)
             Q = spacetime_norm_from_samples(times, lq, p)
+            if not (math.isfinite(Q) and Q > 0):
+                raise ExperimentError(f"probe of {symbol.spec_string()} at N = {N} gives "
+                                      f"Q = {Q}, which has no logarithm to fit")
             rows.append({
                 "symbol": symbol.spec_string(),
                 "N": N,

@@ -18,7 +18,6 @@ __all__ = [
     "SpectralError",
     "Grid",
     "Field",
-    "make_grid",
     "check_half_length",
     "free_propagate",
     "sobolev_norm",
@@ -102,11 +101,6 @@ class Grid:
 
     def __repr__(self) -> str:
         return f"Grid(d={self.d}, n={self.n}, L={self.L})"
-
-
-def make_grid(d: int, n: int, L: float) -> Grid:
-    """Build a periodic grid, rejecting invalid (d, n, L)."""
-    return Grid(d, n, L)
 
 
 @dataclass(frozen=True, eq=False)

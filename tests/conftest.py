@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from modnls import Field, Grid, evolve, make_grid
+from modnls import Field, Grid, evolve
 from modnls.spectral import _coeff_sobolev_norm, _coeff_tail_mass, _plancherel_scale
 
 # the same examples on every run, independent of the .hypothesis/ database
@@ -45,11 +45,22 @@ def evolve_with_diagnostics(u0: Field, cfg):
     return final, np.array(times), np.array(l2), np.array(tails)
 
 
+def count_ffts(monkeypatch) -> list:
+    """Record the name of every np.fft.fftn and np.fft.ifftn call from now on."""
+    calls = []
+    for name in ("fftn", "ifftn"):
+        def counted(*args, _name=name, _original=getattr(np.fft, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
 @pytest.fixture
 def grid1d() -> Grid:
-    return make_grid(1, 64, np.pi)
+    return Grid(1, 64, np.pi)
 
 
 @pytest.fixture
 def grid2d() -> Grid:
-    return make_grid(2, 16, np.pi)
+    return Grid(2, 16, np.pi)

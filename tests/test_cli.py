@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import modnls
-from modnls import Field, SolveConfig, evolve, make_grid, make_symbol, sobolev_norm
+from modnls import Field, Grid, SolveConfig, evolve, make_symbol, sobolev_norm
 from modnls import cli
 from modnls.cli import EXIT_ERROR, EXIT_FAIL, EXIT_PASS, main
 from modnls.reports import ExperimentReport
@@ -113,11 +113,12 @@ class TestExitCodes:
         drift = float(summary.split("fitted.l2_relative_drift = ")[1].split()[0])
         assert drift <= 1e-10
         # each row's H^1 norm is that of a run stopped at the row's time
-        grid = make_grid(1, 64, 8.0)
+        grid = Grid(1, 64, 8.0)
         u0 = Field(grid, np.exp(-grid.x[0] ** 2))  # gaussian(amplitude=1,width=1)
         solve = SolveConfig(make_symbol("laplacian"), -1.0, 1.0, dt=0.001, T=0.01)
         for t, row in zip(times, rows):
-            ref = sobolev_norm(evolve(u0, dataclasses.replace(solve, T=t)), 1.0)
+            end = np.fft.ifftn(evolve(u0, dataclasses.replace(solve, T=t)))
+            ref = sobolev_norm(Field(grid, end), 1.0)
             assert float(row["h1_norm"]) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
@@ -263,6 +264,10 @@ class TestRejectedBeforeAnyCompute:
          "the probe data at N = 1e+200 need a finite N^2, got inf"),
         ("strichartz", "contrast = 0", "t_end = 1e307",
          "probe of laplacian at N = 8.0 needs inf time samples"),
+        ("strichartz", "symbol = constant(c=0)\n\n[strichartz]",
+         "symbol = arctan_step(h=1)\n\n[strichartz]\nt_end = 1e12",
+         "probe of arctan_step(h=1) at N = 8.0 needs 402123859659495 time samples, "
+         "above the ceiling 16777216"),
     ], ids=["t_end inf", "box_L nan", "box_L negative", "n_ceiling zero", "contrast 7",
             "T inf", "dt inf", "quad_tol below the floor", "min_ratio_growth nan",
             "min_ratio_growth negative", "k_grid nan", "initial amplitude nan",
@@ -270,7 +275,8 @@ class TestRejectedBeforeAnyCompute:
             "inflate lambda inf", "inflate lambda nan", "inflate delta inf", "inflate theta inf",
             "inflate transport in d = 2", "simulate sigma inf", "simulate lambda nan",
             "singular sigma inf", "singular t inf", "singular lambda nan", "singular quad_tol inf",
-            "strichartz d = 3", "N^2 overflows", "time samples overflow"])
+            "strichartz d = 3", "N^2 overflows", "time samples overflow",
+            "time samples above the ceiling"])
     def test_driver_input_is_checked_before_compute(self, tmp_path, capsys, monkeypatch,
                                                      sub, old, new, message):
         assert old in {"strichartz": STRICHARTZ_CFG, "simulate": SIMULATE_T0_CFG,
@@ -335,6 +341,16 @@ def _modules_after_cli_import(package: str) -> str:
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     return done.stdout.strip()
+
+
+def test_probe_whose_Q_underflows_is_an_error(tmp_path, capsys):
+    # at N = 1e-300 the data's |u|^4 underflows, so Q = 0 and log Q has no value
+    text = STRICHARTZ_CFG.replace("N_list = 8, 16", "N_list = 1e-300, 2e-300")
+    cfg = write(tmp_path, "underflow.cfg", text)
+    out = tmp_path / "out"
+    assert main(["strichartz", "--config", str(cfg), "--out", str(out)]) == EXIT_ERROR
+    assert "probe of constant(c=0) at N = 1e-300 gives Q = 0.0" in capsys.readouterr().err
+    assert not (out / "report.csv").exists()
 
 
 def test_cli_import_loads_no_scipy():

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from modnls import BOUNDED, HOMOGENEOUS, SolveConfig, compute_scaling, make_grid, make_symbol
+from modnls import BOUNDED, HOMOGENEOUS, Grid, SolveConfig, compute_scaling, make_symbol
 from modnls.config import ConfigError, _SCHEMAS, parse_config, parse_config_text, render_config
 from modnls.evolution import EvolutionError
 from modnls.experiments import (
@@ -160,6 +160,9 @@ INVALID_CASES = [
     ("time samples not finite", "strichartz",
      "[equation]\nsymbol = arctan_step(h=1)\n[strichartz]\np = 8\nq = 4\nN_list = 8, 16\n"
      "t_end = 1e307\ncontrast = 0\n"),
+    ("time samples above the ceiling", "strichartz",
+     "[equation]\nsymbol = arctan_step(h=1)\n[strichartz]\np = 8\nq = 4\nN_list = 8, 16\n"
+     "t_end = 1e12\ncontrast = 0\n"),
     ("grid n not a power of two", "simulate", _swap(SIMULATE_OK, "n = 64", "n = 48")),
     ("grid L <= 0", "simulate", _swap(SIMULATE_OK, "L = 8", "L = -1")),
     ("grid n not finite", "simulate", _swap(SIMULATE_OK, "n = 64", "n = inf")),
@@ -183,7 +186,7 @@ INVALID_CASES = [
 # the plan, symbol, grid and sweeps INFLATE_OK and ODE_OK describe
 _PLAN = compute_scaling(1, 2.0, 0.25, BOUNDED, theta=0.05, delta=0.1)
 _ARCTAN = make_symbol("arctan_step", h=1.0)
-_GRID = make_grid(1, 256, 8.0)
+_GRID = Grid(1, 256, 8.0)
 _H_LIST = [math.exp(-2), math.exp(-3), math.exp(-4)]
 _EPS_LIST = [0.1, 0.03, 0.01]
 # the k_grid default of [strichartz]
@@ -226,6 +229,11 @@ DRIVER_CHECK_CASES = [
      lambda: check_strichartz_args(_ARCTAN, 8.0, 4.0, _K_GRID, [1e200, 2e200], box_L=1e-300)),
     ("time samples not finite", "strichartz", STRICHARTZ_OK + "t_end = 1e307\n",
      lambda: check_strichartz_args(_ARCTAN, 8.0, 4.0, _K_GRID, [8.0, 16.0], (0.0, 1e307))),
+    ("time samples above the ceiling", "strichartz", STRICHARTZ_OK + "t_end = 1e12\n",
+     lambda: check_strichartz_args(_ARCTAN, 8.0, 4.0, _K_GRID, [8.0, 16.0], (0.0, 1e12))),
+    ("contrast time samples above the ceiling", "strichartz",
+     STRICHARTZ_OK + "t_end = 2e4\n",
+     lambda: check_strichartz_args(_ARCTAN, 8.0, 4.0, _K_GRID, [8.0, 16.0], (0.0, 2e4))),
     ("contrast time samples not finite", "strichartz",
      _swap(STRICHARTZ_OK, "N_list = 8, 16", "N_list = 1e153, 1e154\nbox_L = 1e-300"),
      lambda: check_strichartz_args(_ARCTAN, 8.0, 4.0, _K_GRID, [1e153, 1e154], box_L=1e-300)),
@@ -281,10 +289,10 @@ DRIVER_CHECK_CASES = [
      "[singular]\nsigma = 1\nt = 1\nrho_list = 1e-3, 1e-4\namplitude = inf\n",
      lambda: check_probe_args(1.0, 1.0, 1.0, [1e-3, 1e-4], 1e-9, math.inf)),
     ("inflate symbol restricted to d = 1", "inflate", TRANSPORT_2D["inflate"],
-     lambda: check_inflate_args(_PLAN_2D, _TRANSPORT, make_grid(2, 256, 8.0),
+     lambda: check_inflate_args(_PLAN_2D, _TRANSPORT, Grid(2, 256, 8.0),
                                 [math.exp(-2), math.exp(-3)])),
     ("ode-approx symbol restricted to d = 1", "ode-approx", TRANSPORT_2D["ode-approx"],
-     lambda: check_ode_approx_args(_PLAN_2D, _TRANSPORT, make_grid(2, 256, 8.0), [0.1, 0.03], 2)),
+     lambda: check_ode_approx_args(_PLAN_2D, _TRANSPORT, Grid(2, 256, 8.0), [0.1, 0.03], 2)),
     ("strichartz in d = 3", "strichartz",
      "[equation]\nsymbol = arctan_step(h=1)\n[strichartz]\nd = 3\np = 4\nq = 3\nN_list = 8, 16\n",
      lambda: check_strichartz_args(_ARCTAN, 4.0, 3.0, _K_GRID, [8.0, 16.0], d=3)),
@@ -317,9 +325,9 @@ DRIVER_CHECK_CASES = [
     ("ode-approx grid_L nan", "ode-approx", ODE_OK + "grid_L = nan\n",
      lambda: check_half_length(math.nan, "grid_L")),
     ("simulate L inf", "simulate", _swap(SIMULATE_OK, "L = 8", "L = inf"),
-     lambda: make_grid(1, 64, math.inf)),
+     lambda: Grid(1, 64, math.inf)),
     ("simulate L nan", "simulate", _swap(SIMULATE_OK, "L = 8", "L = nan"),
-     lambda: make_grid(1, 64, math.nan)),
+     lambda: Grid(1, 64, math.nan)),
 ]
 
 

@@ -1,19 +1,24 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import modnls
 from modnls import (
     EvolutionError,
     Field,
+    Grid,
     PicardDivergenceError,
     SolveConfig,
     dealias_mask,
     evolve,
     free_propagate,
-    make_grid,
     make_symbol,
     picard_solve,
     sigma_is_admissible,
@@ -22,9 +27,9 @@ from modnls import (
 )
 from modnls import evolution, spectral
 from modnls.cli import main
-from modnls.evolution import _phase_kick
+from modnls.evolution import _cumulative_trapezoid, _phase_kick
 from modnls.spectral import _coeff_sobolev_norm
-from conftest import evolve_with_diagnostics, gaussian_field, random_smooth_field
+from conftest import count_ffts, evolve_with_diagnostics, gaussian_field, random_smooth_field
 
 
 def reference_strang(u0, cfg):
@@ -72,7 +77,7 @@ def rel_gap(a, b) -> float:
 
 @pytest.fixture
 def grid():
-    return make_grid(1, 256, 8.0)
+    return Grid(1, 256, 8.0)
 
 
 @pytest.fixture
@@ -128,23 +133,23 @@ class TestStrangStep:
     # one step of evolve (T = dt) is one Strang step: half free, kick, half free
     def test_lambda_zero_equals_free_flow(self, grid, gaussian):
         cfg = SolveConfig(make_symbol("laplacian"), 0.0, 1.0, dt=0.05, T=0.05)
-        out = evolve(gaussian, cfg)
+        out = np.fft.ifftn(evolve(gaussian, cfg))
         ref = free_propagate(gaussian, make_symbol("laplacian"), 0.05)
-        assert np.abs(out.values - ref.values).max() <= 1e-12
+        assert np.abs(out - ref.values).max() <= 1e-12
 
     def test_zero_symbol_equals_phase_step(self, grid, gaussian):
         cfg = SolveConfig(make_symbol("constant", c=0.0), 1.0, 1.0, dt=0.05, T=0.05)
-        out = evolve(gaussian, cfg)
+        out = np.fft.ifftn(evolve(gaussian, cfg))
         ref = phase_ode(gaussian.values, 1.0, 1.0, 0.05)
-        assert np.abs(out.values - ref).max() <= 1e-14
+        assert np.abs(out - ref).max() <= 1e-14
 
     def test_constant_symbol_commutes(self, grid, gaussian):
         c, dt, eps = 1.7, 0.05, 0.5
         cfg = SolveConfig(make_symbol("constant", c=c), -1.0, 2.0, dt=dt, T=dt, eps=eps)
-        out = evolve(gaussian, cfg)
+        out = np.fft.ifftn(evolve(gaussian, cfg))
         ref = phase_ode(gaussian.values, -1.0, 2.0, dt, eps)
         expected = np.exp(1j * c * dt / eps) * ref
-        assert np.abs(out.values - expected).max() <= 1e-13
+        assert np.abs(out - expected).max() <= 1e-13
 
 
 class TestEvolve:
@@ -153,15 +158,15 @@ class TestEvolve:
         final, times, _, _ = evolve_with_diagnostics(gaussian, cfg)
         assert len(times) == 1
         assert times[0] == 0.0
-        assert final is gaussian
+        assert np.array_equal(final, np.fft.fftn(gaussian.values))
 
     def test_lambda_zero_matches_free_propagator(self, grid, gaussian):
         sym = make_symbol("fourth_order")
         eps = 0.5
         cfg = SolveConfig(sym, 0.0, 1.0, dt=1e-3, T=0.3, eps=eps, snapshot_every=1000)
-        final = evolve(gaussian, cfg)
+        final = np.fft.ifftn(evolve(gaussian, cfg))
         ref = free_propagate(gaussian, sym, 0.3 / eps)
-        assert np.abs(final.values - ref.values).max() <= 1e-10
+        assert np.abs(final - ref.values).max() <= 1e-10
 
     def test_final_time_exact_for_non_multiple(self, grid, gaussian):
         cfg = SolveConfig(make_symbol("laplacian"), 1.0, 1.0, dt=0.0003, T=0.01, snapshot_every=7)
@@ -182,14 +187,14 @@ class TestEvolve:
 
         def terminal(dt):
             cfg = SolveConfig(sym, -1.0, 1.0, dt=dt, T=0.5, snapshot_every=10**6)
-            return evolve(gaussian, cfg)
+            return np.fft.ifftn(evolve(gaussian, cfg))
 
 
         ref = terminal(1e-4)
         errs = []
         for dt in (1e-3, 5e-4):
             out = terminal(dt)
-            errs.append(sobolev_norm(Field(grid, out.values - ref.values), 0.0))
+            errs.append(sobolev_norm(Field(grid, out - ref), 0.0))
         factor = errs[0] / errs[1]
         assert 3.2 <= factor <= 4.8
 
@@ -207,7 +212,7 @@ class TestEvolve:
             evolve(huge, cfg)
 
     def test_warns_on_fat_tails(self):
-        grid = make_grid(1, 64, 2.0)
+        grid = Grid(1, 64, 2.0)
         wide = gaussian_field(grid, width=4.0)
         cfg = SolveConfig(make_symbol("laplacian"), 0.0, 1.0, dt=0.01, T=0.0)
         with pytest.warns(UserWarning, match="tail mass"):
@@ -229,7 +234,7 @@ class TestFourierResidentStepper:
     @pytest.mark.parametrize("sigma", [1.0, 1.5, 2.0])
     @pytest.mark.parametrize("d", [1, 2])
     def test_matches_four_fft_reference(self, d, sigma, dealias, snapshot_every):
-        grid = make_grid(d, 128 if d == 1 else 64, 6.0)
+        grid = Grid(d, 128 if d == 1 else 64, 6.0)
         u0 = Field(grid, 0.8 * np.exp(-sum(c * c for c in grid.x)) * np.exp(1j * grid.x[0]))
         # 23 whole steps and a shortened last one
         cfg = SolveConfig(make_symbol("fourth_order"), -1.0, sigma, dt=0.004, T=0.093,
@@ -241,7 +246,7 @@ class TestFourierResidentStepper:
         assert seen[-1][0] == 0.093
         for (_, coeffs), (_, vals) in zip(seen, ref):
             assert rel_gap(coeffs, np.fft.fftn(vals)) <= 1e-12
-        assert rel_gap(final.values, ref[-1][1]) <= 1e-12
+        assert rel_gap(np.fft.ifftn(final), ref[-1][1]) <= 1e-12
         l2_norms = [_coeff_sobolev_norm(coeffs, grid, 0.0) for _, coeffs in seen]
         ref_l2 = [math.sqrt(float(np.sum(np.abs(vals) ** 2)) * grid.cell) for _, vals in ref]
         assert np.allclose(l2_norms, ref_l2, rtol=1e-12, atol=0.0)
@@ -251,6 +256,16 @@ class TestFourierResidentStepper:
         flags = []
         evolve(gaussian, cfg, lambda t, coeffs: flags.append(coeffs.flags.writeable))
         assert flags == [False] * 4
+
+    @pytest.mark.parametrize("T,steps", [(0.0, 0), (0.048, 12), (0.093, 24)])
+    def test_two_ffts_per_step_and_one_for_the_data(self, gaussian, monkeypatch, T, steps):
+        # the initial tail check reads the stepper's own transform of u0, the
+        # snapshots cost none, and the state is returned as coefficients
+        calls = count_ffts(monkeypatch)
+        cfg = SolveConfig(make_symbol("fourth_order"), -1.0, 2.0, dt=0.004, T=T)
+        final = evolve(gaussian, cfg, lambda t, coeffs: None)
+        assert len(calls) == 2 * steps + 1
+        assert final.flags.writeable
 
     def test_no_reducer_means_no_work_per_snapshot(self, grid, gaussian, monkeypatch):
         # the one squared-modulus pass is the initial spectral tail check,
@@ -289,14 +304,15 @@ class TestDealias:
         cfg = SolveConfig(make_symbol("constant", c=0.0), 0.0, 1.0,
                           dt=0.01, T=0.01, dealias=True)
         with pytest.warns(UserWarning, match="tail mass"):
-            out = evolve(f, cfg)
-        assert np.abs(out.values).max() <= 1e-12
+            out = np.fft.ifftn(evolve(f, cfg))
+        assert np.abs(out).max() <= 1e-12
 
     def test_filter_is_inert_for_resolved_data(self, grid, gaussian):
         kw = dict(lam=-1.0, sigma=1.0, dt=1e-3, T=0.1, snapshot_every=10**6)
-        plain = evolve(gaussian, SolveConfig(make_symbol("laplacian"), **kw))
-        filt = evolve(gaussian, SolveConfig(make_symbol("laplacian"), dealias=True, **kw))
-        assert np.abs(plain.values - filt.values).max() <= 1e-12
+        plain = np.fft.ifftn(evolve(gaussian, SolveConfig(make_symbol("laplacian"), **kw)))
+        filt = np.fft.ifftn(evolve(gaussian, SolveConfig(make_symbol("laplacian"), dealias=True,
+                                                         **kw)))
+        assert np.abs(plain - filt).max() <= 1e-12
 
 
 class TestSigmaAdmissibility:
@@ -332,11 +348,48 @@ class TestPicard:
 
     def test_cross_agreement_with_split_step(self, grid, gaussian):
         cfg = SolveConfig(make_symbol("laplacian"), 1.0, 1.0, dt=1e-3, T=0.1, snapshot_every=10**6)
-        strang = evolve(gaussian, cfg)
+        strang = np.fft.ifftn(evolve(gaussian, cfg))
         fixed, report = picard_solve(gaussian, cfg, tol=1e-8)
-        gap = sobolev_norm(Field(grid, fixed.values - strang.values), 0.0)
+        gap = sobolev_norm(Field(grid, fixed.values - strang), 0.0)
         assert gap <= 1e-6
         assert report.converged
+
+    @pytest.mark.parametrize("shape", [(), (64,), (16, 16)])
+    @pytest.mark.parametrize("intervals", [64, 1024, 2048])
+    def test_cumulative_trapezoid_is_scipys(self, intervals, shape):
+        from scipy.integrate import cumulative_trapezoid
+
+        rng = np.random.default_rng(intervals)
+        times = np.linspace(0.0, 0.37, intervals + 1)
+        f = rng.standard_normal(times.shape + shape) + 1j * rng.standard_normal(times.shape + shape)
+        ref = cumulative_trapezoid(f, x=times, axis=0, initial=0.0)
+        assert np.array_equal(_cumulative_trapezoid(f, times), ref)
+
+    def test_runs_without_scipy(self, grid, gaussian, monkeypatch):
+        # a fresh interpreter in which importing scipy fails; its answer is the
+        # one picard_solve gives with scipy's cumulative_trapezoid, bit for bit
+        from scipy.integrate import cumulative_trapezoid
+
+        code = (
+            "import sys; sys.modules['scipy'] = None\n"
+            "import numpy as np\n"
+            "from modnls import Field, Grid, SolveConfig, make_symbol, picard_solve\n"
+            "grid = Grid(1, 256, 8.0)\n"
+            "u0 = Field(grid, 0.25 * np.exp(-grid.x[0] ** 2))  # the gaussian fixture\n"
+            "cfg = SolveConfig(make_symbol('laplacian'), 1.0, 1.0, dt=1e-3, T=0.05)\n"
+            "out, _ = picard_solve(u0, cfg, tol=1e-8, max_time_intervals=256)\n"
+            "print(out.values.tobytes().hex())\n"
+        )
+        src = str(Path(modnls.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        monkeypatch.setattr(evolution, "_cumulative_trapezoid", lambda f, times: (
+            cumulative_trapezoid(f, x=times, axis=0, initial=0.0)))
+        cfg = SolveConfig(make_symbol("laplacian"), 1.0, 1.0, dt=1e-3, T=0.05)
+        ref, _ = picard_solve(gaussian, cfg, tol=1e-8, max_time_intervals=256)
+        assert done.stdout.strip() == ref.values.tobytes().hex()
 
     def test_contraction_ratio_grows_with_data_norm(self, grid):
         sym = make_symbol("laplacian")

@@ -15,12 +15,12 @@ from modnls import (
     BOUNDED,
     ExperimentError,
     Field,
+    Grid,
     ScalingError,
     SolveConfig,
     compute_scaling,
     evolve,
     free_propagate,
-    make_grid,
     make_symbol,
     ode_phase_profile,
     run_norm_inflation,
@@ -30,11 +30,11 @@ from modnls import (
     spacetime_norm_from_samples,
     spectral_tail_mass,
     strichartz_probe_data,
-    window_symbol,
 )
 from modnls import experiments
-from modnls.spectral import _lq_norms, _propagator
+from modnls.spectral import _coeff_tail_mass, _lq_norms, _propagator
 from modnls.symbols import SymbolError
+from conftest import count_ffts
 
 
 @pytest.fixture
@@ -44,7 +44,7 @@ def bounded_plan():
 
 @pytest.fixture
 def grid():
-    return make_grid(1, 256, 8.0)
+    return Grid(1, 256, 8.0)
 
 
 class TestPhaseProfile:
@@ -194,7 +194,7 @@ class TestRunOdeApprox:
 def _stored_run_gaps(plan, sym, grid, row, lam, r):
     """The H^r gap to ode_phase_profile at every step of a stored rerun of ``row``."""
     eps, n_steps, tau_star = row["eps"], row["n_steps"], row["tau_star"]
-    cfg = SolveConfig(window_symbol(sym, plan, row["h"]), lam, plan.sigma,
+    cfg = SolveConfig(sym.rescaled(plan.window_amplitude(row["h"]), row["h"]), lam, plan.sigma,
                       tau_star / n_steps, tau_star, eps)
     psi0 = ode_phase_profile(0.0, grid, row["kappa"], lam, plan.sigma, eps)
     stored = []
@@ -206,7 +206,7 @@ def _stored_run_gaps(plan, sym, grid, row, lam, r):
     ]
 
 
-PROPERTY_GRID = make_grid(1, 256, 8.0)
+PROPERTY_GRID = Grid(1, 256, 8.0)
 
 
 @given(sigma=st.floats(0.5, 2.0), lam=st.one_of(st.floats(-3.0, -0.1), st.floats(0.1, 3.0)),
@@ -298,6 +298,24 @@ class TestOdeApproxCost:
             assert run["fftn"] == run["snapshots"]
 
 
+class TestInflateCost:
+    def test_one_fft_per_run_and_one_per_row_beyond_the_steps(self, bounded_plan, grid,
+                                                              monkeypatch):
+        steps = []
+        stepper = experiments.evolve
+
+        def recording_evolve(u0, cfg, on_snapshot=None):
+            steps.append(round(cfg.T / cfg.dt))
+            return stepper(u0, cfg, on_snapshot)
+
+        monkeypatch.setattr(experiments, "evolve", recording_evolve)
+        calls = count_ffts(monkeypatch)
+        run_norm_inflation(bounded_plan, make_symbol("arctan_step", h=1.0), grid,
+                           [math.exp(-2)])
+        assert len(steps) >= 2
+        assert len(calls) == sum(2 * n + 1 for n in steps) + 1
+
+
 class TestTailMassColumn:
     """A row's tail_mass is the spectral tail mass of its accepted run's final state."""
 
@@ -316,9 +334,10 @@ class TestTailMassColumn:
 
     @pytest.mark.parametrize("sweep", ["inflate", "ode-approx"])
     def test_equals_spectral_tail_mass_of_the_final_state(self, bounded_plan, finals, sweep):
-        # at n = 128 the tail masses are about 1e-6, so the final state's round
-        # trip through ifftn and fftn moves them by rounding only
-        grid = make_grid(1, 128, 8.0)
+        # the row reads the returned coefficients themselves; at n = 128 the tail
+        # masses are about 1e-6, so the oracle's round trip through ifftn and fftn
+        # moves them by rounding only
+        grid = Grid(1, 128, 8.0)
         sym = make_symbol("arctan_step", h=1.0)
         if sweep == "inflate":
             rep = run_norm_inflation(bounded_plan, sym, grid, [math.exp(-2), math.exp(-3)])
@@ -330,7 +349,9 @@ class TestTailMassColumn:
             cfg, final = [run for run in finals if run[0].T == row["tau_star"]][-1]
             assert round(cfg.T / cfg.dt) == row["n_steps"]
             assert row["tail_mass"] > 1e-7
-            assert row["tail_mass"] == pytest.approx(spectral_tail_mass(final), rel=1e-10, abs=0.0)
+            assert row["tail_mass"] == _coeff_tail_mass(final, grid)
+            oracle = spectral_tail_mass(Field(grid, np.fft.ifftn(final)))
+            assert row["tail_mass"] == pytest.approx(oracle, rel=1e-10, abs=0.0)
 
 
 class TestCertifiedSteps:
@@ -340,16 +361,16 @@ class TestCertifiedSteps:
         # a window of inflate-long's shape at n = 1024; the true error is taken
         # against a run at 16x the accepted steps
         plan = compute_scaling(1, 2.0, 0.25, BOUNDED, theta=0.05, delta=8.0)
-        grid = make_grid(1, 1024, 8.0)
+        grid = Grid(1, 1024, 8.0)
         sym = make_symbol("arctan_step", h=1.0)
         h = math.exp(-3)
         row = run_norm_inflation(plan, sym, grid, [h]).rows[0]
         eps, kappa = plan.eps(h), plan.kappa(h)
         n_fine = 16 * row["n_steps"]
         psi0 = Field(grid, kappa * np.exp(-grid.x[0] ** 2))
-        cfg = SolveConfig(window_symbol(sym, plan, h), 1.0, plan.sigma,
+        cfg = SolveConfig(sym.rescaled(plan.window_amplitude(h), h), 1.0, plan.sigma,
                           row["tau_star"] / n_fine, row["tau_star"], eps)
-        end = evolve(psi0, cfg)
+        end = Field(grid, np.fft.ifftn(evolve(psi0, cfg)))
 
         def hs_norm(f):
             return math.hypot(h**plan.s * sobolev_norm(f, 0.0),
@@ -445,7 +466,7 @@ class TestRunNormInflation:
     def test_long_window_demonstrates_inflation(self):
         # same family, much longer log window: the ratio growth clears 3x
         plan = compute_scaling(1, 2.0, 0.25, BOUNDED, theta=0.05, delta=8.0)
-        grid = make_grid(1, 4096, 8.0)
+        grid = Grid(1, 4096, 8.0)
         hs = [math.exp(-2), math.exp(-3), math.exp(-4)]
         rep = run_norm_inflation(plan, make_symbol("arctan_step", h=1.0), grid, hs)
         assert rep.fitted["ratio_growth"] >= 3.0
@@ -497,7 +518,7 @@ class TestRunNormInflation:
         plan = compute_scaling(1, 2.0, 0.25, BOUNDED)
         with pytest.raises(ExperimentError,
                            match="grid dimension 2 does not match plan dimension 1"):
-            run_ode_approx(plan, make_symbol("arctan_step", h=1.0), make_grid(2, 32, 8.0),
+            run_ode_approx(plan, make_symbol("arctan_step", h=1.0), Grid(2, 32, 8.0),
                            [0.1, 0.03], r=1)
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
@@ -531,7 +552,7 @@ class TestStrichartzProbe:
     def test_probe_data_hk_norm_scales_like_Nk(self):
         norms = {}
         for N in (8.0, 16.0):
-            grid = make_grid(1, 2048, 4.0)
+            grid = Grid(1, 2048, 4.0)
             f = strichartz_probe_data(grid, N)
             norms[N] = sobolev_norm(f, 0.5)
         measured = math.log(norms[16.0] / norms[8.0]) / math.log(2.0)
@@ -759,7 +780,7 @@ class TestProbeBatching:
                                    include_contrast=False, time_samples=time_samples)
         times = np.linspace(0.0, 1.0, time_samples)
         for row in rep.rows:
-            grid = make_grid(d, row["grid_n"], 4.0)
+            grid = Grid(d, row["grid_n"], 4.0)
             u0 = strichartz_probe_data(grid, row["N"])
             lq = [_lq_norms(free_propagate(u0, symbol, t).values, q, grid.cell) for t in times]
             reference = spacetime_norm_from_samples(times, lq, p)
@@ -786,7 +807,7 @@ def _serial_probe_lq(pvals, u0_hat, times, q, cell):
 
 
 def _probe_inputs(symbol, d, N, n):
-    grid = make_grid(d, n, 4.0)
+    grid = Grid(d, n, 4.0)
     u0 = strichartz_probe_data(grid, N)
     return grid, u0, symbol.on_grid(grid), np.fft.fftn(u0.values)
 

@@ -9,9 +9,9 @@ from modnls import (
     BOUNDED,
     HOMOGENEOUS,
     ExperimentError,
+    Grid,
     ScalingError,
     compute_scaling,
-    make_grid,
     make_symbol,
     run_norm_inflation,
 )
@@ -162,6 +162,6 @@ class TestConcentratedData:
 
     def test_dimension_mismatch(self):
         plan = compute_scaling(2, 2.0, 0.25, BOUNDED)
-        grid = make_grid(1, 1024, 1.0)
+        grid = Grid(1, 1024, 1.0)
         with pytest.raises(ExperimentError, match="dimension"):
             run_norm_inflation(plan, make_symbol("arctan_step", h=1.0), grid, [math.exp(-2.0)])

@@ -8,10 +8,10 @@ import pytest
 from modnls import (
     BOUNDED,
     Field,
+    Grid,
     SpectralError,
     Symbol,
     free_propagate,
-    make_grid,
     make_symbol,
     sobolev_norm,
     spacetime_norm_from_samples,
@@ -32,15 +32,15 @@ def quadrature_l2(f: Field) -> float:
 
 class TestMakeGrid:
     def test_integer_lattice_when_L_is_pi(self):
-        grid = make_grid(1, 8, np.pi)
+        grid = Grid(1, 8, np.pi)
         assert sorted(grid.xi[0]) == [-4, -3, -2, -1, 0, 1, 2, 3]
 
     def test_max_positive_frequency(self):
-        grid = make_grid(1, 16, 2 * np.pi)
+        grid = Grid(1, 16, 2 * np.pi)
         assert grid.xi[0].max() == pytest.approx(3.5, rel=1e-15)
 
     def test_2d_node_count_and_spacing(self):
-        grid = make_grid(2, 8, 1.0)
+        grid = Grid(2, 8, 1.0)
         assert grid.xi[0].size == 64
         spacing = np.diff(np.sort(np.unique(grid.xi[0])))
         assert np.allclose(spacing, np.pi)
@@ -48,7 +48,7 @@ class TestMakeGrid:
     @pytest.mark.parametrize("d,n,L", [(3, 8, 1.0), (1, 12, 1.0), (1, 4, 1.0), (1, 8, 0.0), (1, 8, -2.0)])
     def test_rejects_bad_arguments(self, d, n, L):
         with pytest.raises(SpectralError):
-            make_grid(d, n, L)
+            Grid(d, n, L)
 
 
 class TestTransforms:
@@ -106,7 +106,7 @@ class TestFreePropagate:
 
     def test_transport_translates(self):
         # lattice-commensurate shift: c*t a multiple of dx
-        grid = make_grid(1, 64, np.pi)
+        grid = Grid(1, 64, np.pi)
         f = random_smooth_field(grid, 3)
         shift_nodes = 5
         t = shift_nodes * grid.dx  # c = 1
@@ -156,14 +156,14 @@ class TestSobolevNorm:
         assert sobolev_norm(Field(grid1d, np.zeros(grid1d.shape)), 1.5) == 0.0
 
     def test_unit_mode_d2(self):
-        grid = make_grid(2, 16, np.pi)
+        grid = Grid(2, 16, np.pi)
         vals = np.exp(1j * grid.x[0])
         f = Field(grid, vals / sobolev_norm(Field(grid, vals), 0.0))
         assert sobolev_norm(f, 1.0) == pytest.approx(math.sqrt(2.0), rel=1e-12)
 
     def test_gaussian_l2_oracle(self):
         # oracle: integral of exp(-2 x^2) over R equals sqrt(pi/2)
-        grid = make_grid(1, 256, 8.0)
+        grid = Grid(1, 256, 8.0)
         f = gaussian_field(grid)
         expected = math.sqrt(math.sqrt(math.pi / 2.0))  # 1.11951...
         assert sobolev_norm(f, 0.0) == pytest.approx(expected, rel=1e-12)
@@ -186,7 +186,7 @@ class TestSobolevNorm:
 class TestLebesgueNorm:
     @pytest.mark.parametrize("q", [2.0, 3.0, 4.0, 6.0])
     def test_constant_field(self, q):
-        grid = make_grid(1, 32, 1.5)
+        grid = Grid(1, 32, 1.5)
         f = Field(grid, np.ones(grid.shape))
         assert lq_norm(f, q) == pytest.approx((2 * grid.L) ** (1.0 / q), rel=1e-13)
 
@@ -196,7 +196,7 @@ class TestLebesgueNorm:
 
     def test_gaussian_l4_oracle(self):
         # oracle: integral of exp(-4 x^2) over R equals sqrt(pi)/2
-        grid = make_grid(1, 256, 8.0)
+        grid = Grid(1, 256, 8.0)
         f = gaussian_field(grid)
         expected = (math.sqrt(math.pi) / 2.0) ** 0.25  # 0.970256...
         assert lq_norm(f, 4.0) == pytest.approx(expected, rel=1e-12)
@@ -255,13 +255,13 @@ class TestEmbeddingAndTails:
             assert lq_norm(f, q) <= C * sobolev_norm(f, s)
 
     def test_tail_masses_small_for_smooth_centered_data(self):
-        grid = make_grid(1, 256, 8.0)
+        grid = Grid(1, 256, 8.0)
         f = gaussian_field(grid)
         assert _spatial_tail_mass(f) < 1e-8
         assert spectral_tail_mass(f) < 1e-8
 
     def test_spatial_tail_detects_wide_data(self):
-        grid = make_grid(1, 256, 8.0)
+        grid = Grid(1, 256, 8.0)
         f = gaussian_field(grid, width=6.0)
         assert _spatial_tail_mass(f) > 1e-8
 
@@ -270,7 +270,7 @@ class TestEmbeddingAndTails:
         # one Fourier mode lies wholly inside or wholly in the top octave
         # |xi| >= xi_max/2 (k >= 32 of n/2 = 64); the field form transforms and
         # calls the coefficient form, so the two agree exactly
-        grid = make_grid(1, 128, 8.0)
+        grid = Grid(1, 128, 8.0)
         f = Field(grid, np.exp(1j * (np.pi / grid.L) * k * grid.x[0]))
         coeffs = np.fft.fftn(f.values)
         assert _coeff_tail_mass(coeffs, grid) == pytest.approx(share, abs=1e-14)

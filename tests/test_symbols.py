@@ -9,9 +9,9 @@ import pytest
 from modnls import (
     BOUNDED,
     CATALOG_KEYS,
+    Grid,
     HOMOGENEOUS,
     SymbolError,
-    make_grid,
     make_symbol,
     parse_symbol_spec,
 )
@@ -87,7 +87,7 @@ class TestCatalogValues:
             assert sym.kind in (HOMOGENEOUS, BOUNDED)
 
     def test_bounded_symbols_respect_bound_on_lattice(self):
-        grid = make_grid(1, 256, 4.0)
+        grid = Grid(1, 256, 4.0)
         for sym in catalog_instances_1d():
             if sym.kind == BOUNDED:
                 assert np.abs(sym.on_grid(grid)).max() <= sym.bound + 1e-14
@@ -140,7 +140,7 @@ class TestArctanLimit:
 
 class TestCacheAndRescale:
     def test_lattice_cache_reuses_array(self):
-        grid = make_grid(1, 64, 2.0)
+        grid = Grid(1, 64, 2.0)
         sym = make_symbol("laplacian")
         a = sym.on_grid(grid)
         b = sym.on_grid(grid)
@@ -150,7 +150,7 @@ class TestCacheAndRescale:
     def test_lattice_cache_drops_dead_grids(self):
         sym = make_symbol("laplacian")
         for n in (8, 16, 32):
-            sym.on_grid(make_grid(1, n, 2.0))
+            sym.on_grid(Grid(1, n, 2.0))
         gc.collect()
         assert len(sym._lattice_cache) == 0
 
