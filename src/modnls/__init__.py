@@ -10,7 +10,6 @@ and the loss of critical regularity from log-singular data.
 
 from .evolution import (
     EvolutionError,
-    dealias_mask,
     PicardDivergenceError,
     PicardReport,
     SolveConfig,

@@ -79,7 +79,6 @@ _SCHEMAS: dict[str, tuple[_Key, ...]] = {
         _Key("simulate", "dt", "float", required=True),
         _Key("simulate", "T", "float", required=True),
         _Key("simulate", "snapshot_every", "int", default=1),
-        _Key("simulate", "dealias", "int", default=0),
         _Key("simulate", "initial", "str", default="gaussian(amplitude=1,width=1)"),
         _OUTPUT_DIR,
     ),
@@ -95,8 +94,6 @@ _SCHEMAS: dict[str, tuple[_Key, ...]] = {
         _Key("inflate", "h_list", "float_list", required=True),
         _Key("inflate", "grid_n", "int", default=256),
         _Key("inflate", "grid_L", "float", default=8.0),
-        _Key("inflate", "rotation_budget", "float", default=0.64),
-        _Key("inflate", "min_ratio_growth", "float", default=3.0),
         _OUTPUT_DIR,
     ),
     "ode-approx": (
@@ -112,7 +109,6 @@ _SCHEMAS: dict[str, tuple[_Key, ...]] = {
         _Key("ode-approx", "eps_list", "float_list", required=True),
         _Key("ode-approx", "grid_n", "int", default=256),
         _Key("ode-approx", "grid_L", "float", default=8.0),
-        _Key("ode-approx", "rotation_budget", "float", default=0.64),
         _OUTPUT_DIR,
     ),
     "strichartz": (
@@ -124,7 +120,6 @@ _SCHEMAS: dict[str, tuple[_Key, ...]] = {
         _Key("strichartz", "k_grid", "float_list", default=(0.0, 0.25, 0.5)),
         _Key("strichartz", "t_end", "float", default=1.0),
         _Key("strichartz", "box_L", "float", default=4.0),
-        _Key("strichartz", "n_ceiling", "int", default=16384),
         _Key("strichartz", "contrast", "int", default=1),
         _OUTPUT_DIR,
     ),
@@ -240,7 +235,7 @@ def _plan_from_params(params: dict) -> ScalingPlan:
 def _simulate_args(p: dict) -> dict:
     grid = Grid(p["d"], p["n"], p["L"])
     solve = SolveConfig(p["symbol"], p["lambda"], p["sigma"], p["dt"], p["T"],
-                        p["eps"], p["snapshot_every"], bool(p["dealias"]))
+                        p["eps"], p["snapshot_every"])
     p["symbol"].check_dims(grid.d)
     amplitude, width = parse_initial_spec(p["initial"])
     r2 = sum(c * c for c in grid.x)
@@ -255,12 +250,11 @@ def _window_args(p: dict) -> dict:
         "symbol": p["symbol"],
         "grid": Grid(p["d"], p["grid_n"], p["grid_L"]),
         "lam": p["lambda"],
-        "rotation_budget": p["rotation_budget"],
     }
 
 
 def _inflate_args(p: dict) -> dict:
-    return {**_window_args(p), "h_list": p["h_list"], "min_ratio_growth": p["min_ratio_growth"]}
+    return {**_window_args(p), "h_list": p["h_list"]}
 
 
 def _ode_approx_args(p: dict) -> dict:
@@ -271,7 +265,7 @@ def _strichartz_args(p: dict) -> dict:
     return {
         "symbol": p["symbol"], "p": p["p"], "q": p["q"], "k_grid": p["k_grid"],
         "N_list": p["N_list"], "interval": (0.0, p["t_end"]), "d": p["d"],
-        "box_L": p["box_L"], "n_ceiling": p["n_ceiling"], "include_contrast": p["contrast"],
+        "box_L": p["box_L"], "include_contrast": p["contrast"],
     }
 
 

@@ -30,7 +30,6 @@ from .spectral import (
     Field,
     Grid,
     _coeff_tail_mass,
-    _max_abs,
     _plancherel_scale,
     _propagator,
     _spatial_tail_mass,
@@ -44,7 +43,6 @@ __all__ = [
     "SolveConfig",
     "PicardReport",
     "sigma_is_admissible",
-    "dealias_mask",
     "evolve",
     "picard_solve",
 ]
@@ -84,7 +82,8 @@ class SolveConfig:
     """Parameters of one integration run.
 
     eps is the semiclassical factor multiplying i*du/dt; eps = 1 gives the
-    unscaled equation.
+    unscaled equation.  A snapshot is taken after every ``snapshot_every``
+    steps, an integer >= 1.
     """
 
     symbol: Symbol
@@ -94,7 +93,6 @@ class SolveConfig:
     T: float
     eps: float = 1.0
     snapshot_every: int = 1
-    dealias: bool = False  # optional 2/3-rule filter, for sensitivity studies
 
     def __post_init__(self):
         if not (math.isfinite(self.dt) and self.dt > 0):
@@ -109,8 +107,9 @@ class SolveConfig:
             raise EvolutionError(f"lambda must be finite, got {self.lam}")
         if not 0 < self.eps <= 1:
             raise EvolutionError(f"eps must lie in (0, 1], got {self.eps}")
-        if self.snapshot_every < 1:
-            raise EvolutionError("snapshot_every must be >= 1")
+        if not (isinstance(self.snapshot_every, (int, np.integer)) and self.snapshot_every >= 1):
+            raise EvolutionError(
+                f"snapshot_every must be an integer >= 1, got {self.snapshot_every!r}")
 
 
 def _phase_kick(values: np.ndarray, lam: float, sigma: float, dt: float, eps: float,
@@ -132,11 +131,6 @@ def _phase_kick(values: np.ndarray, lam: float, sigma: float, dt: float, eps: fl
         np.cos(angle, out=work.real)
         np.sin(angle, out=work.imag)
         values *= work
-
-
-def dealias_mask(grid: Grid) -> np.ndarray:
-    """2/3-rule mask: True where every frequency component is below 2/3 of max."""
-    return _max_abs(grid.xi) < (2.0 / 3.0) * grid.xi_max
 
 
 def _quadrature_l2(values: np.ndarray, grid: Grid) -> float:
@@ -187,11 +181,8 @@ def evolve(u0: Field, cfg: SolveConfig, on_snapshot=None) -> np.ndarray:
     steps = [cfg.dt] * n_full
     if remainder > 1e-12 * cfg.dt:
         steps.append(remainder)
-    mask = dealias_mask(grid) if cfg.dealias else None
-    halves = {}  # free half-step multiplier per distinct step length
-    for step in set(steps):
-        half = _propagator(pvals, step / (2.0 * cfg.eps))
-        halves[step] = half if mask is None else half * mask
+    # free half-step multiplier per distinct step length
+    halves = {step: _propagator(pvals, step / (2.0 * cfg.eps)) for step in set(steps)}
     v = np.empty_like(u_hat)
     rot = np.empty_like(u_hat)
     for k, step in enumerate(steps):

@@ -19,6 +19,7 @@ from .evolution import SolveConfig, evolve
 from .reports import ExperimentReport
 from .scaling import ScalingPlan
 from .spectral import (
+    MAX_GRID_NODES,
     Field,
     Grid,
     _coeff_sobolev_norm,
@@ -97,13 +98,17 @@ def _phase_profiles(grid: Grid, kappa: float, lam: float, sigma: float, eps: flo
         phi *= w
 
 
+# The largest phase rotation, in rad, that either sub-flow may make in one
+# pilot step of a window (see _window_steps).
+ROTATION_BUDGET = 0.64
+
+
 def _window_steps(tau_star: float, eps: float, lam: float, kappa: float,
-                  sigma: float, p_max: float, rotation_budget: float,
-                  min_steps: int = 8) -> int:
+                  sigma: float, p_max: float, min_steps: int = 8) -> int:
     """The pilot step count of a window: the first run of :func:`_certified_row`.
 
     It keeps each sub-flow's phase rotation per step of tau*/n below
-    rotation_budget rad: the kick turns the bump's peak by
+    ROTATION_BUDGET rad: the kick turns the bump's peak by
     |lam|*kappa^(2*sigma)*dt/eps, the free flow turns a mode by at most
     p_max*dt/eps.  At least ``min_steps``.  Step doubling then chooses the
     step count the row reports, so the budget sets where doubling starts,
@@ -112,7 +117,7 @@ def _window_steps(tau_star: float, eps: float, lam: float, kappa: float,
     rate = abs(lam) * kappa ** (2.0 * sigma) + p_max
     if rate <= 0:
         return min_steps
-    return max(min_steps, math.ceil(tau_star * rate / (rotation_budget * eps)))
+    return max(min_steps, math.ceil(tau_star * rate / (ROTATION_BUDGET * eps)))
 
 
 # A window row is certified in time when the step-doubling (Richardson)
@@ -180,37 +185,23 @@ def _check_h_list(plan: ScalingPlan, h_list) -> list[float]:
     return h_list
 
 
-def _check_finite_above(value: float, bound: float, label: str) -> float:
-    value = float(value)
-    if not (math.isfinite(value) and value > bound):
-        raise ExperimentError(f"{label} must be finite and > {bound:g}, got {value}")
-    return value
-
-
-def _check_window_args(plan: ScalingPlan, symbol: Symbol, grid: Grid, lam: float,
-                       rotation_budget: float) -> float:
-    """The checks of run_norm_inflation and run_ode_approx; return rotation_budget as a float.
-
-    rotation_budget is the largest phase rotation per step of either
-    sub-flow, and divides the window length when the pilot step count is chosen.
-    """
+def _check_window_args(plan: ScalingPlan, symbol: Symbol, grid: Grid, lam: float) -> None:
+    """The checks that run_norm_inflation and run_ode_approx share."""
     if grid.d != plan.d:
         raise ExperimentError(f"grid dimension {grid.d} does not match plan dimension {plan.d}")
     symbol.check_dims(grid.d)
     if not math.isfinite(lam):
         raise ExperimentError(f"lambda must be finite, got {lam}")
-    return _check_finite_above(rotation_budget, 0.0, "rotation_budget")
 
 
 def check_ode_approx_args(plan: ScalingPlan, symbol: Symbol, grid: Grid, eps_list, r,
-                          lam: float = 1.0,
-                          rotation_budget: float = 0.64) -> tuple[list[float], int, float]:
+                          lam: float = 1.0) -> tuple[list[float], int]:
     """Reject every input :func:`run_ode_approx` cannot run, before any evolution.
 
-    Returns (eps_list as floats, int r, rotation_budget as a float).
+    Returns (eps_list as floats, int r).
     """
-    rotation_budget = _check_window_args(plan, symbol, grid, lam, rotation_budget)
-    if r != int(r) or not r > plan.d / 2.0:
+    _check_window_args(plan, symbol, grid, lam)
+    if not math.isfinite(r) or r != int(r) or not r > plan.d / 2.0:
         raise ExperimentError(f"regularity r must be an integer above d/2 = {plan.d / 2}, got {r}")
     r = int(r)
     if abs(plan.sigma - round(plan.sigma)) > 1e-12 and r > 2.0 * plan.sigma:
@@ -220,26 +211,21 @@ def check_ode_approx_args(plan: ScalingPlan, symbol: Symbol, grid: Grid, eps_lis
     eps_list = _check_decreasing_sweep(eps_list, "eps_list")
     for eps in eps_list:
         plan.validate_h(plan.h_for_eps(eps))
-    return eps_list, r, rotation_budget
+    return eps_list, r
 
 
 def check_inflate_args(plan: ScalingPlan, symbol: Symbol, grid: Grid, h_list,
-                       lam: float = 1.0, rotation_budget: float = 0.64,
-                       min_ratio_growth: float = 3.0) -> tuple[list[float], float, float]:
+                       lam: float = 1.0) -> list[float]:
     """Reject every input :func:`run_norm_inflation` cannot run, before any evolution.
 
-    Returns (h_list, rotation_budget, min_ratio_growth) as floats.
-    min_ratio_growth must be finite and > 1: a bound of 1 or below would
-    pass a sweep whose norms do not inflate.
+    Returns h_list as floats.
     """
-    rotation_budget = _check_window_args(plan, symbol, grid, lam, rotation_budget)
-    h_list = _check_h_list(plan, h_list)
-    min_ratio_growth = _check_finite_above(min_ratio_growth, 1.0, "min_ratio_growth")
-    return h_list, rotation_budget, min_ratio_growth
+    _check_window_args(plan, symbol, grid, lam)
+    return _check_h_list(plan, h_list)
 
 
 def _window_config(plan: ScalingPlan, symbol: Symbol, grid: Grid, h: float, kappa: float,
-                   eps: float, lam: float, rotation_budget: float):
+                   eps: float, lam: float):
     """Initial data psi0 = kappa*a0 and the solver configs up to tau*(eps).
 
     Returns (psi0, config, n0, p_max): ``config(n)`` is the :func:`evolve`
@@ -250,7 +236,7 @@ def _window_config(plan: ScalingPlan, symbol: Symbol, grid: Grid, h: float, kapp
     tau_star = plan.tau_star_of_eps(eps)
     sym_h = symbol.rescaled(plan.window_amplitude(h), h)
     p_max = float(np.abs(sym_h.on_grid(grid)).max())
-    n0 = _window_steps(tau_star, eps, lam, kappa, plan.sigma, p_max, rotation_budget)
+    n0 = _window_steps(tau_star, eps, lam, kappa, plan.sigma, p_max)
     psi0 = Field(grid, kappa * _envelope(grid))
 
     def config(n: int) -> SolveConfig:
@@ -260,8 +246,7 @@ def _window_config(plan: ScalingPlan, symbol: Symbol, grid: Grid, h: float, kapp
 
 
 def run_ode_approx(plan: ScalingPlan, symbol: Symbol, grid: Grid, eps_list,
-                   r: int, lam: float = 1.0,
-                   rotation_budget: float = 0.64) -> ExperimentReport:
+                   r: int, lam: float = 1.0) -> ExperimentReport:
     """Measure E(eps) = sup over the window of the H^r gap to the phase-ODE profile.
 
     The rescaled equation is integrated from kappa*a0 up to
@@ -273,22 +258,20 @@ def run_ode_approx(plan: ScalingPlan, symbol: Symbol, grid: Grid, eps_list,
 
     Each row is certified in time by :func:`_certified_row`: the window is
     run at n0, 2*n0, 4*n0, ... steps, from the pilot count n0 that
-    ``rotation_budget`` sets, until the step-doubling estimate of E's time
+    ROTATION_BUDGET sets, until the step-doubling estimate of E's time
     error is at most TIME_RTOL*E (or at rounding level, below
     ROUNDING_FLOOR*|kappa*a0|_{H^r}).  The row reports that run: its
     ``n_steps`` and the relative estimate ``time_err``.  Verdict: E strictly
     decreasing along the (decreasing) eps sweep, with E(min)/E(max) < 0.5;
     ``fitted.max_time_err`` is the largest ``time_err``.
     """
-    eps_list, r, rotation_budget = check_ode_approx_args(plan, symbol, grid, eps_list, r, lam,
-                                                         rotation_budget)
+    eps_list, r = check_ode_approx_args(plan, symbol, grid, eps_list, r, lam)
 
     rows = []
     for eps in eps_list:
         h = plan.h_for_eps(eps)
         kappa = plan.kappa(h)
-        psi0, config, n0, p_max = _window_config(plan, symbol, grid, h, kappa, eps, lam,
-                                                 rotation_budget)
+        psi0, config, n0, p_max = _window_config(plan, symbol, grid, h, kappa, eps, lam)
 
         def run(n):
             cfg = config(n)
@@ -333,21 +316,24 @@ def run_ode_approx(plan: ScalingPlan, symbol: Symbol, grid: Grid, eps_list,
                             tolerances={"max_error_ratio": 0.5})
 
 
+# The least growth of the inflation ratio from the largest to the smallest h
+# that passes; a bound of 1 or below would pass a sweep whose norms do not inflate.
+MIN_RATIO_GROWTH = 3.0
+
+
 def run_norm_inflation(plan: ScalingPlan, symbol: Symbol, grid: Grid, h_list,
-                       lam: float = 1.0,
-                       rotation_budget: float = 0.64,
-                       min_ratio_growth: float = 3.0) -> ExperimentReport:
+                       lam: float = 1.0) -> ExperimentReport:
     """Track |u_h(t_h)|_{H^s} / |u0_h|_{H^s} along a decreasing h sweep.
 
     Norms of the unscaled solution are reconstructed from the rescaled run
     at s' in {0, s} and combined as sqrt(L2^2 + Hdot^s^2).  Verdict: the
     initial norms decrease monotonically and the inflation ratio grows by
-    at least ``min_ratio_growth`` from the largest to the smallest h.  Every
+    at least MIN_RATIO_GROWTH from the largest to the smallest h.  Every
     norm and the row's ``tail_mass`` are read from coefficients.
 
     Each row is certified in time by :func:`_certified_row`: the window is
     run at n0, 2*n0, 4*n0, ... steps, from the pilot count n0 that
-    ``rotation_budget`` sets, until the step-doubling estimate of the
+    ROTATION_BUDGET sets, until the step-doubling estimate of the
     ratio's time error is at most TIME_RTOL times the ratio.  The row
     reports that run: its ``n_steps`` and the relative estimate
     ``time_err``; ``fitted.max_time_err`` is the largest ``time_err``.
@@ -359,15 +345,13 @@ def run_norm_inflation(plan: ScalingPlan, symbol: Symbol, grid: Grid, h_list,
     sigma < 1: at sigma = 2 the exponent is s*(0.1 - 0.2) < 0 for every
     s > 0, and the verdict fails at any h; delta = 8 gives 1.95 at s = 0.25.
     """
-    h_list, rotation_budget, min_ratio_growth = check_inflate_args(
-        plan, symbol, grid, h_list, lam, rotation_budget, min_ratio_growth)
+    h_list = check_inflate_args(plan, symbol, grid, h_list, lam)
 
     rows = []
     for h in h_list:
         eps = plan.eps(h)
         kappa = plan.kappa(h)
-        psi0, config, n0, _ = _window_config(plan, symbol, grid, h, kappa, eps, lam,
-                                             rotation_budget)
+        psi0, config, n0, _ = _window_config(plan, symbol, grid, h, kappa, eps, lam)
         psi0_hat = np.fft.fftn(psi0.values)
         l2_0 = _coeff_sobolev_norm(psi0_hat, grid, 0.0)
         hs_0 = _coeff_sobolev_norm(psi0_hat, grid, plan.s, homogeneous=True)
@@ -401,14 +385,14 @@ def run_norm_inflation(plan: ScalingPlan, symbol: Symbol, grid: Grid, h_list,
     ratios = [row["ratio"] for row in rows]
     initial_decreasing = all(b < a for a, b in zip(initial, initial[1:]))
     growth = ratios[-1] / ratios[0] if ratios[0] > 0 else 0.0
-    verdict = initial_decreasing and growth >= min_ratio_growth
+    verdict = initial_decreasing and growth >= MIN_RATIO_GROWTH
     fitted = {
         "ratio_growth": growth,
         "initial_norms_decreasing": float(initial_decreasing),
         "max_time_err": max(row["time_err"] for row in rows),
     }
     return ExperimentReport("inflate", rows, fitted, verdict,
-                            tolerances={"min_ratio_growth": min_ratio_growth})
+                            tolerances={"min_ratio_growth": MIN_RATIO_GROWTH})
 
 
 def _check_admissible_pair(p: float, q: float, d: int) -> None:
@@ -444,18 +428,18 @@ def _check_N_list(N_list) -> list[float]:
 
 def check_strichartz_args(symbol: Symbol, p: float, q: float, k_grid, N_list,
                           interval=(0.0, 1.0), d: int = 1, box_L: float = 4.0,
-                          n_ceiling: int = 16384, include_contrast=True,
+                          include_contrast=True,
                           time_samples=None) -> tuple[list[float], list[float]]:
     """Reject every input :func:`run_strichartz_probe` cannot run, before any compute.
 
     Beyond the symbol's dimension, an admissible (p, q) and a valid N_list,
     this rejects a time interval (t0, t_end) that is not finite with
-    0 <= t0 < t_end, a box_L that is not finite and > 0, an n_ceiling
-    below 1, an include_contrast (the config key ``contrast``) other than 0
-    or 1, an N whose grid needs more than n_ceiling points per axis, an N
-    whose N^2 is not finite, a row whose :func:`_probe_samples` count is
-    not finite or above _PROBE_MAX_SAMPLES, and a non-finite k.  Returns
-    (k_grid, N_list) as floats.
+    0 <= t0 < t_end, a box_L that is not finite and > 0, an
+    include_contrast (the config key ``contrast``) other than 0 or 1, an N
+    whose grid needs more than _PROBE_MAX_POINTS points per axis or more
+    than MAX_GRID_NODES nodes, an N whose N^2 is not finite, a row whose
+    :func:`_probe_samples` count is not finite or above _PROBE_MAX_SAMPLES,
+    and a non-finite k.  Returns (k_grid, N_list) as floats.
     """
     if d not in (1, 2):
         raise ExperimentError(f"spatial dimension must be 1 or 2, got {d}")
@@ -475,17 +459,17 @@ def check_strichartz_args(symbol: Symbol, p: float, q: float, k_grid, N_list,
         )
     if not (math.isfinite(box_L) and box_L > 0):
         raise ExperimentError(f"box_L must be finite and > 0, got {box_L}")
-    if not n_ceiling >= 1:
-        raise ExperimentError(f"n_ceiling must be >= 1, got {n_ceiling}")
     if include_contrast not in (0, 1):
         raise ExperimentError(f"contrast must be 0 or 1, got {include_contrast}")
     symbols = _probe_symbols(symbol, include_contrast)
     for N in N_list:
         n = _probe_points(N, box_L)
-        if n > n_ceiling:
-            raise ExperimentError(
-                f"probe at N = {N} needs n = {n} points per axis, above the ceiling {n_ceiling}"
-            )
+        if n > _PROBE_MAX_POINTS:
+            raise ExperimentError(f"probe at N = {N} needs n = {n} points per axis, "
+                                  f"above the ceiling {_PROBE_MAX_POINTS}")
+        if n**d > MAX_GRID_NODES:
+            raise ExperimentError(f"probe at N = {N} needs n^d = {n}^{d} grid nodes, "
+                                  f"above the cap MAX_GRID_NODES = {MAX_GRID_NODES}")
         if not math.isfinite(N * N):
             raise ExperimentError(f"the probe data at N = {N} need a finite N^2, got {N * N}")
         for sym in symbols:
@@ -520,6 +504,8 @@ def _probe_points(N: float, box_L: float) -> int | float:
 _PROBE_MIN_SAMPLES = 1025
 # The most a row may take: its times and L^q norms then stay within 256 MB.
 _PROBE_MAX_SAMPLES = 2**24
+# The most points per axis a probe grid may take.
+_PROBE_MAX_POINTS = 16384
 
 
 def _probe_samples(symbol: Symbol, N: float, interval, time_samples) -> int | float:
@@ -679,7 +665,7 @@ def _fit_slope(N_list, q_values) -> tuple[float, float]:
 
 def run_strichartz_probe(symbol: Symbol, p: float, q: float, k_grid, N_list,
                          interval=(0.0, 1.0), d: int = 1, box_L: float = 4.0,
-                         n_ceiling: int = 16384, include_contrast: bool = True,
+                         include_contrast: bool = True,
                          time_samples: int | None = None) -> ExperimentReport:
     """Fit the growth exponent of the free flow's space-time norm over dyadic N.
 
@@ -707,11 +693,11 @@ def run_strichartz_probe(symbol: Symbol, p: float, q: float, k_grid, N_list,
     Q is bit-identical to a one-lane run and the memory in flight is one
     batch.  The contrast shares each N's grid, data and H^k norms with
     ``symbol``.  :func:`check_strichartz_args` checks every input, including
-    an N whose grid would need more than ``n_ceiling`` points per axis,
-    before any compute.
+    an N whose grid would need more than _PROBE_MAX_POINTS points per axis
+    or more than MAX_GRID_NODES nodes, before any compute.
     """
     k_grid, N_list = check_strichartz_args(symbol, p, q, k_grid, N_list, interval, d, box_L,
-                                           n_ceiling, include_contrast, time_samples)
+                                           include_contrast, time_samples)
 
     symbols = _probe_symbols(symbol, include_contrast)
     sweeps = _probe_sweep(symbols, p, q, k_grid, N_list, interval, d, box_L, time_samples)

@@ -16,6 +16,7 @@ import numpy as np
 
 __all__ = [
     "SpectralError",
+    "MAX_GRID_NODES",
     "Grid",
     "Field",
     "check_half_length",
@@ -28,6 +29,10 @@ __all__ = [
 
 class SpectralError(ValueError):
     """Malformed grid, field, or norm arguments."""
+
+
+# The most nodes a grid may have: one complex array of them is 256 MB.
+MAX_GRID_NODES = 2**24
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -51,7 +56,7 @@ class Grid:
     Attributes
     ----------
     d : spatial dimension (1 or 2)
-    n : points per axis (power of two, >= 8)
+    n : points per axis (power of two, >= 8, with n^d <= MAX_GRID_NODES)
     L : box half-length
     """
 
@@ -64,6 +69,9 @@ class Grid:
             raise SpectralError(f"spatial dimension must be 1 or 2, got {self.d}")
         if not isinstance(self.n, (int, np.integer)) or self.n < 8 or not _is_power_of_two(int(self.n)):
             raise SpectralError(f"points per axis must be a power of two >= 8, got {self.n}")
+        if int(self.n) ** self.d > MAX_GRID_NODES:
+            raise SpectralError(f"a grid of n = {self.n} points per axis in d = {self.d} has "
+                                f"more than MAX_GRID_NODES = {MAX_GRID_NODES} nodes")
         check_half_length(self.L)
         object.__setattr__(self, "n", int(self.n))
         object.__setattr__(self, "L", float(self.L))

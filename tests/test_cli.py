@@ -195,16 +195,32 @@ class TestReproducibility:
 class TestRejectedBeforeAnyCompute:
     """Bad driver input exits 2, names the violated constraint, and writes no report."""
 
-    @pytest.mark.parametrize("sub", ["inflate", "ode-approx"])
-    @pytest.mark.parametrize("budget", ["0", "-1", "inf", "nan"])
-    def test_rotation_budget_must_be_finite_and_positive(self, tmp_path, capsys, sub, budget):
-        text = {"inflate": INFLATE_LAM0_CFG, "ode-approx": ODE_CFG}[sub]
-        section = f"[{sub}]\n"
-        cfg = write(tmp_path, "bad.cfg",
-                    text.replace(section, f"{section}rotation_budget = {budget}\n"))
+    # the tuning keys that became module constants, and the simulate filter that went
+    @pytest.mark.parametrize("sub,key", [
+        ("inflate", "rotation_budget = 0.64"),
+        ("inflate", "min_ratio_growth = 3"),
+        ("ode-approx", "rotation_budget = 0.64"),
+        ("strichartz", "n_ceiling = 16384"),
+        ("simulate", "dealias = 0"),
+    ])
+    def test_removed_key_is_unknown(self, tmp_path, capsys, sub, key):
+        text = {"inflate": INFLATE_LAM0_CFG, "ode-approx": ODE_CFG,
+                "strichartz": STRICHARTZ_CFG, "simulate": SIMULATE_T0_CFG}[sub]
+        section = "[simulate]" if sub == "simulate" else f"[{sub}]"
+        cfg = write(tmp_path, "bad.cfg", text.replace(section, f"{section}\n{key}"))
         out = tmp_path / "out"
         assert main([sub, "--config", str(cfg), "--out", str(out)]) == EXIT_ERROR
-        assert "rotation_budget must be finite and > 0" in capsys.readouterr().err
+        name = key.split(" = ")[0]
+        assert f"unknown key '{name}' in section {section}" in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+
+    def test_unallocatable_grid_is_an_error(self, tmp_path, capsys):
+        text = INFLATE_LAM0_CFG.replace("h_list", "grid_n = 1125899906842624\nh_list")
+        cfg = write(tmp_path, "huge.cfg", text)
+        out = tmp_path / "out"
+        assert main(["inflate", "--config", str(cfg), "--out", str(out)]) == EXIT_ERROR
+        assert ("n = 1125899906842624 points per axis in d = 1 has more than "
+                "MAX_GRID_NODES = 16777216 nodes") in capsys.readouterr().err
         assert not (out / "report.csv").exists()
 
     @pytest.mark.parametrize("N_list", ["0, 2, 4", "-2, 4", "8, inf"])
@@ -223,16 +239,17 @@ class TestRejectedBeforeAnyCompute:
          "the time interval [t0, t_end] must be finite"),
         ("strichartz", "contrast = 0", "box_L = nan", "box_L must be finite and > 0"),
         ("strichartz", "contrast = 0", "box_L = -1", "box_L must be finite and > 0"),
-        ("strichartz", "contrast = 0", "n_ceiling = 0", "n_ceiling must be >= 1"),
+        ("strichartz", "contrast = 0", "n_ceiling = 0",
+         "unknown key 'n_ceiling' in section [strichartz]"),
         ("strichartz", "contrast = 0", "contrast = 7", "contrast must be 0 or 1"),
         ("simulate", "T = 0", "T = inf", "final time must be finite and >= 0"),
         ("simulate", "dt = 0.001", "dt = inf", "dt must be finite and > 0"),
         ("singular", "t = 1.0", "t = 1.0\nquad_tol = 1e-15",
          "quadrature tolerance must be >= 1e-12"),
         ("inflate", "h_list", "min_ratio_growth = nan\nh_list",
-         "min_ratio_growth must be finite and > 1"),
+         "unknown key 'min_ratio_growth' in section [inflate]"),
         ("inflate", "h_list", "min_ratio_growth = -5\nh_list",
-         "min_ratio_growth must be finite and > 1"),
+         "unknown key 'min_ratio_growth' in section [inflate]"),
         ("strichartz", "contrast = 0", "k_grid = 0.25, nan",
          "every k in k_grid must be finite"),
         ("simulate", "T = 0", "T = 0\ninitial = gaussian(amplitude=nan)",
@@ -240,8 +257,8 @@ class TestRejectedBeforeAnyCompute:
         ("simulate", "T = 0", "T = 0\ninitial = gaussian(width=inf)",
          "initial data width must be finite and > 0"),
         ("strichartz", "p = 8\nq = 4", "p = inf\nq = 2", "the time exponent p must be finite"),
-        ("strichartz", "N_list = 8, 16", "N_list = 8, 16, 32, 64\nn_ceiling = 2048",
-         "probe at N = 64.0 needs n = 4096 points per axis, above the ceiling 2048"),
+        ("strichartz", "N_list = 8, 16", "N_list = 8, 16, 512",
+         "probe at N = 512.0 needs n = 32768 points per axis, above the ceiling 16384"),
         ("strichartz", "N_list = 8, 16", "N_list = 8, 1e308",
          "probe at N = 1e+308 needs n = inf points per axis, above the ceiling 16384"),
         ("inflate", "lambda = 0", "lambda = inf", "lambda must be finite, got inf"),
@@ -268,6 +285,12 @@ class TestRejectedBeforeAnyCompute:
          "symbol = arctan_step(h=1)\n\n[strichartz]\nt_end = 1e12",
          "probe of arctan_step(h=1) at N = 8.0 needs 402123859659495 time samples, "
          "above the ceiling 16777216"),
+        ("strichartz", "p = 8\nq = 4\nN_list = 8, 16",
+         "d = 2\np = 4\nq = 4\nN_list = 8, 1024\nbox_L = 1",
+         "probe at N = 1024.0 needs n^d = 16384^2 grid nodes, above the cap MAX_GRID_NODES"),
+        ("inflate", "h_list", "grid_n = 1125899906842624\nh_list",
+         "more than MAX_GRID_NODES = 16777216 nodes"),
+        ("simulate", "n = 64", "n = 33554432", "more than MAX_GRID_NODES = 16777216 nodes"),
     ], ids=["t_end inf", "box_L nan", "box_L negative", "n_ceiling zero", "contrast 7",
             "T inf", "dt inf", "quad_tol below the floor", "min_ratio_growth nan",
             "min_ratio_growth negative", "k_grid nan", "initial amplitude nan",
@@ -276,7 +299,8 @@ class TestRejectedBeforeAnyCompute:
             "inflate transport in d = 2", "simulate sigma inf", "simulate lambda nan",
             "singular sigma inf", "singular t inf", "singular lambda nan", "singular quad_tol inf",
             "strichartz d = 3", "N^2 overflows", "time samples overflow",
-            "time samples above the ceiling"])
+            "time samples above the ceiling", "2D probe above the node cap",
+            "inflate grid_n above the node cap", "simulate n above the node cap"])
     def test_driver_input_is_checked_before_compute(self, tmp_path, capsys, monkeypatch,
                                                      sub, old, new, message):
         assert old in {"strichartz": STRICHARTZ_CFG, "simulate": SIMULATE_T0_CFG,

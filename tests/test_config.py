@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import inspect
 import math
 
 import pytest
@@ -13,8 +12,6 @@ from modnls.experiments import (
     check_inflate_args,
     check_ode_approx_args,
     check_strichartz_args,
-    run_norm_inflation,
-    run_ode_approx,
 )
 from modnls.scaling import ScalingError
 from modnls.singular import SingularProbeError, check_probe_args
@@ -98,17 +95,6 @@ class TestValidation:
         for needed in ("symbol", "sigma", " s", "h_list", "d"):
             assert needed in message
 
-    @pytest.mark.parametrize("sub,text,functions", [
-        ("inflate", INFLATE_OK, (run_norm_inflation, check_inflate_args)),
-        ("ode-approx", ODE_OK, (run_ode_approx, check_ode_approx_args)),
-    ])
-    def test_rotation_budget_default_is_the_drivers(self, sub, text, functions):
-        # the pilot rotation budget is defaulted in three places; they agree
-        budget = parse_config(sub, text).args["rotation_budget"]
-        assert budget == 0.64
-        for function in functions:
-            assert inspect.signature(function).parameters["rotation_budget"].default == budget
-
     def test_round_trip_is_stable(self):
         cfg = parse_config("inflate", INFLATE_OK)
         text = render_config(cfg)
@@ -153,7 +139,7 @@ INVALID_CASES = [
      "[equation]\nsymbol = arctan_step(h=1)\n[strichartz]\np = inf\nq = 2\nN_list = 8, 16\n"),
     ("last N above n_ceiling", "strichartz",
      "[equation]\nsymbol = arctan_step(h=1)\n[strichartz]\np = 8\nq = 4\n"
-     "N_list = 8, 16, 32, 64\nn_ceiling = 2048\n"),
+     "N_list = 8, 16, 512\n"),
     ("N^2 not finite", "strichartz",
      "[equation]\nsymbol = arctan_step(h=1)\n[strichartz]\np = 8\nq = 4\n"
      "N_list = 1e200, 2e200\nbox_L = 1e-300\ncontrast = 0\n"),
@@ -212,15 +198,16 @@ DRIVER_CHECK_CASES = [
      lambda: check_strichartz_args(_ARCTAN, 8.0, 4.0, _K_GRID, [8.0, 16.0], box_L=math.nan)),
     ("box_L negative", "strichartz", STRICHARTZ_OK + "box_L = -1\n",
      lambda: check_strichartz_args(_ARCTAN, 8.0, 4.0, _K_GRID, [8.0, 16.0], box_L=-1.0)),
-    ("n_ceiling zero", "strichartz", STRICHARTZ_OK + "n_ceiling = 0\n",
-     lambda: check_strichartz_args(_ARCTAN, 8.0, 4.0, _K_GRID, [8.0, 16.0], n_ceiling=0)),
     ("contrast not 0 or 1", "strichartz", STRICHARTZ_OK + "contrast = 7\n",
      lambda: check_strichartz_args(_ARCTAN, 8.0, 4.0, _K_GRID, [8.0, 16.0],
                                    include_contrast=7)),
     ("last N above n_ceiling", "strichartz",
-     _swap(STRICHARTZ_OK, "N_list = 8, 16", "N_list = 8, 16, 32, 64\nn_ceiling = 2048"),
-     lambda: check_strichartz_args(_ARCTAN, 8.0, 4.0, _K_GRID, [8.0, 16.0, 32.0, 64.0],
-                                   n_ceiling=2048)),
+     _swap(STRICHARTZ_OK, "N_list = 8, 16", "N_list = 8, 16, 512"),
+     lambda: check_strichartz_args(_ARCTAN, 8.0, 4.0, _K_GRID, [8.0, 16.0, 512.0])),
+    ("2D probe above the node cap", "strichartz",
+     _swap(STRICHARTZ_OK, "p = 8\nq = 4\nN_list = 8, 16",
+           "d = 2\np = 4\nq = 4\nN_list = 8, 512\nbox_L = 1"),
+     lambda: check_strichartz_args(_ARCTAN, 4.0, 4.0, _K_GRID, [8.0, 512.0], d=2, box_L=1.0)),
     ("time exponent p infinite", "strichartz",
      _swap(STRICHARTZ_OK, "p = 8\nq = 4", "p = inf\nq = 2"),
      lambda: check_strichartz_args(_ARCTAN, math.inf, 2.0, _K_GRID, [8.0, 16.0])),
@@ -252,18 +239,8 @@ DRIVER_CHECK_CASES = [
      lambda: check_strichartz_args(_ARCTAN, 8.0, 4.0, _K_GRID, [0.0, 2.0, 4.0])),
     ("h_list not decreasing", "inflate", _swap(INFLATE_OK, "e^-2, e^-3, e^-4", "e^-3, e^-2"),
      lambda: check_inflate_args(_PLAN, _ARCTAN, _GRID, [math.exp(-3), math.exp(-2)])),
-    ("inflate rotation_budget zero", "inflate", INFLATE_OK + "rotation_budget = 0\n",
-     lambda: check_inflate_args(_PLAN, _ARCTAN, _GRID, _H_LIST, rotation_budget=0.0)),
-    ("min_ratio_growth nan", "inflate", INFLATE_OK + "min_ratio_growth = nan\n",
-     lambda: check_inflate_args(_PLAN, _ARCTAN, _GRID, _H_LIST, min_ratio_growth=math.nan)),
-    ("min_ratio_growth negative", "inflate", INFLATE_OK + "min_ratio_growth = -5\n",
-     lambda: check_inflate_args(_PLAN, _ARCTAN, _GRID, _H_LIST, min_ratio_growth=-5.0)),
-    ("min_ratio_growth one", "inflate", INFLATE_OK + "min_ratio_growth = 1\n",
-     lambda: check_inflate_args(_PLAN, _ARCTAN, _GRID, _H_LIST, min_ratio_growth=1.0)),
     ("k_grid entry nan", "strichartz", STRICHARTZ_OK + "k_grid = 0.25, nan\n",
      lambda: check_strichartz_args(_ARCTAN, 8.0, 4.0, [0.25, math.nan], [8.0, 16.0])),
-    ("ode-approx rotation_budget negative", "ode-approx", ODE_OK + "rotation_budget = -1\n",
-     lambda: check_ode_approx_args(_PLAN, _ARCTAN, _GRID, _EPS_LIST, 1, rotation_budget=-1.0)),
     ("h above e^-1", "inflate", _swap(INFLATE_OK, "e^-2, e^-3, e^-4", "0.5, e^-3"),
      lambda: check_inflate_args(_PLAN, _ARCTAN, _GRID, [0.5, math.exp(-3)])),
     ("eps_list not decreasing", "ode-approx", _swap(ODE_OK, "0.1, 0.03, 0.01", "0.01, 0.1"),
@@ -328,6 +305,11 @@ DRIVER_CHECK_CASES = [
      lambda: Grid(1, 64, math.inf)),
     ("simulate L nan", "simulate", _swap(SIMULATE_OK, "L = 8", "L = nan"),
      lambda: Grid(1, 64, math.nan)),
+    ("simulate n above the node cap", "simulate", _swap(SIMULATE_OK, "n = 64", "n = 33554432"),
+     lambda: Grid(1, 33554432, 8.0)),
+    ("inflate grid_n above the node cap", "inflate",
+     INFLATE_OK + "grid_n = 1125899906842624\n",
+     lambda: Grid(1, 1125899906842624, 8.0)),
 ]
 
 
@@ -386,7 +368,7 @@ class TestNonFiniteTable:
                 parse_config(sub, text)
 
     def test_table_covers_every_float_key(self):
-        assert len(NON_FINITE_CASES) == 3 * 37
+        assert len(NON_FINITE_CASES) == 3 * 34
 
 
 class TestInvalidTable:

@@ -16,7 +16,6 @@ from modnls import (
     Grid,
     PicardDivergenceError,
     SolveConfig,
-    dealias_mask,
     evolve,
     free_propagate,
     make_symbol,
@@ -45,11 +44,10 @@ def reference_strang(u0, cfg):
     steps = [cfg.dt] * n_full
     if cfg.T - n_full * cfg.dt > 1e-12 * cfg.dt:
         steps.append(cfg.T - n_full * cfg.dt)
-    mask = dealias_mask(grid) if cfg.dealias else 1.0
     vals = u0.values
     snaps = [(0.0, vals)]
     for k, step in enumerate(steps):
-        phase = np.exp(1j * (step / (2.0 * cfg.eps)) * pvals) * mask
+        phase = np.exp(1j * (step / (2.0 * cfg.eps)) * pvals)
         vals = np.fft.ifftn(np.fft.fftn(vals) * phase)
         vals = phase_ode(vals, cfg.lam, cfg.sigma, step, cfg.eps)
         vals = np.fft.ifftn(np.fft.fftn(vals) * phase)
@@ -227,18 +225,22 @@ class TestEvolve:
         with pytest.raises(EvolutionError):
             SolveConfig(sym, 1.0, 1.0, dt=0.1, T=1.0, eps=1.5)
 
+    @pytest.mark.parametrize("every", [2.5, 0, 1.0])
+    def test_snapshot_every_must_be_an_integer_of_at_least_one(self, every):
+        with pytest.raises(EvolutionError, match="snapshot_every must be an integer >= 1"):
+            SolveConfig(make_symbol("laplacian"), 1.0, 1.0, dt=0.1, T=1.0, snapshot_every=every)
+
 
 class TestFourierResidentStepper:
     @pytest.mark.parametrize("snapshot_every", [1, 7])
-    @pytest.mark.parametrize("dealias", [False, True])
     @pytest.mark.parametrize("sigma", [1.0, 1.5, 2.0])
     @pytest.mark.parametrize("d", [1, 2])
-    def test_matches_four_fft_reference(self, d, sigma, dealias, snapshot_every):
+    def test_matches_four_fft_reference(self, d, sigma, snapshot_every):
         grid = Grid(d, 128 if d == 1 else 64, 6.0)
         u0 = Field(grid, 0.8 * np.exp(-sum(c * c for c in grid.x)) * np.exp(1j * grid.x[0]))
         # 23 whole steps and a shortened last one
         cfg = SolveConfig(make_symbol("fourth_order"), -1.0, sigma, dt=0.004, T=0.093,
-                          eps=0.7, snapshot_every=snapshot_every, dealias=dealias)
+                          eps=0.7, snapshot_every=snapshot_every)
         seen = []
         final = evolve(u0, cfg, lambda t, coeffs: seen.append((t, coeffs.copy())))
         ref = reference_strang(u0, cfg)
@@ -295,24 +297,6 @@ class TestFourierResidentStepper:
         l2s = [sobolev_norm(f, 0.0) for f in seen]
         assert np.allclose(tail_masses, tails, rtol=1e-10, atol=1e-30)
         assert np.allclose(l2_norms, l2s, rtol=1e-13, atol=0.0)
-
-
-class TestDealias:
-    def test_filter_kills_top_third_modes(self, grid):
-        k_high = int(grid.n * 0.45)  # above the 2/3 cut (n/3)
-        f = Field(grid, np.exp(1j * (np.pi / grid.L) * k_high * grid.x[0]))
-        cfg = SolveConfig(make_symbol("constant", c=0.0), 0.0, 1.0,
-                          dt=0.01, T=0.01, dealias=True)
-        with pytest.warns(UserWarning, match="tail mass"):
-            out = np.fft.ifftn(evolve(f, cfg))
-        assert np.abs(out).max() <= 1e-12
-
-    def test_filter_is_inert_for_resolved_data(self, grid, gaussian):
-        kw = dict(lam=-1.0, sigma=1.0, dt=1e-3, T=0.1, snapshot_every=10**6)
-        plain = np.fft.ifftn(evolve(gaussian, SolveConfig(make_symbol("laplacian"), **kw)))
-        filt = np.fft.ifftn(evolve(gaussian, SolveConfig(make_symbol("laplacian"), dealias=True,
-                                                         **kw)))
-        assert np.abs(plain - filt).max() <= 1e-12
 
 
 class TestSigmaAdmissibility:

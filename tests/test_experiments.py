@@ -18,6 +18,7 @@ from modnls import (
     Grid,
     ScalingError,
     SolveConfig,
+    check_ode_approx_args,
     compute_scaling,
     evolve,
     free_propagate,
@@ -125,6 +126,12 @@ class TestRunOdeApprox:
         with pytest.raises(ExperimentError, match="2\\*sigma"):
             run_ode_approx(plan_frac, sym, grid, [0.1], r=3)
 
+    @pytest.mark.parametrize("r", [math.inf, math.nan])
+    def test_non_finite_regularity_is_an_experiment_error(self, bounded_plan, grid, r):
+        with pytest.raises(ExperimentError, match="integer above d/2"):
+            check_ode_approx_args(bounded_plan, make_symbol("arctan_step", h=1.0), grid,
+                                  [0.1], r)
+
     def test_rejects_non_decreasing_eps(self, bounded_plan, grid):
         with pytest.raises(ExperimentError, match="decreasing"):
             run_ode_approx(bounded_plan, make_symbol("arctan_step", h=1.0), grid,
@@ -177,8 +184,8 @@ class TestRunOdeApprox:
 
         monkeypatch.setattr(experiments, "_coeff_sobolev_norm", recording_norm)
         monkeypatch.setattr(experiments, "evolve", recording_evolve)
-        rep = run_ode_approx(bounded_plan, sym, grid, [eps], r=r, lam=lam,
-                             rotation_budget=2.5e-4)
+        monkeypatch.setattr(experiments, "ROTATION_BUDGET", 2.5e-4)
+        rep = run_ode_approx(bounded_plan, sym, grid, [eps], r=r, lam=lam)
         row = rep.rows[0]
         assert row["n_steps"] >= 2000
         assert len(runs) >= 2 and runs[-1][1] == row["n_steps"]
@@ -280,7 +287,8 @@ class TestOdeApproxCost:
         for budget in (0.02, 0.001):
             runs.clear()
             rotations.clear()
-            rep = run_ode_approx(bounded_plan, sym, grid, eps_list, r=1, rotation_budget=budget)
+            monkeypatch.setattr(experiments, "ROTATION_BUDGET", budget)
+            rep = run_ode_approx(bounded_plan, sym, grid, eps_list, r=1)
             assert all(run["snapshots"] == run["steps"] + 1 for run in runs)
             assert {row["n_steps"] for row in rep.rows} <= {run["steps"] for run in runs}
             assert len(rotations) <= 3 * len(runs)
@@ -480,31 +488,6 @@ class TestRunNormInflation:
         with pytest.raises(ExperimentError, match="h_list must hold at least one value"):
             run_norm_inflation(bounded_plan, make_symbol("arctan_step", h=1.0), grid, [])
 
-    @pytest.mark.parametrize("budget", [0.0, -1.0, math.inf, math.nan])
-    def test_rotation_budget_rejected_before_any_evolution(self, bounded_plan, grid, budget,
-                                                           monkeypatch):
-        def no_evolve(*args, **kwargs):
-            raise AssertionError("evolve ran with a bad rotation budget")
-
-        monkeypatch.setattr(experiments, "evolve", no_evolve)
-        sym = make_symbol("arctan_step", h=1.0)
-        with pytest.raises(ExperimentError, match="rotation_budget must be finite and > 0"):
-            run_norm_inflation(bounded_plan, sym, grid, [math.exp(-2)], rotation_budget=budget)
-        with pytest.raises(ExperimentError, match="rotation_budget must be finite and > 0"):
-            run_ode_approx(bounded_plan, sym, grid, [0.1], r=1, rotation_budget=budget)
-
-    @pytest.mark.parametrize("growth", [math.nan, math.inf, -5.0, 0.0, 1.0])
-    def test_min_ratio_growth_rejected_before_any_evolution(self, bounded_plan, grid, growth,
-                                                            monkeypatch):
-        # a bound of 1 or below passes a sweep whose norms do not inflate
-        def no_evolve(*args, **kwargs):
-            raise AssertionError("evolve ran with a bad min_ratio_growth")
-
-        monkeypatch.setattr(experiments, "evolve", no_evolve)
-        with pytest.raises(ExperimentError, match="min_ratio_growth must be finite and > 1"):
-            run_norm_inflation(bounded_plan, make_symbol("arctan_step", h=1.0), grid,
-                               [math.exp(-2)], min_ratio_growth=growth)
-
     def test_rejects_h_above_cap(self, bounded_plan, grid):
         with pytest.raises(Exception, match="e\\^-1"):
             run_norm_inflation(bounded_plan, make_symbol("arctan_step", h=1.0),
@@ -620,13 +603,13 @@ class TestStrichartzProbe:
     def test_resolution_ceiling_error(self):
         with pytest.raises(ExperimentError, match="ceiling"):
             run_strichartz_probe(
-                make_symbol("constant", c=0.0), 8.0, 4.0, [0.0], [8, 64],
-                include_contrast=False, n_ceiling=1024,
+                make_symbol("constant", c=0.0), 8.0, 4.0, [0.0], [8, 512],
+                include_contrast=False,
             )
 
     @pytest.mark.parametrize("N_list, message", [
-        ([8, 16, 32, 64], "N = 64.0 needs n = 4096 points per axis, above the ceiling 2048"),
-        ([8, 1e308], "N = 1e+308 needs n = inf points per axis, above the ceiling 2048"),
+        ([8, 16, 32, 512], "N = 512.0 needs n = 32768 points per axis, above the ceiling 16384"),
+        ([8, 1e308], "N = 1e+308 needs n = inf points per axis, above the ceiling 16384"),
     ])
     def test_every_N_checked_against_the_ceiling_before_any_sweep(self, N_list, message,
                                                                   monkeypatch):
@@ -636,7 +619,18 @@ class TestStrichartzProbe:
         monkeypatch.setattr(experiments, "_probe_sweep", no_sweep)
         with pytest.raises(ExperimentError, match=re.escape(message)):
             run_strichartz_probe(make_symbol("constant", c=0.0), 8.0, 4.0, [0.0], N_list,
-                                 include_contrast=False, n_ceiling=2048)
+                                 include_contrast=False)
+
+    def test_2d_grid_above_the_node_cap_rejected_before_any_sweep(self, monkeypatch):
+        # n = 8192 points per axis is under the per-axis ceiling, but 8192^2 nodes are not
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the sweep ran before the grid size was checked")
+
+        monkeypatch.setattr(experiments, "_probe_sweep", no_sweep)
+        message = "N = 128.0 needs n^d = 8192^2 grid nodes, above the cap MAX_GRID_NODES"
+        with pytest.raises(ExperimentError, match=re.escape(message)):
+            run_strichartz_probe(make_symbol("constant", c=0.0), 4.0, 4.0, [0.0], [8, 128],
+                                 d=2, include_contrast=False)
 
     def test_sup_norm_pair_slope(self):
         rep = run_strichartz_probe(

@@ -17,7 +17,7 @@ from modnls import (
     spacetime_norm_from_samples,
     spectral_tail_mass,
 )
-from modnls.spectral import _coeff_tail_mass, _lq_norms, _spatial_tail_mass
+from modnls.spectral import MAX_GRID_NODES, _coeff_tail_mass, _lq_norms, _spatial_tail_mass
 from conftest import gaussian_field, random_smooth_field
 
 
@@ -49,6 +49,15 @@ class TestMakeGrid:
     def test_rejects_bad_arguments(self, d, n, L):
         with pytest.raises(SpectralError):
             Grid(d, n, L)
+
+    @pytest.mark.parametrize("d,n", [(1, 2**25), (2, 8192), (1, 2**50)])
+    def test_rejects_more_nodes_than_the_cap_before_allocating(self, d, n):
+        with pytest.raises(SpectralError, match=f"n = {n} points per axis in d = {d} has more "
+                                                f"than MAX_GRID_NODES = {MAX_GRID_NODES}"):
+            Grid(d, n, 1.0)
+
+    def test_the_cap_itself_is_allowed(self):
+        assert Grid(2, 4096, 1.0).xi_sq.size == MAX_GRID_NODES
 
 
 class TestTransforms:
