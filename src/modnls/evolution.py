@@ -32,6 +32,7 @@ from .spectral import (
     _coeff_tail_mass,
     _plancherel_scale,
     _propagator,
+    _sobolev_weight,
     _spatial_tail_mass,
 )
 from .spectral import spectral_tail_mass  # noqa: F401  (perfbench's tracer wraps it here)
@@ -113,19 +114,21 @@ class SolveConfig:
 
 
 def _phase_kick(values: np.ndarray, lam: float, sigma: float, dt: float, eps: float,
-                work: np.ndarray) -> None:
+                work: np.ndarray, angle: np.ndarray) -> None:
     """Multiply ``values`` in place by exp(-i*(lam*dt/eps)*|values|^(2*sigma)).
 
     |values|^(2*sigma) is (re^2 + im^2)^sigma, which numpy squares directly
-    for sigma = 2, and the rotation is written as a real cos and sin into
-    ``work``, a complex scratch array shaped like ``values``.
+    for sigma = 2.  It is built in ``angle``, a real scratch array shaped
+    like ``values``, and the rotation is written as a real cos and sin into
+    ``work``, a complex scratch array shaped like ``values`` that also holds
+    im^2 on the way.  Both scratch arrays are overwritten.
     """
     if lam == 0.0 or dt == 0.0:
         return
     # overflow is anticipated for blow-up data; the caller checks finiteness
     with np.errstate(over="ignore", invalid="ignore"):
-        angle = np.square(values.real)
-        angle += np.square(values.imag)
+        np.square(values.real, out=angle)
+        angle += np.square(values.imag, out=work.real)
         angle **= sigma
         angle *= -(lam * dt / eps)
         np.cos(angle, out=work.real)
@@ -184,12 +187,12 @@ def evolve(u0: Field, cfg: SolveConfig, on_snapshot=None) -> np.ndarray:
     # free half-step multiplier per distinct step length
     halves = {step: _propagator(pvals, step / (2.0 * cfg.eps)) for step in set(steps)}
     v = np.empty_like(u_hat)
-    rot = np.empty_like(u_hat)
+    angle = np.empty(grid.shape)
     for k, step in enumerate(steps):
         half = halves[step]
         u_hat *= half
         np.fft.ifftn(u_hat, out=v)
-        _phase_kick(v, cfg.lam, cfg.sigma, step, cfg.eps, work=rot)
+        _phase_kick(v, cfg.lam, cfg.sigma, step, cfg.eps, work=u_hat, angle=angle)
         np.fft.fftn(v, out=u_hat)
         u_hat *= half
         if not np.all(np.isfinite(u_hat)):
@@ -246,7 +249,7 @@ def picard_solve(
     pvals = cfg.symbol.on_grid(grid)
     axes = tuple(range(1, grid.d + 1))
     scale = _plancherel_scale(grid)
-    weight = (1.0 + grid.xi_sq) ** s
+    weight = _sobolev_weight(grid, s)
     u0_hat = np.fft.fftn(u0.values)
 
     def solve_on_mesh(intervals: int):

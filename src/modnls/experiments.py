@@ -62,37 +62,45 @@ def ode_phase_profile(tau: float, grid: Grid, kappa: float, lam: float,
     """
     if not eps > 0:
         raise ExperimentError(f"eps must be positive, got {eps}")
-    return Field(grid, _phase_profile(tau, grid, kappa, lam, sigma, eps))
-
-
-def _phase_profile(tau: float, grid: Grid, kappa: float, lam: float,
-                   sigma: float, eps: float) -> np.ndarray:
-    """Samples of :func:`ode_phase_profile`."""
     a0 = _envelope(grid)
-    return kappa * a0 * _phase_rotation(tau, a0 ** (2.0 * sigma), kappa, lam, sigma, eps)
+    return Field(grid, _phase_profile(tau, a0, a0 ** (2.0 * sigma), kappa, lam, sigma, eps))
+
+
+def _phase_profile(tau: float, a0: np.ndarray, a0_2s: np.ndarray, kappa: float, lam: float,
+                   sigma: float, eps: float, out=None) -> np.ndarray:
+    """Samples of :func:`ode_phase_profile` from the envelope a0 and a0^(2*sigma).
+
+    Written into ``out``, a complex array shaped like a0, when given.
+    """
+    rot = _phase_rotation(tau, a0_2s, kappa, lam, sigma, eps, out)
+    return np.multiply(kappa * a0, rot, out=rot)
 
 
 def _phase_rotation(tau: float, a0_2s: np.ndarray, kappa: float, lam: float,
-                    sigma: float, eps: float) -> np.ndarray:
+                    sigma: float, eps: float, out=None) -> np.ndarray:
     """The phase-ODE flow over time tau from kappa*a0: exp(-i*lam*(tau/eps)*kappa^2sig*a0^2sig)."""
     phase = -(lam * tau / eps) * kappa ** (2.0 * sigma) * a0_2s
-    return np.exp(1j * phase)
+    rot = np.multiply(1j, phase, out=out)
+    return np.exp(rot, out=rot)
 
 
 def _phase_profiles(grid: Grid, kappa: float, lam: float, sigma: float, eps: float,
-                    dt: float):
+                    dt: float, a0=None, a0_2s=None):
     """Yield the samples of :func:`ode_phase_profile` at tau = 0, dt, 2*dt, ...
 
     phi(0) = kappa*a0 and the one-step rotation w are built once in closed
     form; every later sample is ``phi *= w`` in place, so the same array is
     yielded each time.  w is not the quotient phi(dt)/phi(0): a0 underflows
     to 0 on wide boxes, and 0/0 is NaN.  |w| = 1 up to rounding, so the
-    modulus drifts by about 1e-16 relative per step.
+    modulus drifts by about 1e-16 relative per step.  ``a0`` and ``a0_2s``
+    are the envelope and its power 2*sigma, built here when not given.
     """
-    a0 = _envelope(grid)
-    w = _phase_rotation(dt, a0 ** (2.0 * sigma), kappa, lam, sigma, eps)
+    if a0 is None:
+        a0 = _envelope(grid)
+        a0_2s = a0 ** (2.0 * sigma)
+    w = _phase_rotation(dt, a0_2s, kappa, lam, sigma, eps)
     phi = kappa * a0 + 0j
-    del a0  # only phi and w stay alive between steps
+    del a0, a0_2s  # when built here, only phi and w stay alive between steps
     while True:
         yield phi
         phi *= w
@@ -218,10 +226,20 @@ def check_inflate_args(plan: ScalingPlan, symbol: Symbol, grid: Grid, h_list,
                        lam: float = 1.0) -> list[float]:
     """Reject every input :func:`run_norm_inflation` cannot run, before any evolution.
 
-    Returns h_list as floats.
+    Warns when the phase-ODE exponent s*(delta - 2*sigma*theta) is <= 0,
+    since the ratio cannot then grow along the sweep and the verdict fails
+    whatever the resolution.  Returns h_list as floats.
     """
     _check_window_args(plan, symbol, grid, lam)
-    return _check_h_list(plan, h_list)
+    h_list = _check_h_list(plan, h_list)
+    exponent = plan.s * (plan.delta - 2.0 * plan.sigma * plan.theta)
+    if exponent <= 0:
+        warnings.warn(
+            f"the phase-ODE exponent s*(delta - 2*sigma*theta) = {exponent:.6g} is <= 0, "
+            f"so the inflation ratio cannot grow along the h sweep",
+            stacklevel=2,
+        )
+    return h_list
 
 
 def _window_config(plan: ScalingPlan, symbol: Symbol, grid: Grid, h: float, kappa: float,
@@ -255,6 +273,10 @@ def run_ode_approx(plan: ScalingPlan, symbol: Symbol, grid: Grid, eps_list,
     stepper runs.  phi advances by one stored rotation per step and is
     rebuilt in closed form at tau*, so a snapshot costs one complex multiply
     and one FFT of phi; ``tail_mass`` comes from the returned coefficients.
+    The envelope a0 and a0^(2*sigma) are built once per call.  Each run
+    transforms phi into one complex buffer of its own, which also holds the
+    closed form at tau* and the gap, and the H^r weight comes from the
+    grid's cache, so a snapshot allocates no complex array.
 
     Each row is certified in time by :func:`_certified_row`: the window is
     run at n0, 2*n0, 4*n0, ... steps, from the pilot count n0 that
@@ -266,6 +288,8 @@ def run_ode_approx(plan: ScalingPlan, symbol: Symbol, grid: Grid, eps_list,
     ``fitted.max_time_err`` is the largest ``time_err``.
     """
     eps_list, r = check_ode_approx_args(plan, symbol, grid, eps_list, r, lam)
+    a0 = _envelope(grid)
+    a0_2s = a0 ** (2.0 * plan.sigma)
 
     rows = []
     for eps in eps_list:
@@ -275,7 +299,8 @@ def run_ode_approx(plan: ScalingPlan, symbol: Symbol, grid: Grid, eps_list,
 
         def run(n):
             cfg = config(n)
-            profiles = _phase_profiles(grid, kappa, lam, plan.sigma, eps, cfg.dt)
+            profiles = _phase_profiles(grid, kappa, lam, plan.sigma, eps, cfg.dt, a0, a0_2s)
+            buf = np.empty(grid.shape, dtype=complex)
             gaps = []
 
             def reduce_gap(tau, coeffs):
@@ -284,10 +309,10 @@ def run_ode_approx(plan: ScalingPlan, symbol: Symbol, grid: Grid, eps_list,
                     phi = next(profiles)
                 else:
                     profiles.close()  # frees phi and w before the closed form at T
-                    phi = _phase_profile(tau, grid, kappa, lam, plan.sigma, eps)
-                diff = np.fft.fftn(phi)
-                np.subtract(coeffs, diff, out=diff)
-                gaps.append(_coeff_sobolev_norm(diff, grid, r))
+                    phi = _phase_profile(tau, a0, a0_2s, kappa, lam, plan.sigma, eps, out=buf)
+                np.fft.fftn(phi, out=buf)
+                np.subtract(coeffs, buf, out=buf)
+                gaps.append(_coeff_sobolev_norm(buf, grid, r))
 
             final = evolve(psi0, cfg, reduce_gap)
             return {

@@ -89,6 +89,7 @@ class Grid:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "xi", xi)
         object.__setattr__(self, "xi_sq", xi_sq)
+        object.__setattr__(self, "_memo", {})  # see _grid_cached
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -161,9 +162,45 @@ def _max_abs(coords) -> np.ndarray:
     return out
 
 
+def _grid_cached(grid: Grid, key, build):
+    """``build()``, computed once per grid and ``key`` and kept read-only on the grid.
+
+    The norm and tail-mass kernels run at every snapshot on one grid, so
+    their weights and masks are built at the first call and shared after.
+    """
+    arr = grid._memo.get(key)
+    if arr is None:
+        arr = grid._memo[key] = build()
+        arr.setflags(write=False)
+    return arr
+
+
 def _top_octave(grid: Grid) -> np.ndarray:
     """Frequencies in the top octave: some component at or above xi_max / 2."""
-    return _max_abs(grid.xi) >= grid.xi_max / 2.0
+    return _grid_cached(grid, "top_octave", lambda: _max_abs(grid.xi) >= grid.xi_max / 2.0)
+
+
+def _half_box(grid: Grid) -> np.ndarray:
+    """Nodes outside the half box: some |x_a| above L / 2."""
+    return _grid_cached(grid, "half_box", lambda: _max_abs(grid.x) > grid.L / 2.0)
+
+
+def _sobolev_weight(grid: Grid, s: float, homogeneous: bool = False) -> np.ndarray:
+    """The weight of :func:`sobolev_norm` on the lattice: (1 + |xi|^2)^s, or |xi|^(2s).
+
+    The homogeneous weight is set at the zero mode to 1 for s = 0 and to 0
+    otherwise.
+    """
+    def build():
+        if not homogeneous:
+            return (1.0 + grid.xi_sq) ** s
+        with np.errstate(divide="ignore"):
+            w = grid.xi_sq**s
+        w = np.array(w)
+        w[(0,) * grid.d] = 1.0 if s == 0 else 0.0
+        return w
+
+    return _grid_cached(grid, ("sobolev", float(s), bool(homogeneous)), build)
 
 
 def _mass_fraction(a2: np.ndarray, mask: np.ndarray) -> float:
@@ -223,23 +260,22 @@ def sobolev_norm(f: Field, s: float, homogeneous: bool = False) -> float:
 
 def _coeff_sobolev_norm(coeffs: np.ndarray, grid: Grid, s: float,
                         homogeneous: bool = False) -> float:
-    """:func:`sobolev_norm` of the field whose raw ``np.fft.fftn`` output is ``coeffs``."""
+    """:func:`sobolev_norm` of the field whose raw ``np.fft.fftn`` output is ``coeffs``.
+
+    The weight comes from the grid's cache (:func:`_sobolev_weight`) and
+    multiplies the squared moduli in place, so a call allocates only those.
+    """
     c2 = _coeff_mass(coeffs, grid)
-    if not homogeneous:
-        return float(np.sqrt(np.sum((1.0 + grid.xi_sq) ** s * c2)))
-    zero = (0,) * grid.d
-    if s < 0:
+    if homogeneous and s < 0:
+        zero = (0,) * grid.d
         total = float(np.sum(c2))
         if c2[zero] > (_ZERO_MODE_RTOL**2) * total:
             raise SpectralError(
                 "homogeneous norm with s < 0 requires the zero mode to vanish "
                 f"(zero-mode mass fraction {c2[zero] / max(total, 1e-300):.3e})"
             )
-    with np.errstate(divide="ignore"):
-        w = grid.xi_sq**s
-    w = np.array(w)
-    w[zero] = 1.0 if s == 0 else 0.0
-    return float(np.sqrt(np.sum(w * c2)))
+    c2 *= _sobolev_weight(grid, s, homogeneous)
+    return float(np.sqrt(np.sum(c2)))
 
 
 def _lq_norms(z: np.ndarray, q: float, cell: float, axes=None):
@@ -285,4 +321,4 @@ def _spatial_tail_mass(f: Field) -> float:
     """Fraction of the squared L2 mass outside the half box |x|_inf <= L/2."""
     with np.errstate(over="ignore"):
         a2 = np.abs(f.values) ** 2
-    return _mass_fraction(a2, _max_abs(f.grid.x) > f.grid.L / 2.0)
+    return _mass_fraction(a2, _half_box(f.grid))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import pytest
 
@@ -87,6 +88,14 @@ class TestValidation:
         cfg = parse_config("inflate", INFLATE_OK)
         assert cfg.params["theta"] == 0.05 and cfg.params["delta"] == 0.1
         assert cfg.params["symbol"].name == "arctan_step"
+
+    def test_inflate_warns_when_the_ratio_cannot_grow(self):
+        # the README example: s*(delta - 2*sigma*theta) = 0.25*(0.1 - 0.2) = -0.025
+        with pytest.warns(UserWarning, match=r"= -0\.025 is <= 0, so the inflation ratio"):
+            parse_config("inflate", INFLATE_OK + "theta = 0.05\ndelta = 0.1\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            parse_config("inflate", INFLATE_OK + "theta = 0.05\ndelta = 8\n")
 
     def test_empty_inflate_section_lists_required_keys(self):
         with pytest.raises(ConfigError) as err:

@@ -57,6 +57,43 @@ def reference_strang(u0, cfg):
     return snaps
 
 
+def three_array_strang(u0, cfg):
+    """Oracle: the Fourier-resident Strang loop with a third complex array for the rotation.
+
+    The kick builds |v|^(2*sigma) in fresh temporaries and writes its
+    rotation into ``rot``, not into the dead u_hat.  Returns the copied
+    snapshots as (t, coeffs) and the final coefficients.
+    """
+    grid = u0.grid
+    u_hat = np.fft.fftn(u0.values)
+    snaps = [(0.0, u_hat.copy())]
+    pvals = cfg.symbol.on_grid(grid)
+    n_full = int(math.floor(cfg.T / cfg.dt + 1e-9))
+    steps = [cfg.dt] * n_full
+    if cfg.T - n_full * cfg.dt > 1e-12 * cfg.dt:
+        steps.append(cfg.T - n_full * cfg.dt)
+    halves = {step: np.exp(1j * (step / (2.0 * cfg.eps)) * pvals) for step in set(steps)}
+    v = np.empty_like(u_hat)
+    rot = np.empty_like(u_hat)
+    for k, step in enumerate(steps):
+        half = halves[step]
+        u_hat *= half
+        np.fft.ifftn(u_hat, out=v)
+        angle = np.square(v.real)
+        angle += np.square(v.imag)
+        angle **= cfg.sigma
+        angle *= -(cfg.lam * step / cfg.eps)
+        np.cos(angle, out=rot.real)
+        np.sin(angle, out=rot.imag)
+        v *= rot
+        np.fft.fftn(v, out=u_hat)
+        u_hat *= half
+        last = k + 1 == len(steps)
+        if (k + 1) % cfg.snapshot_every == 0 or last:
+            snaps.append((cfg.T if last else (k + 1) * cfg.dt, u_hat.copy()))
+    return snaps, u_hat
+
+
 def phase_ode(values, lam, sigma, dt, eps=1.0):
     """Oracle: the exact phase-ODE flow u * exp(-i*(lam*dt/eps)*|u|^(2*sigma)), in closed form."""
     return values * np.exp(-1j * (lam * dt / eps) * np.abs(values) ** (2.0 * sigma))
@@ -65,7 +102,7 @@ def phase_ode(values, lam, sigma, dt, eps=1.0):
 def kick(values, lam, sigma, dt, eps=1.0):
     """The stepper's in-place phase kick, applied to a copy of ``values``."""
     out = np.array(values)
-    _phase_kick(out, lam, sigma, dt, eps, np.empty_like(out))
+    _phase_kick(out, lam, sigma, dt, eps, np.empty_like(out), np.empty(out.shape))
     return out
 
 
@@ -252,6 +289,25 @@ class TestFourierResidentStepper:
         l2_norms = [_coeff_sobolev_norm(coeffs, grid, 0.0) for _, coeffs in seen]
         ref_l2 = [math.sqrt(float(np.sum(np.abs(vals) ** 2)) * grid.cell) for _, vals in ref]
         assert np.allclose(l2_norms, ref_l2, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("snapshot_every", [1, 7])
+    @pytest.mark.parametrize("sigma", [1.0, 2.0])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_bit_identical_to_the_three_array_step(self, d, sigma, snapshot_every):
+        # the kick borrows the dead u_hat for its rotation and keeps |v|^(2*sigma)
+        # in scratch; the arithmetic is the three-array loop's, to the bit
+        grid = Grid(d, 128 if d == 1 else 64, 6.0)
+        u0 = Field(grid, 0.8 * np.exp(-sum(c * c for c in grid.x)) * np.exp(1j * grid.x[0]))
+        # 23 whole steps and a shortened last one
+        cfg = SolveConfig(make_symbol("fourth_order"), -1.0, sigma, dt=0.004, T=0.093,
+                          eps=0.7, snapshot_every=snapshot_every)
+        seen = []
+        final = evolve(u0, cfg, lambda t, coeffs: seen.append((t, coeffs.copy())))
+        ref, ref_final = three_array_strang(u0, cfg)
+        assert [t for t, _ in seen] == [t for t, _ in ref]
+        for (_, coeffs), (_, ref_coeffs) in zip(seen, ref):
+            assert np.array_equal(coeffs, ref_coeffs)
+        assert np.array_equal(final, ref_final)
 
     def test_reducer_sees_read_only_coefficients(self, grid, gaussian):
         cfg = SolveConfig(make_symbol("laplacian"), 1.0, 1.0, dt=0.01, T=0.05, snapshot_every=2)

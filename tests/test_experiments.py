@@ -18,6 +18,7 @@ from modnls import (
     Grid,
     ScalingError,
     SolveConfig,
+    check_inflate_args,
     check_ode_approx_args,
     compute_scaling,
     evolve,
@@ -33,7 +34,7 @@ from modnls import (
     strichartz_probe_data,
 )
 from modnls import experiments
-from modnls.spectral import _coeff_tail_mass, _lq_norms, _propagator
+from modnls.spectral import _coeff_tail_mass, _lq_norms, _plancherel_scale, _propagator
 from modnls.symbols import SymbolError
 from conftest import count_ffts
 
@@ -197,6 +198,66 @@ class TestRunOdeApprox:
         # the row reports the accepted (last) run
         assert row["E"] == pytest.approx(max(stored), rel=1e-10)
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_streamed_gaps_equal_the_allocating_formula(self, d, monkeypatch):
+        # every gap of every run, to the bit, against a fresh np.fft.fftn(phi)
+        # and a fresh (1 + |xi|^2)^r weight at each snapshot
+        r = 2
+        plan = compute_scaling(d, 2.0, 0.25, BOUNDED, theta=0.05, delta=0.1)
+        grid = Grid(d, 128 if d == 1 else 64, 8.0)
+        streamed, runs = [], []
+        coeff_norm = experiments._coeff_sobolev_norm
+        stepper = experiments.evolve
+
+        def recording_norm(*args):
+            streamed.append(coeff_norm(*args))
+            return streamed[-1]
+
+        def copying_evolve(u0, cfg, on_snapshot=None):
+            snaps = []
+            runs.append((cfg, snaps, len(streamed)))
+
+            def reducer(t, coeffs):
+                snaps.append((t, coeffs.copy()))
+                on_snapshot(t, coeffs)
+            return stepper(u0, cfg, reducer)
+
+        monkeypatch.setattr(experiments, "_coeff_sobolev_norm", recording_norm)
+        monkeypatch.setattr(experiments, "evolve", copying_evolve)
+        rep = run_ode_approx(plan, make_symbol("arctan_step", h=1.0), grid, [0.1, 0.05], r=r)
+        kappas = {row["eps"]: row["kappa"] for row in rep.rows}
+        a0 = np.exp(-sum(c * c for c in grid.x))
+        a0_2s = a0 ** (2.0 * plan.sigma)
+        scale2 = _plancherel_scale(grid) ** 2
+        assert len(runs) > len(rep.rows)  # pilot and doubled runs
+        ends = [start for _, _, start in runs[1:]] + [len(streamed)]
+        last_run_gaps = {}
+        for (cfg, snaps, start), end in zip(runs, ends):
+            kappa = kappas[cfg.eps]
+
+            def rotation(tau):
+                return np.exp(1j * (-(cfg.lam * tau / cfg.eps) * kappa ** (2.0 * cfg.sigma) * a0_2s))
+
+            w = rotation(cfg.dt)
+            phi = kappa * a0 + 0j
+            gaps = []
+            for k, (t, coeffs) in enumerate(snaps):
+                if t == cfg.T:
+                    phi = kappa * a0 * rotation(t)
+                elif k:
+                    phi *= w
+                diff = coeffs - np.fft.fftn(phi)
+                c2 = diff.real**2
+                c2 += diff.imag**2
+                c2 *= scale2
+                gaps.append(float(np.sqrt(np.sum((1.0 + grid.xi_sq) ** r * c2))))
+            assert len(gaps) == round(cfg.T / cfg.dt) + 1
+            assert streamed[start:end] == gaps
+            last_run_gaps[cfg.eps] = gaps
+        # each row reports its last run
+        assert [row["E"] for row in rep.rows] == [max(last_run_gaps[row["eps"]])
+                                                  for row in rep.rows]
+
 
 def _stored_run_gaps(plan, sym, grid, row, lam, r):
     """The H^r gap to ode_phase_profile at every step of a stored rerun of ``row``."""
@@ -304,6 +365,42 @@ class TestOdeApproxCost:
         for run in runs:
             assert run["snapshots"] == run["steps"] + 1
             assert run["fftn"] == run["snapshots"]
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_every_fft_of_phi_in_a_run_writes_one_buffer(self, d, monkeypatch):
+        # a run's reducer transforms phi into one complex buffer it owns
+        outs = []
+        inside = [False]
+        fftn = np.fft.fftn
+
+        def recording_fftn(*args, **kwargs):
+            if inside[0]:
+                outs[-1].append(kwargs.get("out"))
+            return fftn(*args, **kwargs)
+
+        stepper = experiments.evolve
+
+        def marking_evolve(u0, cfg, on_snapshot=None):
+            outs.append([])
+
+            def reducer(t, coeffs):
+                inside[0] = True
+                try:
+                    on_snapshot(t, coeffs)
+                finally:
+                    inside[0] = False
+            return stepper(u0, cfg, reducer)
+
+        monkeypatch.setattr(np.fft, "fftn", recording_fftn)
+        monkeypatch.setattr(experiments, "evolve", marking_evolve)
+        plan = compute_scaling(d, 2.0, 0.25, BOUNDED, theta=0.05, delta=0.1)
+        run_ode_approx(plan, make_symbol("arctan_step", h=1.0),
+                       Grid(d, 128 if d == 1 else 64, 8.0), [0.1, 0.05], r=2)
+        assert len(outs) >= 4
+        for run in outs:
+            assert len(run) >= 9
+            assert isinstance(run[0], np.ndarray)
+            assert all(out is run[0] for out in run)
 
 
 class TestInflateCost:
@@ -432,6 +529,8 @@ class TestCertifiedSteps:
         monkeypatch.setattr(experiments, "ROUNDING_FLOOR", 0.0)
         monkeypatch.setattr(experiments, "MAX_DOUBLINGS", 2)
         with pytest.warns(UserWarning, match="not certified in time") as caught:
+            # the plan's exponent warning is tested in TestInflateExponentWarning
+            warnings.filterwarnings("ignore", message="the phase-ODE exponent")
             rep = run_norm_inflation(bounded_plan, make_symbol("arctan_step", h=1.0), grid,
                                      [math.exp(-2)])
         row = rep.rows[0]
@@ -439,6 +538,35 @@ class TestCertifiedSteps:
         assert len(caught) == 1
         assert f"estimate {row['time_err']:.3e}" in str(caught[0].message)
         assert f"at {row['n_steps']} steps" in str(caught[0].message)
+
+
+class TestInflateExponentWarning:
+    """The sweep warns, before any evolution, when s*(delta - 2*sigma*theta) <= 0."""
+
+    def test_the_readme_example_warns_with_its_exponent(self, bounded_plan, grid):
+        # s = 0.25, sigma = 2, theta = 0.05, delta = 0.1: 0.25*(0.1 - 0.2) = -0.025
+        with pytest.warns(UserWarning, match=r"s\*\(delta - 2\*sigma\*theta\) = -0\.025 is <= 0, "
+                                             "so the inflation ratio cannot grow"):
+            check_inflate_args(bounded_plan, make_symbol("arctan_step", h=1.0), grid,
+                               [math.exp(-2), math.exp(-3), math.exp(-4)])
+
+    def test_a_growing_exponent_is_silent(self, grid):
+        # inflate-long's window: delta = 8 gives 0.25*(8 - 0.2) = 1.95
+        plan = compute_scaling(1, 2.0, 0.25, BOUNDED, theta=0.05, delta=8.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            check_inflate_args(plan, make_symbol("arctan_step", h=1.0), grid,
+                               [math.exp(-2), math.exp(-3)])
+
+    def test_the_driver_warns_before_any_evolution(self, bounded_plan, grid, monkeypatch):
+        def no_evolve(*args, **kwargs):
+            raise AssertionError("evolve ran")
+
+        monkeypatch.setattr(experiments, "evolve", no_evolve)
+        with pytest.warns(UserWarning, match="the phase-ODE exponent"):
+            with pytest.raises(AssertionError, match="evolve ran"):
+                run_norm_inflation(bounded_plan, make_symbol("arctan_step", h=1.0), grid,
+                                   [math.exp(-2)])
 
 
 class TestRunNormInflation:

@@ -17,7 +17,17 @@ from modnls import (
     spacetime_norm_from_samples,
     spectral_tail_mass,
 )
-from modnls.spectral import MAX_GRID_NODES, _coeff_tail_mass, _lq_norms, _spatial_tail_mass
+from modnls.spectral import (
+    MAX_GRID_NODES,
+    _coeff_sobolev_norm,
+    _coeff_tail_mass,
+    _half_box,
+    _lq_norms,
+    _plancherel_scale,
+    _sobolev_weight,
+    _spatial_tail_mass,
+    _top_octave,
+)
 from conftest import gaussian_field, random_smooth_field
 
 
@@ -284,3 +294,46 @@ class TestEmbeddingAndTails:
         coeffs = np.fft.fftn(f.values)
         assert _coeff_tail_mass(coeffs, grid) == pytest.approx(share, abs=1e-14)
         assert _coeff_tail_mass(coeffs, grid) == spectral_tail_mass(f)
+
+
+class TestGridCaches:
+    """Weights and masks are built once per grid, read-only, with the uncached arithmetic."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_same_read_only_array_on_every_call(self, d):
+        grid = Grid(d, 32, 4.0)
+        builders = [lambda: _top_octave(grid), lambda: _half_box(grid),
+                    lambda: _sobolev_weight(grid, 2), lambda: _sobolev_weight(grid, 2.0),
+                    lambda: _sobolev_weight(grid, -0.5, homogeneous=True)]
+        for build in builders:
+            arr = build()
+            assert build() is arr
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[(0,) * d] = 7.0
+        assert np.array_equal(_half_box(grid),
+                              np.maximum.reduce([np.abs(c) for c in grid.x]) > grid.L / 2.0)
+        assert _sobolev_weight(grid, 1.0) is not _sobolev_weight(grid, 1.0, homogeneous=True)
+        assert _top_octave(Grid(d, 32, 4.0)) is not _top_octave(grid)
+
+    @pytest.mark.parametrize("homogeneous", [False, True])
+    @pytest.mark.parametrize("s", [-0.5, 0.0, 0.25, 1.0, 2.0])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_norm_and_tail_mass_equal_the_uncached_formulas(self, d, s, homogeneous):
+        grid = Grid(d, 64 if d == 1 else 32, 4.0)
+        coeffs = np.fft.fftn(random_smooth_field(grid, 3, decay=8.0).values)
+        coeffs[(0,) * d] = 0.0  # a negative-order homogeneous norm needs mean zero
+        c2 = coeffs.real**2
+        c2 += coeffs.imag**2
+        c2 *= _plancherel_scale(grid) ** 2
+        if homogeneous:
+            with np.errstate(divide="ignore"):
+                w = np.array(grid.xi_sq**s)
+            w[(0,) * d] = 1.0 if s == 0 else 0.0
+        else:
+            w = (1.0 + grid.xi_sq) ** s
+        expected = float(np.sqrt(np.sum(w * c2)))
+        top = np.maximum.reduce([np.abs(c) for c in grid.xi]) >= grid.xi_max / 2.0
+        for _ in range(2):  # building the cache, then reading it
+            assert _coeff_sobolev_norm(coeffs, grid, s, homogeneous) == expected
+            assert _coeff_tail_mass(coeffs, grid) == float(np.sum(c2[top]) / float(np.sum(c2)))
