@@ -26,7 +26,6 @@ from .experiments import (
     run_norm_inflation,
     run_ode_approx,
     run_strichartz_probe,
-    strichartz_probe_data,
 )
 from .reports import ExperimentReport, write_report
 from .scaling import H_MAX, ScalingError, ScalingPlan, compute_scaling
@@ -38,10 +37,8 @@ from .singular import (
     singular_alpha,
 )
 from .spectral import (
-    Field,
     Grid,
     SpectralError,
-    free_propagate,
     sobolev_norm,
     spacetime_norm_from_samples,
     spectral_tail_mass,

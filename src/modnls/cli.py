@@ -13,8 +13,16 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import SUBCOMMANDS, ConfigError, parse_config, render_config
-from .evolution import EvolutionError, SolveConfig, evolve, sigma_is_admissible
+from .evolution import (
+    EvolutionError,
+    SolveConfig,
+    _warn_initial_tails,
+    evolve,
+    sigma_is_admissible,
+)
 from .experiments import (
     ExperimentError,
     run_norm_inflation,
@@ -24,7 +32,7 @@ from .experiments import (
 from .reports import ExperimentReport, write_report
 from .scaling import ScalingError
 from .singular import SingularProbeError, run_singular_probe
-from .spectral import Field, SpectralError, _coeff_sobolev_norm, _coeff_tail_mass
+from .spectral import Grid, SpectralError, _coeff_sobolev_norm, _coeff_tail_mass
 from .symbols import SymbolError
 
 EXIT_PASS = 0
@@ -42,10 +50,11 @@ _DRIVER_ERRORS = (
 )
 
 
-def _run_simulate(u0: Field, solve: SolveConfig) -> ExperimentReport:
-    grid = u0.grid
+def _run_simulate(grid: Grid, u0: np.ndarray, solve: SolveConfig) -> ExperimentReport:
+    u0_hat = np.fft.fftn(u0)
+    _warn_initial_tails(u0, u0_hat, grid)
     rows = []
-    evolve(u0, solve, lambda t, coeffs: rows.append({
+    evolve(u0_hat, solve, grid, lambda t, coeffs: rows.append({
         "t": t,
         "l2_norm": _coeff_sobolev_norm(coeffs, grid, 0.0),
         "h1_norm": _coeff_sobolev_norm(coeffs, grid, 1.0),

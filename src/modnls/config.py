@@ -26,7 +26,7 @@ from .experiments import (
 )
 from .scaling import ScalingError, ScalingPlan, compute_scaling
 from .singular import SingularProbeError, check_probe_args
-from .spectral import Field, Grid, SpectralError, check_half_length
+from .spectral import Grid, SpectralError, check_half_length
 from .symbols import (
     BOUNDED,
     HOMOGENEOUS,
@@ -239,7 +239,7 @@ def _simulate_args(p: dict) -> dict:
     p["symbol"].check_dims(grid.d)
     amplitude, width = parse_initial_spec(p["initial"])
     r2 = sum(c * c for c in grid.x)
-    return {"u0": Field(grid, amplitude * np.exp(-r2 / width**2)), "solve": solve}
+    return {"grid": grid, "u0": amplitude * np.exp(-r2 / width**2), "solve": solve}
 
 
 def _window_args(p: dict) -> dict:

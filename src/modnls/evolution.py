@@ -8,7 +8,7 @@ Two independent discretizations of the same flow:
   exactly, so only rounding accumulates.  The state lives in Fourier
   space between kicks: a step is two half-step multiplications and one
   inverse/forward transform pair around the kick, so it costs 2 FFTs
-  whatever the snapshot cadence.  It returns the final raw coefficients.
+  whatever the snapshot cadence.  It takes and returns raw coefficients.
   Snapshots are neither stored nor measured; each one is handed, as raw
   coefficients, to an optional reducer that computes what the caller
   needs (norms, tail masses, gaps to a reference).
@@ -27,8 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral import (
-    Field,
     Grid,
+    _check_on_grid,
+    _coeff_sobolev_norm,
     _coeff_tail_mass,
     _plancherel_scale,
     _propagator,
@@ -49,6 +50,8 @@ __all__ = [
 ]
 
 TAIL_WARN_THRESHOLD = 1e-8
+# The most Strang steps one run may take: more means a dt no run could finish.
+MAX_STEPS = 2**24
 
 
 class EvolutionError(RuntimeError):
@@ -84,7 +87,8 @@ class SolveConfig:
 
     eps is the semiclassical factor multiplying i*du/dt; eps = 1 gives the
     unscaled equation.  A snapshot is taken after every ``snapshot_every``
-    steps, an integer >= 1.
+    steps, an integer >= 1.  A run is ``n_steps`` <= MAX_STEPS steps: dt
+    each, but the last is ``last_dt``, shortened when T is not a multiple of dt.
     """
 
     symbol: Symbol
@@ -111,6 +115,15 @@ class SolveConfig:
         if not (isinstance(self.snapshot_every, (int, np.integer)) and self.snapshot_every >= 1):
             raise EvolutionError(
                 f"snapshot_every must be an integer >= 1, got {self.snapshot_every!r}")
+        ratio = self.T / self.dt + 1e-9
+        n_full = math.floor(ratio) if math.isfinite(ratio) else math.inf
+        remainder = self.T - n_full * self.dt
+        shortened = remainder > 1e-12 * self.dt
+        object.__setattr__(self, "n_steps", n_full + shortened)
+        object.__setattr__(self, "last_dt", remainder if shortened else self.dt)
+        if self.n_steps > MAX_STEPS:
+            raise EvolutionError(f"T = {self.T} at dt = {self.dt} needs {self.n_steps:.6g} "
+                                 f"Strang steps, above MAX_STEPS = {MAX_STEPS}")
 
 
 def _phase_kick(values: np.ndarray, lam: float, sigma: float, dt: float, eps: float,
@@ -136,13 +149,25 @@ def _phase_kick(values: np.ndarray, lam: float, sigma: float, dt: float, eps: fl
         values *= work
 
 
-def _quadrature_l2(values: np.ndarray, grid: Grid) -> float:
-    with np.errstate(over="ignore"):
-        return float(np.sqrt(np.sum(np.abs(values) ** 2) * grid.cell))
+def _warn_initial_tails(values: np.ndarray, coeffs: np.ndarray, grid: Grid) -> None:
+    """Warn when the initial data, as samples and as their ``np.fft.fftn`` coefficients,
+    carry more than TAIL_WARN_THRESHOLD of tail mass in space or frequency."""
+    for label, mass in (("spatial", _spatial_tail_mass(values, grid)),
+                        ("spectral", _coeff_tail_mass(coeffs, grid))):
+        if mass > TAIL_WARN_THRESHOLD:
+            warnings.warn(
+                f"initial data {label} tail mass {mass:.3e} exceeds "
+                f"{TAIL_WARN_THRESHOLD:.0e}; box or resolution may be too small",
+                stacklevel=2,
+            )
 
 
-def evolve(u0: Field, cfg: SolveConfig, on_snapshot=None) -> np.ndarray:
-    """Integrate with repeated Strang steps and return the raw coefficients at T.
+def evolve(u0_hat: np.ndarray, cfg: SolveConfig, grid: Grid, on_snapshot=None) -> np.ndarray:
+    """Integrate from the raw coefficients ``u0_hat`` with repeated Strang steps; return them at T.
+
+    ``u0_hat`` is copied, never written, so one array can start many runs.
+    A shape other than ``grid.shape`` or a non-finite coefficient raises
+    SpectralError before any step; the tail check is the caller's.
 
     Each step is a free half-step, the full phase kick, and a free half-step.
     The state is kept as its raw ``np.fft.fftn`` coefficients u_hat between
@@ -158,46 +183,33 @@ def evolve(u0: Field, cfg: SolveConfig, on_snapshot=None) -> np.ndarray:
     since the stepper overwrites them in place afterwards.  A reducer that
     needs them later must copy them.
 
-    The final snapshot lands exactly on T (the last step is shortened when T
-    is not a multiple of dt).  The return value is u_hat there, which the
-    caller owns: ``fftn(u0.values)`` when T = 0, and ``ifftn`` of it gives
-    the samples.  Warns when the initial data carry tail mass in space or
-    frequency, and aborts with the step index when values stop being finite.
+    The final snapshot lands exactly on T.  The return value is u_hat
+    there, a new array the caller owns (a copy of ``u0_hat`` when T = 0).
+    Aborts with the step index when values stop being finite.
     """
-    grid = u0.grid
-    u_hat = np.fft.fftn(u0.values)
-    for label, mass in (("spatial", _spatial_tail_mass(u0)),
-                        ("spectral", _coeff_tail_mass(u_hat, grid))):
-        if mass > TAIL_WARN_THRESHOLD:
-            warnings.warn(
-                f"initial data {label} tail mass {mass:.3e} exceeds "
-                f"{TAIL_WARN_THRESHOLD:.0e}; box or resolution may be too small",
-                stacklevel=2,
-            )
+    _check_on_grid(u0_hat, grid, "initial coefficients")
+    u_hat = np.array(u0_hat, dtype=np.complex128)
     coeffs = u_hat.view()  # the reducers' read-only view; u_hat only changes in place
     coeffs.flags.writeable = False
     if on_snapshot is not None:
         on_snapshot(0.0, coeffs)
     pvals = cfg.symbol.on_grid(grid)
-    n_full = int(math.floor(cfg.T / cfg.dt + 1e-9))
-    remainder = cfg.T - n_full * cfg.dt
-    steps = [cfg.dt] * n_full
-    if remainder > 1e-12 * cfg.dt:
-        steps.append(remainder)
-    # free half-step multiplier per distinct step length
-    halves = {step: _propagator(pvals, step / (2.0 * cfg.eps)) for step in set(steps)}
     v = np.empty_like(u_hat)
     angle = np.empty(grid.shape)
-    for k, step in enumerate(steps):
-        half = halves[step]
+    half_step = None
+    for k in range(cfg.n_steps):
+        last = k + 1 == cfg.n_steps
+        step = cfg.last_dt if last else cfg.dt
+        if step != half_step:  # the free half-step multiplier, built per step length
+            half_step = step
+            half = _propagator(pvals, step / (2.0 * cfg.eps))
         u_hat *= half
         np.fft.ifftn(u_hat, out=v)
         _phase_kick(v, cfg.lam, cfg.sigma, step, cfg.eps, work=u_hat, angle=angle)
         np.fft.fftn(v, out=u_hat)
         u_hat *= half
         if not np.all(np.isfinite(u_hat)):
-            raise EvolutionError(f"non-finite values at step {k + 1} of {len(steps)}")
-        last = k + 1 == len(steps)
+            raise EvolutionError(f"non-finite values at step {k + 1} of {cfg.n_steps}")
         if on_snapshot is not None and ((k + 1) % cfg.snapshot_every == 0 or last):
             on_snapshot(cfg.T if last else (k + 1) * cfg.dt, coeffs)
     return u_hat
@@ -218,39 +230,40 @@ class PicardReport:
     distances: tuple
     ratios: tuple
     n_time: int
-    mesh_refinements: tuple  # (intervals, final-field L2 change) per refinement
+    mesh_refinements: tuple  # (intervals, final-coefficient L2 change) per refinement
     # the last refinement moved the final field by less than tol/10; False
     # when it did not, or when no refinement fit under max_time_intervals
     quadrature_met: bool
 
 
 def picard_solve(
-    u0: Field,
+    u0_hat: np.ndarray,
     cfg: SolveConfig,
+    grid: Grid,
     tol: float = 1e-8,
     max_iter: int = 30,
     s: float = 0.0,
     n_time: int = 64,
     max_time_intervals: int = 1024,
 ):
-    """Solve by fixed-point iteration of the Duhamel map; returns (field at T, report).
+    """Solve by fixed-point iteration of the Duhamel map; returns (coefficients at T, report).
 
+    ``u0_hat`` is checked, copied and never written, as in :func:`evolve`.
     Iterates from u^(0) = S(.)u0 until the sup-in-time H^s distance between
     successive iterates drops below tol.  The time mesh starts at ``n_time``
     uniform intervals on [0, T] and doubles until the quadrature moves the
-    final field by less than tol/10; ``report.quadrature_met`` says whether
+    final field by less than tol/10 in L2; ``report.quadrature_met`` says whether
     that happened within ``max_time_intervals``.  Raises :class:`PicardDivergenceError`
     (with the contraction-ratio history) when the iteration fails to
     contract within max_iter sweeps.
     """
-    grid = u0.grid
+    _check_on_grid(u0_hat, grid, "initial coefficients")
     if cfg.T <= 0:
-        return u0, PicardReport(True, (), (), 0, (), quadrature_met=True)
+        return np.array(u0_hat, dtype=complex), PicardReport(True, (), (), 0, (), True)
     pvals = cfg.symbol.on_grid(grid)
     axes = tuple(range(1, grid.d + 1))
     scale = _plancherel_scale(grid)
     weight = _sobolev_weight(grid, s)
-    u0_hat = np.fft.fftn(u0.values)
 
     def solve_on_mesh(intervals: int):
         times = np.linspace(0.0, cfg.T, intervals + 1)
@@ -269,7 +282,7 @@ def picard_solve(
             distances.append(dist)
             u_hat = new_hat
             if dist < tol:
-                return np.fft.ifftn(u_hat[-1]), distances
+                return u_hat[-1].copy(), distances
         raise PicardDivergenceError(
             f"no contraction to tol = {tol} within {max_iter} iterations on "
             f"{intervals} time intervals (T = {cfg.T} may be too large); "
@@ -278,14 +291,14 @@ def picard_solve(
         )
 
     intervals = n_time
-    final_vals, distances = solve_on_mesh(intervals)
+    final_hat, distances = solve_on_mesh(intervals)
     refinements = []
     while intervals * 2 <= max_time_intervals:
-        finer_vals, finer_dists = solve_on_mesh(intervals * 2)
-        change = _quadrature_l2(finer_vals - final_vals, grid)
+        finer_hat, finer_dists = solve_on_mesh(intervals * 2)
+        change = _coeff_sobolev_norm(finer_hat - final_hat, grid, 0.0)
         intervals *= 2
         refinements.append((intervals, change))
-        final_vals, distances = finer_vals, finer_dists
+        final_hat, distances = finer_hat, finer_dists
         if change < tol / 10.0:
             break
     quadrature_met = bool(refinements) and refinements[-1][1] < tol / 10.0
@@ -304,4 +317,4 @@ def picard_solve(
         mesh_refinements=tuple(refinements),
         quadrature_met=quadrature_met,
     )
-    return Field(grid, final_vals), report
+    return final_hat, report

@@ -15,20 +15,19 @@ import warnings
 
 import numpy as np
 
-from .evolution import SolveConfig, evolve
+from .evolution import SolveConfig, _warn_initial_tails, evolve
 from .reports import ExperimentReport
 from .scaling import ScalingPlan
 from .spectral import (
     MAX_GRID_NODES,
-    Field,
     Grid,
     _coeff_sobolev_norm,
     _coeff_tail_mass,
     _lq_norms,
     _propagator,
-    sobolev_norm,
     spacetime_norm_from_samples,
 )
+from .spectral import sobolev_norm  # noqa: F401  (perfbench's tracer wraps it here)
 from .symbols import BOUNDED, Symbol, make_symbol
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "check_inflate_args",
     "run_norm_inflation",
     "check_strichartz_args",
-    "strichartz_probe_data",
     "run_strichartz_probe",
 ]
 
@@ -55,15 +53,15 @@ def _envelope(grid: Grid) -> np.ndarray:
 
 
 def ode_phase_profile(tau: float, grid: Grid, kappa: float, lam: float,
-                      sigma: float, eps: float) -> Field:
-    """Closed-form phase-ODE solution kappa*a0*exp(-i*lam*(tau/eps)*kappa^2sig*a0^2sig).
+                      sigma: float, eps: float) -> np.ndarray:
+    """Samples of the closed-form phase-ODE solution kappa*a0*exp(-i*lam*(tau/eps)*kappa^2sig*a0^2sig).
 
     Its modulus is kappa*a0 nodewise, independently of tau.
     """
     if not eps > 0:
         raise ExperimentError(f"eps must be positive, got {eps}")
     a0 = _envelope(grid)
-    return Field(grid, _phase_profile(tau, a0, a0 ** (2.0 * sigma), kappa, lam, sigma, eps))
+    return _phase_profile(tau, a0, a0 ** (2.0 * sigma), kappa, lam, sigma, eps)
 
 
 def _phase_profile(tau: float, a0: np.ndarray, a0_2s: np.ndarray, kappa: float, lam: float,
@@ -84,23 +82,19 @@ def _phase_rotation(tau: float, a0_2s: np.ndarray, kappa: float, lam: float,
     return np.exp(rot, out=rot)
 
 
-def _phase_profiles(grid: Grid, kappa: float, lam: float, sigma: float, eps: float,
-                    dt: float, a0=None, a0_2s=None):
+def _phase_profiles(a0: np.ndarray, a0_2s: np.ndarray, kappa: float, lam: float,
+                    sigma: float, eps: float, dt: float):
     """Yield the samples of :func:`ode_phase_profile` at tau = 0, dt, 2*dt, ...
 
-    phi(0) = kappa*a0 and the one-step rotation w are built once in closed
-    form; every later sample is ``phi *= w`` in place, so the same array is
+    ``a0`` and ``a0_2s`` are the envelope and its power 2*sigma.  phi(0) =
+    kappa*a0 and the one-step rotation w are built once in closed form;
+    every later sample is ``phi *= w`` in place, so the same array is
     yielded each time.  w is not the quotient phi(dt)/phi(0): a0 underflows
     to 0 on wide boxes, and 0/0 is NaN.  |w| = 1 up to rounding, so the
-    modulus drifts by about 1e-16 relative per step.  ``a0`` and ``a0_2s``
-    are the envelope and its power 2*sigma, built here when not given.
+    modulus drifts by about 1e-16 relative per step.
     """
-    if a0 is None:
-        a0 = _envelope(grid)
-        a0_2s = a0 ** (2.0 * sigma)
     w = _phase_rotation(dt, a0_2s, kappa, lam, sigma, eps)
     phi = kappa * a0 + 0j
-    del a0, a0_2s  # when built here, only phi and w stay alive between steps
     while True:
         yield phi
         phi *= w
@@ -244,23 +238,26 @@ def check_inflate_args(plan: ScalingPlan, symbol: Symbol, grid: Grid, h_list,
 
 def _window_config(plan: ScalingPlan, symbol: Symbol, grid: Grid, h: float, kappa: float,
                    eps: float, lam: float):
-    """Initial data psi0 = kappa*a0 and the solver configs up to tau*(eps).
+    """A row's initial data psi0 = kappa*a0 and its solver configs up to tau*(eps).
 
-    Returns (psi0, config, n0, p_max): ``config(n)`` is the :func:`evolve`
-    config of n steps of exactly tau*/n on the rescaled multiplier
-    h^(2*sigma*(d/2-s)) * P(xi/h), with a snapshot at every step, and n0 is
-    the pilot step count.
+    Returns (psi0_hat, config, n0, p_max): psi0_hat = ``np.fft.fftn(psi0)``,
+    tail-checked here once for every run of the row; ``config(n)`` is the
+    :func:`evolve` config of n steps of exactly tau*/n on the rescaled
+    multiplier h^(2*sigma*(d/2-s)) * P(xi/h), with a snapshot at every
+    step, and n0 is the pilot step count.
     """
     tau_star = plan.tau_star_of_eps(eps)
     sym_h = symbol.rescaled(plan.window_amplitude(h), h)
     p_max = float(np.abs(sym_h.on_grid(grid)).max())
     n0 = _window_steps(tau_star, eps, lam, kappa, plan.sigma, p_max)
-    psi0 = Field(grid, kappa * _envelope(grid))
+    psi0 = kappa * _envelope(grid)
+    psi0_hat = np.fft.fftn(psi0)
+    _warn_initial_tails(psi0, psi0_hat, grid)
 
     def config(n: int) -> SolveConfig:
         return SolveConfig(sym_h, lam, plan.sigma, tau_star / n, tau_star, eps)
 
-    return psi0, config, n0, p_max
+    return psi0_hat, config, n0, p_max
 
 
 def run_ode_approx(plan: ScalingPlan, symbol: Symbol, grid: Grid, eps_list,
@@ -272,11 +269,8 @@ def run_ode_approx(plan: ScalingPlan, symbol: Symbol, grid: Grid, eps_list,
     times (every step) of |psi(tau) - phi(tau)|_{H^r}, reduced while the
     stepper runs.  phi advances by one stored rotation per step and is
     rebuilt in closed form at tau*, so a snapshot costs one complex multiply
-    and one FFT of phi; ``tail_mass`` comes from the returned coefficients.
-    The envelope a0 and a0^(2*sigma) are built once per call.  Each run
-    transforms phi into one complex buffer of its own, which also holds the
-    closed form at tau* and the gap, and the H^r weight comes from the
-    grid's cache, so a snapshot allocates no complex array.
+    and one FFT of phi, into one buffer per run, and allocates no complex
+    array; ``tail_mass`` comes from the returned coefficients.
 
     Each row is certified in time by :func:`_certified_row`: the window is
     run at n0, 2*n0, 4*n0, ... steps, from the pilot count n0 that
@@ -295,11 +289,11 @@ def run_ode_approx(plan: ScalingPlan, symbol: Symbol, grid: Grid, eps_list,
     for eps in eps_list:
         h = plan.h_for_eps(eps)
         kappa = plan.kappa(h)
-        psi0, config, n0, p_max = _window_config(plan, symbol, grid, h, kappa, eps, lam)
+        psi0_hat, config, n0, p_max = _window_config(plan, symbol, grid, h, kappa, eps, lam)
 
         def run(n):
             cfg = config(n)
-            profiles = _phase_profiles(grid, kappa, lam, plan.sigma, eps, cfg.dt, a0, a0_2s)
+            profiles = _phase_profiles(a0, a0_2s, kappa, lam, plan.sigma, eps, cfg.dt)
             buf = np.empty(grid.shape, dtype=complex)
             gaps = []
 
@@ -314,7 +308,7 @@ def run_ode_approx(plan: ScalingPlan, symbol: Symbol, grid: Grid, eps_list,
                 np.subtract(coeffs, buf, out=buf)
                 gaps.append(_coeff_sobolev_norm(buf, grid, r))
 
-            final = evolve(psi0, cfg, reduce_gap)
+            final = evolve(psi0_hat, cfg, grid, reduce_gap)
             return {
                 "eps": eps,
                 "h": h,
@@ -326,7 +320,7 @@ def run_ode_approx(plan: ScalingPlan, symbol: Symbol, grid: Grid, eps_list,
                 "tail_mass": _coeff_tail_mass(final, grid),
             }
 
-        rows.append(_certified_row(run, n0, "E", scale=sobolev_norm(psi0, r)))
+        rows.append(_certified_row(run, n0, "E", scale=_coeff_sobolev_norm(psi0_hat, grid, r)))
 
     errors = [row["E"] for row in rows]
     decreasing = all(b < a for a, b in zip(errors, errors[1:]))
@@ -376,8 +370,7 @@ def run_norm_inflation(plan: ScalingPlan, symbol: Symbol, grid: Grid, h_list,
     for h in h_list:
         eps = plan.eps(h)
         kappa = plan.kappa(h)
-        psi0, config, n0, _ = _window_config(plan, symbol, grid, h, kappa, eps, lam)
-        psi0_hat = np.fft.fftn(psi0.values)
+        psi0_hat, config, n0, _ = _window_config(plan, symbol, grid, h, kappa, eps, lam)
         l2_0 = _coeff_sobolev_norm(psi0_hat, grid, 0.0)
         hs_0 = _coeff_sobolev_norm(psi0_hat, grid, plan.s, homogeneous=True)
         hs_scale = h**plan.s
@@ -385,7 +378,7 @@ def run_norm_inflation(plan: ScalingPlan, symbol: Symbol, grid: Grid, h_list,
 
         def run(n):
             cfg = config(n)
-            final = evolve(psi0, cfg)
+            final = evolve(psi0_hat, cfg, grid)
             l2_T = _coeff_sobolev_norm(final, grid, 0.0)
             hs_T = _coeff_sobolev_norm(final, grid, plan.s, homogeneous=True)
             uT_norm = math.hypot(hs_scale * l2_T, hs_T)
@@ -510,11 +503,10 @@ def check_strichartz_args(symbol: Symbol, p: float, q: float, k_grid, N_list,
     return k_grid, N_list
 
 
-def strichartz_probe_data(grid: Grid, N: float) -> Field:
-    """Concentrated modulated bump N^(d/2) * a0(N*x) * exp(i*N*x_1)."""
+def _probe_data(grid: Grid, N: float) -> np.ndarray:
+    """Samples of the concentrated modulated bump N^(d/2) * a0(N*x) * exp(i*N*x_1)."""
     r2 = sum(c * c for c in grid.x)
-    vals = N ** (grid.d / 2.0) * np.exp(-(N**2) * r2) * np.exp(1j * N * grid.x[0])
-    return Field(grid, vals)
+    return N ** (grid.d / 2.0) * np.exp(-(N**2) * r2) * np.exp(1j * N * grid.x[0])
 
 
 def _probe_points(N: float, box_L: float) -> int | float:
@@ -653,8 +645,7 @@ def _probe_sweep(symbols, p: float, q: float, k_grid, N_list, interval, d: int,
     sweeps = [[] for _ in symbols]
     for N in N_list:
         grid = Grid(d, _probe_points(N, box_L), box_L)
-        u0 = strichartz_probe_data(grid, N)
-        u0_hat = np.fft.fftn(u0.values)
+        u0_hat = np.fft.fftn(_probe_data(grid, N))
         hk_norms = {f"hk_norm_{k:g}": _coeff_sobolev_norm(u0_hat, grid, k) for k in k_grid}
         for symbol, rows in zip(symbols, sweeps):
             times = np.linspace(*interval, _probe_samples(symbol, N, interval, time_samples))

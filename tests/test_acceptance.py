@@ -16,7 +16,6 @@ from modnls import (
     SolveConfig,
     compute_scaling,
     evolve,
-    free_propagate,
     make_symbol,
     ode_phase_profile,
     picard_solve,
@@ -27,7 +26,7 @@ from modnls import (
     sobolev_norm,
 )
 from modnls.cli import EXIT_ERROR, EXIT_FAIL, EXIT_PASS, main
-from conftest import evolve_with_diagnostics, gaussian_field, random_smooth_field
+from conftest import evolve_with_diagnostics, free_propagate, gaussian_field, random_smooth_field
 from test_config import INVALID_CASES
 from modnls.config import ConfigError, parse_config
 from modnls.experiments import TIME_RTOL
@@ -62,21 +61,21 @@ def test_criterion_1_spectral_invariants():
     for seed in range(100):
         f = random_smooth_field(grid, seed)
         # the raw FFT pair the stepper uses, and Plancherel against quadrature
-        back = np.fft.ifftn(np.fft.fftn(f.values))
-        scale = np.abs(f.values).max()
-        worst_round = max(worst_round, np.abs(back - f.values).max() / scale)
-        l2 = sobolev_norm(f, 0.0)
-        quad = float(np.sqrt(np.sum(np.abs(f.values) ** 2) * grid.cell))
+        back = np.fft.ifftn(np.fft.fftn(f))
+        scale = np.abs(f).max()
+        worst_round = max(worst_round, np.abs(back - f).max() / scale)
+        l2 = sobolev_norm(f, grid, 0.0)
+        quad = float(np.sqrt(np.sum(np.abs(f) ** 2) * grid.cell))
         worst_planch = max(worst_planch, abs(l2 - quad) / l2)
 
     f = random_smooth_field(grid, 12345)
     for sym in catalog_1d():
-        out = free_propagate(f, sym, 0.37)
+        out = free_propagate(f, grid, sym, 0.37)
         for s in S_VALUES:
-            a, b = sobolev_norm(f, s), sobolev_norm(out, s)
+            a, b = sobolev_norm(f, grid, s), sobolev_norm(out, grid, s)
             worst_unit = max(worst_unit, abs(a - b) / a)
-        composed = free_propagate(free_propagate(f, sym, 0.21), sym, 0.16)
-        gap = np.abs(composed.values - out.values).max() / np.abs(f.values).max()
+        composed = free_propagate(free_propagate(f, grid, sym, 0.21), grid, sym, 0.16)
+        gap = np.abs(composed - out).max() / np.abs(f).max()
         worst_group = max(worst_group, gap)
 
     elapsed = time.perf_counter() - started
@@ -104,7 +103,7 @@ def test_criterion_2_evolution_invariants():
     worst_drift = 0.0
     for sym in catalog_1d():
         cfg = SolveConfig(sym, -1.0, 1.0, dt=1e-3, T=1.0, snapshot_every=10**6)
-        _, _, l2_norms, _ = evolve_with_diagnostics(gaussian, cfg)
+        _, _, l2_norms, _ = evolve_with_diagnostics(gaussian, grid, cfg)
         worst_drift = max(worst_drift, abs(l2_norms[-1] - l2_norms[0]) / l2_norms[0])
 
     # Strang self-convergence order over dt in {4e-3, 2e-3, 1e-3}
@@ -112,7 +111,7 @@ def test_criterion_2_evolution_invariants():
 
     def terminal(dt):
         cfg = SolveConfig(sym, -1.0, 1.0, dt=dt, T=0.5, snapshot_every=10**6)
-        return np.fft.ifftn(evolve(gaussian, cfg))
+        return np.fft.ifftn(evolve(np.fft.fftn(gaussian), cfg, grid))
 
     ref = terminal(1e-4)
     dts = (4e-3, 2e-3, 1e-3)
@@ -130,9 +129,10 @@ def test_criterion_2_evolution_invariants():
     worst_cross = 0.0
     for sym, sigma, lam in configs:
         cfg = SolveConfig(sym, lam, sigma, dt=1e-3, T=0.1, snapshot_every=10**6)
-        strang = np.fft.ifftn(evolve(gaussian, cfg))
-        fixed, _ = picard_solve(gaussian, cfg, tol=1e-8, max_time_intervals=2048)
-        gap = float(np.sqrt(np.sum(np.abs(fixed.values - strang) ** 2) * grid.cell))
+        strang = np.fft.ifftn(evolve(np.fft.fftn(gaussian), cfg, grid))
+        fixed, _ = picard_solve(np.fft.fftn(gaussian), cfg, grid, tol=1e-8,
+                                max_time_intervals=2048)
+        gap = float(np.sqrt(np.sum(np.abs(np.fft.ifftn(fixed) - strang) ** 2) * grid.cell))
         worst_cross = max(worst_cross, gap)
 
     elapsed = time.perf_counter() - started
@@ -209,10 +209,10 @@ def test_criterion_4_ode_window_homogeneous():
     assert ok
 
 
-def _inflation_hs_norm(field, plan, h):
+def _inflation_hs_norm(field, grid, plan, h):
     # |u|_{H^s} of the unscaled solution, combined as run_norm_inflation does
-    return math.hypot(h**plan.s * sobolev_norm(field, 0.0),
-                      sobolev_norm(field, plan.s, homogeneous=True))
+    return math.hypot(h**plan.s * sobolev_norm(field, grid, 0.0),
+                      sobolev_norm(field, grid, plan.s, homogeneous=True))
 
 
 def test_criterion_5_norm_inflation():
@@ -250,7 +250,8 @@ def test_criterion_5_norm_inflation():
         tau_star = plan.tau_star_of_eps(eps)
         start = ode_phase_profile(0.0, grid, kappa, 1.0, plan.sigma, eps)
         end = ode_phase_profile(tau_star, grid, kappa, 1.0, plan.sigma, eps)
-        ode_ratios.append(_inflation_hs_norm(end, plan, h) / _inflation_hs_norm(start, plan, h))
+        ode_ratios.append(_inflation_hs_norm(end, grid, plan, h)
+                          / _inflation_hs_norm(start, grid, plan, h))
     ode_growth = ode_ratios[-1] / ode_ratios[0]
 
     rep = run_norm_inflation(plan, sym, grid, hs, lam=1.0)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import modnls
-from modnls import Field, Grid, SolveConfig, evolve, make_symbol, sobolev_norm
+from modnls import Grid, SolveConfig, evolve, make_symbol, sobolev_norm
 from modnls import cli
 from modnls.cli import EXIT_ERROR, EXIT_FAIL, EXIT_PASS, main
 from modnls.reports import ExperimentReport
@@ -99,6 +99,13 @@ class TestExitCodes:
         lines = (out / "report.csv").read_text().strip().splitlines()
         assert len(lines) == 2  # header + the t = 0 snapshot
 
+    def test_simulate_warns_once_on_a_too_narrow_box(self, tmp_path):
+        # the initial-data tail check runs where simulate builds its data
+        cfg = write(tmp_path, "sim.cfg", SIMULATE_CFG.replace("L = 8", "L = 1"))
+        with pytest.warns(UserWarning, match="initial data spatial tail mass") as record:
+            assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path)]) == EXIT_PASS
+        assert len([w for w in record if "initial data spatial" in str(w.message)]) == 1
+
     def test_simulate_rows_at_every_snapshot(self, tmp_path):
         cfg = write(tmp_path, "sim.cfg", SIMULATE_CFG)
         out = tmp_path / "out"
@@ -114,11 +121,11 @@ class TestExitCodes:
         assert drift <= 1e-10
         # each row's H^1 norm is that of a run stopped at the row's time
         grid = Grid(1, 64, 8.0)
-        u0 = Field(grid, np.exp(-grid.x[0] ** 2))  # gaussian(amplitude=1,width=1)
+        u0 = np.exp(-grid.x[0] ** 2)  # gaussian(amplitude=1,width=1)
         solve = SolveConfig(make_symbol("laplacian"), -1.0, 1.0, dt=0.001, T=0.01)
         for t, row in zip(times, rows):
-            end = np.fft.ifftn(evolve(u0, dataclasses.replace(solve, T=t)))
-            ref = sobolev_norm(Field(grid, end), 1.0)
+            end = np.fft.ifftn(evolve(np.fft.fftn(u0), dataclasses.replace(solve, T=t), grid))
+            ref = sobolev_norm(end, grid, 1.0)
             assert float(row["h1_norm"]) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
@@ -291,6 +298,9 @@ class TestRejectedBeforeAnyCompute:
         ("inflate", "h_list", "grid_n = 1125899906842624\nh_list",
          "more than MAX_GRID_NODES = 16777216 nodes"),
         ("simulate", "n = 64", "n = 33554432", "more than MAX_GRID_NODES = 16777216 nodes"),
+        ("simulate", "dt = 0.001\nT = 0", "dt = 1e-300\nT = 1",
+         "T = 1.0 at dt = 1e-300 needs 1e+300 Strang steps, "
+         "above MAX_STEPS = 16777216"),
     ], ids=["t_end inf", "box_L nan", "box_L negative", "n_ceiling zero", "contrast 7",
             "T inf", "dt inf", "quad_tol below the floor", "min_ratio_growth nan",
             "min_ratio_growth negative", "k_grid nan", "initial amplitude nan",
@@ -300,7 +310,8 @@ class TestRejectedBeforeAnyCompute:
             "singular sigma inf", "singular t inf", "singular lambda nan", "singular quad_tol inf",
             "strichartz d = 3", "N^2 overflows", "time samples overflow",
             "time samples above the ceiling", "2D probe above the node cap",
-            "inflate grid_n above the node cap", "simulate n above the node cap"])
+            "inflate grid_n above the node cap", "simulate n above the node cap",
+            "simulate steps above the cap"])
     def test_driver_input_is_checked_before_compute(self, tmp_path, capsys, monkeypatch,
                                                      sub, old, new, message):
         assert old in {"strichartz": STRICHARTZ_CFG, "simulate": SIMULATE_T0_CFG,

@@ -14,7 +14,6 @@ from hypothesis import given, strategies as st
 from modnls import (
     BOUNDED,
     ExperimentError,
-    Field,
     Grid,
     ScalingError,
     SolveConfig,
@@ -22,7 +21,6 @@ from modnls import (
     check_ode_approx_args,
     compute_scaling,
     evolve,
-    free_propagate,
     make_symbol,
     ode_phase_profile,
     run_norm_inflation,
@@ -31,12 +29,11 @@ from modnls import (
     sobolev_norm,
     spacetime_norm_from_samples,
     spectral_tail_mass,
-    strichartz_probe_data,
 )
 from modnls import experiments
 from modnls.spectral import _coeff_tail_mass, _lq_norms, _plancherel_scale, _propagator
 from modnls.symbols import SymbolError
-from conftest import count_ffts
+from conftest import count_ffts, free_propagate
 
 
 @pytest.fixture
@@ -53,12 +50,12 @@ class TestPhaseProfile:
     def test_initial_value_is_scaled_bump(self, grid):
         phi = ode_phase_profile(0.0, grid, kappa=0.9, lam=1.0, sigma=2.0, eps=0.1)
         a0 = np.exp(-grid.x[0] ** 2)
-        assert np.abs(phi.values - 0.9 * a0).max() <= 1e-15
+        assert np.abs(phi - 0.9 * a0).max() <= 1e-15
 
     def test_modulus_independent_of_tau(self, grid):
-        base = np.abs(ode_phase_profile(0.0, grid, 0.8, 1.0, 1.5, 0.2).values)
+        base = np.abs(ode_phase_profile(0.0, grid, 0.8, 1.0, 1.5, 0.2))
         for tau in (0.05, 0.11, 0.47):
-            mod = np.abs(ode_phase_profile(tau, grid, 0.8, 1.0, 1.5, 0.2).values)
+            mod = np.abs(ode_phase_profile(tau, grid, 0.8, 1.0, 1.5, 0.2))
             assert np.abs(mod - base).max() <= 1e-14
 
     def test_hr_growth_envelope(self, grid):
@@ -74,7 +71,7 @@ class TestPhaseProfile:
             for tau in np.linspace(0.0, plan.tau_star_of_eps(eps), 12):
                 phi = ode_phase_profile(tau, grid, kappa, lam, sigma, eps)
                 bound = kappa ** (1 + 2 * sigma * r) * (tau / eps) ** r + kappa
-                worst = max(worst, sobolev_norm(phi, r) / bound)
+                worst = max(worst, sobolev_norm(phi, grid, r) / bound)
             return worst
 
         C = envelope_ratio(0.1)
@@ -108,8 +105,8 @@ class TestRunOdeApprox:
         for k in range(n_steps + 1):
             tau = tau_star * k / n_steps if k < n_steps else tau_star
             phi = ode_phase_profile(tau, grid, kappa, lam, bounded_plan.sigma, eps)
-            gap = Field(grid, phi.values * (np.exp(1j * amp * c * tau / eps) - 1.0))
-            analytic = max(analytic, sobolev_norm(gap, 1))
+            gap = phi * (np.exp(1j * amp * c * tau / eps) - 1.0)
+            analytic = max(analytic, sobolev_norm(gap, grid, 1))
         assert rep.rows[0]["E"] == pytest.approx(analytic, abs=1e-8)
 
     def test_acceptance_shape_bounded(self, bounded_plan, grid):
@@ -179,9 +176,9 @@ class TestRunOdeApprox:
             streamed.append(coeff_norm(*args))
             return streamed[-1]
 
-        def recording_evolve(u0, cfg, on_snapshot=None):
+        def recording_evolve(u0_hat, cfg, grid, on_snapshot=None):
             runs.append((len(streamed), round(cfg.T / cfg.dt)))
-            return stepper(u0, cfg, on_snapshot)
+            return stepper(u0_hat, cfg, grid, on_snapshot)
 
         monkeypatch.setattr(experiments, "_coeff_sobolev_norm", recording_norm)
         monkeypatch.setattr(experiments, "evolve", recording_evolve)
@@ -213,14 +210,17 @@ class TestRunOdeApprox:
             streamed.append(coeff_norm(*args))
             return streamed[-1]
 
-        def copying_evolve(u0, cfg, on_snapshot=None):
+        def copying_evolve(u0_hat, cfg, grid, on_snapshot=None):
+            # the norms streamed[start:end] are the run's; the row's scale is not
             snaps = []
-            runs.append((cfg, snaps, len(streamed)))
+            start = len(streamed)
 
             def reducer(t, coeffs):
                 snaps.append((t, coeffs.copy()))
                 on_snapshot(t, coeffs)
-            return stepper(u0, cfg, reducer)
+            final = stepper(u0_hat, cfg, grid, reducer)
+            runs.append((cfg, snaps, start, len(streamed)))
+            return final
 
         monkeypatch.setattr(experiments, "_coeff_sobolev_norm", recording_norm)
         monkeypatch.setattr(experiments, "evolve", copying_evolve)
@@ -230,9 +230,8 @@ class TestRunOdeApprox:
         a0_2s = a0 ** (2.0 * plan.sigma)
         scale2 = _plancherel_scale(grid) ** 2
         assert len(runs) > len(rep.rows)  # pilot and doubled runs
-        ends = [start for _, _, start in runs[1:]] + [len(streamed)]
         last_run_gaps = {}
-        for (cfg, snaps, start), end in zip(runs, ends):
+        for cfg, snaps, start, end in runs:
             kappa = kappas[cfg.eps]
 
             def rotation(tau):
@@ -266,10 +265,10 @@ def _stored_run_gaps(plan, sym, grid, row, lam, r):
                       tau_star / n_steps, tau_star, eps)
     psi0 = ode_phase_profile(0.0, grid, row["kappa"], lam, plan.sigma, eps)
     stored = []
-    evolve(psi0, cfg, lambda t, c: stored.append((t, np.fft.ifftn(c))))
+    evolve(np.fft.fftn(psi0), cfg, grid, lambda t, c: stored.append((t, np.fft.ifftn(c))))
     return [
-        sobolev_norm(Field(grid, vals - ode_phase_profile(t, grid, row["kappa"], lam,
-                                                          plan.sigma, eps).values), r)
+        sobolev_norm(vals - ode_phase_profile(t, grid, row["kappa"], lam, plan.sigma, eps),
+                     grid, r)
         for t, vals in stored
     ]
 
@@ -284,10 +283,11 @@ def test_rotations_track_the_closed_form_profile(sigma, lam, eps, kappa, rotatio
     # k in-place rotations of phi(0), each turning the bump's peak by
     # ``rotation`` rad, against the closed form at k*dt
     dt = rotation * eps / (abs(lam) * kappa ** (2.0 * sigma))
-    profiles = experiments._phase_profiles(PROPERTY_GRID, kappa, lam, sigma, eps, dt)
+    a0 = experiments._envelope(PROPERTY_GRID)
+    profiles = experiments._phase_profiles(a0, a0 ** (2.0 * sigma), kappa, lam, sigma, eps, dt)
     for _ in range(k + 1):
         phi = next(profiles)
-    exact = ode_phase_profile(k * dt, PROPERTY_GRID, kappa, lam, sigma, eps).values
+    exact = ode_phase_profile(k * dt, PROPERTY_GRID, kappa, lam, sigma, eps)
     tol = k * 1e-15 * kappa
     assert np.abs(phi - exact).max() <= tol
     assert np.abs(np.abs(phi) - kappa * np.exp(-PROPERTY_GRID.x[0] ** 2)).max() <= tol
@@ -317,7 +317,7 @@ class TestOdeApproxCost:
         count_inside(np.fft, "fftn")
         stepper = experiments.evolve
 
-        def counting_evolve(u0, cfg, on_snapshot=None):
+        def counting_evolve(u0_hat, cfg, grid, on_snapshot=None):
             runs.append(Counter(steps=round(cfg.T / cfg.dt)))
 
             def reducer(t, coeffs):
@@ -327,7 +327,7 @@ class TestOdeApproxCost:
                     on_snapshot(t, coeffs)
                 finally:
                     inside[0] = False
-            return stepper(u0, cfg, reducer if on_snapshot else None)
+            return stepper(u0_hat, cfg, grid, reducer if on_snapshot else None)
 
         monkeypatch.setattr(experiments, "evolve", counting_evolve)
         return runs
@@ -380,7 +380,7 @@ class TestOdeApproxCost:
 
         stepper = experiments.evolve
 
-        def marking_evolve(u0, cfg, on_snapshot=None):
+        def marking_evolve(u0_hat, cfg, grid, on_snapshot=None):
             outs.append([])
 
             def reducer(t, coeffs):
@@ -389,7 +389,7 @@ class TestOdeApproxCost:
                     on_snapshot(t, coeffs)
                 finally:
                     inside[0] = False
-            return stepper(u0, cfg, reducer)
+            return stepper(u0_hat, cfg, grid, reducer)
 
         monkeypatch.setattr(np.fft, "fftn", recording_fftn)
         monkeypatch.setattr(experiments, "evolve", marking_evolve)
@@ -404,21 +404,20 @@ class TestOdeApproxCost:
 
 
 class TestInflateCost:
-    def test_one_fft_per_run_and_one_per_row_beyond_the_steps(self, bounded_plan, grid,
-                                                              monkeypatch):
+    def test_one_fft_per_row_beyond_the_steps(self, bounded_plan, grid, monkeypatch):
         steps = []
         stepper = experiments.evolve
 
-        def recording_evolve(u0, cfg, on_snapshot=None):
+        def recording_evolve(u0_hat, cfg, grid, on_snapshot=None):
             steps.append(round(cfg.T / cfg.dt))
-            return stepper(u0, cfg, on_snapshot)
+            return stepper(u0_hat, cfg, grid, on_snapshot)
 
         monkeypatch.setattr(experiments, "evolve", recording_evolve)
         calls = count_ffts(monkeypatch)
         run_norm_inflation(bounded_plan, make_symbol("arctan_step", h=1.0), grid,
                            [math.exp(-2)])
         assert len(steps) >= 2
-        assert len(calls) == sum(2 * n + 1 for n in steps) + 1
+        assert len(calls) == sum(2 * n for n in steps) + 1
 
 
 class TestTailMassColumn:
@@ -430,8 +429,8 @@ class TestTailMassColumn:
         finals = []
         stepper = experiments.evolve
 
-        def recording_evolve(u0, cfg, on_snapshot=None):
-            finals.append((cfg, stepper(u0, cfg, on_snapshot)))
+        def recording_evolve(u0_hat, cfg, grid, on_snapshot=None):
+            finals.append((cfg, stepper(u0_hat, cfg, grid, on_snapshot)))
             return finals[-1][1]
 
         monkeypatch.setattr(experiments, "evolve", recording_evolve)
@@ -455,8 +454,39 @@ class TestTailMassColumn:
             assert round(cfg.T / cfg.dt) == row["n_steps"]
             assert row["tail_mass"] > 1e-7
             assert row["tail_mass"] == _coeff_tail_mass(final, grid)
-            oracle = spectral_tail_mass(Field(grid, np.fft.ifftn(final)))
+            oracle = spectral_tail_mass(np.fft.ifftn(final), grid)
             assert row["tail_mass"] == pytest.approx(oracle, rel=1e-10, abs=0.0)
+
+
+class TestRowData:
+    """A window row's data are transformed and tail-checked once, and start every run of the row."""
+
+    @pytest.mark.parametrize("sweep", ["inflate", "ode-approx"])
+    def test_tail_check_runs_once_per_row(self, bounded_plan, grid, monkeypatch, sweep):
+        checked, started = [], []
+        check = experiments._warn_initial_tails
+        stepper = experiments.evolve
+
+        def recording_check(values, coeffs, grid):
+            checked.append(coeffs)
+            check(values, coeffs, grid)
+
+        def recording_evolve(u0_hat, cfg, grid, on_snapshot=None):
+            started.append(u0_hat)
+            return stepper(u0_hat, cfg, grid, on_snapshot)
+
+        monkeypatch.setattr(experiments, "_warn_initial_tails", recording_check)
+        monkeypatch.setattr(experiments, "evolve", recording_evolve)
+        sym = make_symbol("arctan_step", h=1.0)
+        if sweep == "inflate":
+            rep = run_norm_inflation(bounded_plan, sym, grid, [math.exp(-2), math.exp(-3)])
+        else:
+            rep = run_ode_approx(bounded_plan, sym, grid, [0.1, 0.05], r=1)
+        assert len(checked) == len(rep.rows) == 2
+        assert len(started) > len(rep.rows)  # pilot and doubled runs
+        assert all(any(u0_hat is coeffs for coeffs in checked) for u0_hat in started)
+        for coeffs, row in zip(checked, rep.rows):  # no run wrote them
+            assert np.array_equal(coeffs, np.fft.fftn(row["kappa"] * np.exp(-grid.x[0] ** 2)))
 
 
 class TestCertifiedSteps:
@@ -472,14 +502,14 @@ class TestCertifiedSteps:
         row = run_norm_inflation(plan, sym, grid, [h]).rows[0]
         eps, kappa = plan.eps(h), plan.kappa(h)
         n_fine = 16 * row["n_steps"]
-        psi0 = Field(grid, kappa * np.exp(-grid.x[0] ** 2))
+        psi0 = kappa * np.exp(-grid.x[0] ** 2)
         cfg = SolveConfig(sym.rescaled(plan.window_amplitude(h), h), 1.0, plan.sigma,
                           row["tau_star"] / n_fine, row["tau_star"], eps)
-        end = Field(grid, np.fft.ifftn(evolve(psi0, cfg)))
+        end = np.fft.ifftn(evolve(np.fft.fftn(psi0), cfg, grid))
 
         def hs_norm(f):
-            return math.hypot(h**plan.s * sobolev_norm(f, 0.0),
-                              sobolev_norm(f, plan.s, homogeneous=True))
+            return math.hypot(h**plan.s * sobolev_norm(f, grid, 0.0),
+                              sobolev_norm(f, grid, plan.s, homogeneous=True))
 
         fine = hs_norm(end) / hs_norm(psi0)
         true_err = abs(row["ratio"] - fine) / fine
@@ -499,10 +529,10 @@ class TestCertifiedSteps:
         steps = []
         stepper = experiments.evolve
 
-        def recording_evolve(u0, cfg, on_snapshot=None):
+        def recording_evolve(u0_hat, cfg, grid, on_snapshot=None):
             steps.append(round(cfg.T / cfg.dt))
             assert cfg.dt == cfg.T / steps[-1]
-            return stepper(u0, cfg, on_snapshot)
+            return stepper(u0_hat, cfg, grid, on_snapshot)
 
         monkeypatch.setattr(experiments, "evolve", recording_evolve)
         rep = run_norm_inflation(bounded_plan, make_symbol("arctan_step", h=1.0), grid,
@@ -592,10 +622,10 @@ class TestRunNormInflation:
         rep = run_norm_inflation(bounded_plan, make_symbol("arctan_step", h=1.0),
                                  grid, [h, math.exp(-3)], lam=1.0)
         kappa = bounded_plan.kappa(h)
-        a0 = Field(grid, kappa * np.exp(-grid.x[0] ** 2))
+        a0 = kappa * np.exp(-grid.x[0] ** 2)
         expected = math.hypot(
-            h**bounded_plan.s * sobolev_norm(a0, 0.0),
-            sobolev_norm(a0, bounded_plan.s, homogeneous=True),
+            h**bounded_plan.s * sobolev_norm(a0, grid, 0.0),
+            sobolev_norm(a0, grid, bounded_plan.s, homogeneous=True),
         )
         assert rep.rows[0]["u0_hs"] == pytest.approx(expected, rel=1e-12)
 
@@ -664,8 +694,8 @@ class TestStrichartzProbe:
         norms = {}
         for N in (8.0, 16.0):
             grid = Grid(1, 2048, 4.0)
-            f = strichartz_probe_data(grid, N)
-            norms[N] = sobolev_norm(f, 0.5)
+            f = experiments._probe_data(grid, N)
+            norms[N] = sobolev_norm(f, grid, 0.5)
         measured = math.log(norms[16.0] / norms[8.0]) / math.log(2.0)
         assert measured == pytest.approx(0.5, abs=0.05)
 
@@ -697,7 +727,7 @@ class TestStrichartzProbe:
 
     def test_contrast_shares_each_N_s_data_and_matches_separate_runs(self, monkeypatch):
         built = Counter()
-        probe_data = experiments.strichartz_probe_data
+        probe_data = experiments._probe_data
 
         def counting_probe_data(grid, N):
             built[N] += 1
@@ -707,7 +737,7 @@ class TestStrichartzProbe:
         args = (8.0, 4.0, [0.0, 0.25], [8, 16])
         alone = [run_strichartz_probe(s, *args, include_contrast=False, time_samples=257)
                  for s in (symbol, make_symbol("laplacian"))]
-        monkeypatch.setattr(experiments, "strichartz_probe_data", counting_probe_data)
+        monkeypatch.setattr(experiments, "_probe_data", counting_probe_data)
         both = run_strichartz_probe(symbol, *args, include_contrast=True, time_samples=257)
         assert built == {8.0: 1, 16.0: 1}
         assert both.rows == alone[0].rows + alone[1].rows
@@ -903,8 +933,8 @@ class TestProbeBatching:
         times = np.linspace(0.0, 1.0, time_samples)
         for row in rep.rows:
             grid = Grid(d, row["grid_n"], 4.0)
-            u0 = strichartz_probe_data(grid, row["N"])
-            lq = [_lq_norms(free_propagate(u0, symbol, t).values, q, grid.cell) for t in times]
+            u0 = experiments._probe_data(grid, row["N"])
+            lq = [_lq_norms(free_propagate(u0, grid, symbol, t), q, grid.cell) for t in times]
             reference = spacetime_norm_from_samples(times, lq, p)
             assert row["Q"] == pytest.approx(reference, rel=1e-12)
 
@@ -930,8 +960,8 @@ def _serial_probe_lq(pvals, u0_hat, times, q, cell):
 
 def _probe_inputs(symbol, d, N, n):
     grid = Grid(d, n, 4.0)
-    u0 = strichartz_probe_data(grid, N)
-    return grid, u0, symbol.on_grid(grid), np.fft.fftn(u0.values)
+    u0 = experiments._probe_data(grid, N)
+    return grid, u0, symbol.on_grid(grid), np.fft.fftn(u0)
 
 
 class TestProbeLanes:
@@ -966,7 +996,7 @@ class TestProbeLanes:
             lq = _serial_probe_lq(pvals, u0_hat, times, q, grid.cell)
             assert row["Q"] == spacetime_norm_from_samples(times, lq, p)
             for k in (0.0, 0.25):
-                assert row[f"hk_norm_{k:g}"] == sobolev_norm(u0, k)
+                assert row[f"hk_norm_{k:g}"] == sobolev_norm(u0, grid, k)
 
     def test_more_lanes_than_cores_under_a_short_switch_interval(self, monkeypatch):
         # every lane writes its own rows of lq; a lost or misplaced row breaks equality
