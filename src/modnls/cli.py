@@ -15,39 +15,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import SUBCOMMANDS, ConfigError, parse_config, render_config
-from .evolution import (
-    EvolutionError,
-    SolveConfig,
-    _warn_initial_tails,
-    evolve,
-    sigma_is_admissible,
-)
-from .experiments import (
-    ExperimentError,
-    run_norm_inflation,
-    run_ode_approx,
-    run_strichartz_probe,
-)
+from .config import DRIVER_ERRORS, SUBCOMMANDS, ConfigError, parse_config, render_config
+from .evolution import SolveConfig, _warn_initial_tails, evolve, sigma_is_admissible
+from .experiments import run_norm_inflation, run_ode_approx, run_strichartz_probe
 from .reports import ExperimentReport, write_report
-from .scaling import ScalingError
-from .singular import SingularProbeError, run_singular_probe
-from .spectral import Grid, SpectralError, _coeff_sobolev_norm, _coeff_tail_mass
-from .symbols import SymbolError
+from .singular import run_singular_probe
+from .spectral import Grid, _coeff_sobolev_norm, _coeff_tail_mass
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
 EXIT_ERROR = 2
-
-_DRIVER_ERRORS = (
-    ConfigError,
-    SpectralError,
-    SymbolError,
-    ScalingError,
-    ExperimentError,
-    SingularProbeError,
-    EvolutionError,
-)
 
 
 def _run_simulate(grid: Grid, u0: np.ndarray, solve: SolveConfig) -> ExperimentReport:
@@ -109,7 +86,7 @@ def main(argv=None) -> int:
         cfg = parse_config(args.subcommand, path.read_text())
         outdir = Path(args.out) if args.out else Path(cfg.outdir)
         report = globals()[_DRIVERS[args.subcommand]](**cfg.args)
-    except _DRIVER_ERRORS as exc:
+    except (ConfigError, *DRIVER_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -24,20 +24,17 @@ from .experiments import (
     check_ode_approx_args,
     check_strichartz_args,
 )
-from .scaling import ScalingError, ScalingPlan, compute_scaling
+from .scaling import ScalingError, compute_scaling
 from .singular import SingularProbeError, check_probe_args
 from .spectral import Grid, SpectralError, check_half_length
-from .symbols import (
-    BOUNDED,
-    HOMOGENEOUS,
-    SymbolError,
-    parse_number,
-    parse_symbol_spec,
-)
+from .symbols import SymbolError, parse_number, parse_spec, parse_symbol_spec
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "render_config", "SUBCOMMANDS"]
+__all__ = ["ConfigError", "DRIVER_ERRORS", "RunConfig", "parse_config", "render_config",
+           "SUBCOMMANDS"]
 
-SUBCOMMANDS = ("simulate", "inflate", "ode-approx", "strichartz", "singular")
+# the errors the drivers' input checks raise; parse_config turns each into a ConfigError
+DRIVER_ERRORS = (ScalingError, SpectralError, SymbolError, ExperimentError,
+                 SingularProbeError, EvolutionError)
 
 
 class ConfigError(ValueError):
@@ -67,6 +64,26 @@ class _Key:
 _OUTPUT_DIR = _Key("output", "dir", "str", default="out")
 
 
+def _window_keys(section: str, sweep: str, *after_s: _Key) -> tuple[_Key, ...]:
+    """The keys of a window driver (``inflate``, ``ode-approx``): its sweep
+    ``sweep`` and the shared plan and grid keys, with ``after_s`` after s."""
+    return (
+        _Key("equation", "symbol", "symbol", required=True),
+        _Key("equation", "lambda", "float", default=1.0),
+        _Key("equation", "sigma", "float", required=True),
+        _Key(section, "d", "int", required=True),
+        _Key(section, "s", "float", required=True),
+        *after_s,
+        _Key(section, "theta", "float", default=0.05),
+        _Key(section, "delta", "float", default=0.1),
+        _Key(section, "omega", "float", default=None),
+        _Key(section, sweep, "float_list", required=True),
+        _Key(section, "grid_n", "int", default=256),
+        _Key(section, "grid_L", "float", default=8.0),
+        _OUTPUT_DIR,
+    )
+
+
 _SCHEMAS: dict[str, tuple[_Key, ...]] = {
     "simulate": (
         _Key("grid", "d", "int", required=True),
@@ -82,35 +99,9 @@ _SCHEMAS: dict[str, tuple[_Key, ...]] = {
         _Key("simulate", "initial", "str", default="gaussian(amplitude=1,width=1)"),
         _OUTPUT_DIR,
     ),
-    "inflate": (
-        _Key("equation", "symbol", "symbol", required=True),
-        _Key("equation", "lambda", "float", default=1.0),
-        _Key("equation", "sigma", "float", required=True),
-        _Key("inflate", "d", "int", required=True),
-        _Key("inflate", "s", "float", required=True),
-        _Key("inflate", "theta", "float", default=0.05),
-        _Key("inflate", "delta", "float", default=0.1),
-        _Key("inflate", "omega", "float", default=None),
-        _Key("inflate", "h_list", "float_list", required=True),
-        _Key("inflate", "grid_n", "int", default=256),
-        _Key("inflate", "grid_L", "float", default=8.0),
-        _OUTPUT_DIR,
-    ),
-    "ode-approx": (
-        _Key("equation", "symbol", "symbol", required=True),
-        _Key("equation", "lambda", "float", default=1.0),
-        _Key("equation", "sigma", "float", required=True),
-        _Key("ode-approx", "d", "int", required=True),
-        _Key("ode-approx", "s", "float", required=True),
-        _Key("ode-approx", "r", "int", required=True),
-        _Key("ode-approx", "theta", "float", default=0.05),
-        _Key("ode-approx", "delta", "float", default=0.1),
-        _Key("ode-approx", "omega", "float", default=None),
-        _Key("ode-approx", "eps_list", "float_list", required=True),
-        _Key("ode-approx", "grid_n", "int", default=256),
-        _Key("ode-approx", "grid_L", "float", default=8.0),
-        _OUTPUT_DIR,
-    ),
+    "inflate": _window_keys("inflate", "h_list"),
+    "ode-approx": _window_keys("ode-approx", "eps_list",
+                               _Key("ode-approx", "r", "int", required=True)),
     "strichartz": (
         _Key("equation", "symbol", "symbol", required=True),
         _Key("strichartz", "d", "int", default=1),
@@ -134,8 +125,9 @@ _SCHEMAS: dict[str, tuple[_Key, ...]] = {
     ),
 }
 
+SUBCOMMANDS = tuple(_SCHEMAS)
+
 _SECTION_RE = re.compile(r"^\[(?P<name>[A-Za-z0-9_-]+)\]$")
-_INITIAL_RE = re.compile(r"^gaussian\((?P<params>.*)\)$|^gaussian$")
 
 
 def parse_config_text(text: str) -> dict:
@@ -188,48 +180,18 @@ def _convert(key: _Key, raw: str, lineno: int):
 
 def parse_initial_spec(text: str) -> tuple[float, float]:
     """Parse ``gaussian(amplitude=...,width=...)`` into (amplitude, width)."""
-    match = _INITIAL_RE.match(text.strip())
-    if not match:
+    name, params = parse_spec(text, "initial data")
+    if name != "gaussian":
         raise ConfigError(f"cannot parse initial data spec {text!r} (expected gaussian(...))")
-    amplitude, width = 1.0, 1.0
-    inner = match.group("params")
-    if inner:
-        for part in inner.split(","):
-            if "=" not in part:
-                raise ConfigError(f"initial data parameter {part.strip()!r} is not key=value")
-            k, _, v = part.partition("=")
-            k = k.strip()
-            if k == "amplitude":
-                amplitude = parse_number(v)
-            elif k == "width":
-                width = parse_number(v)
-            else:
-                raise ConfigError(f"unknown initial data parameter {k!r}")
+    for k in params:
+        if k not in ("amplitude", "width"):
+            raise ConfigError(f"unknown initial data parameter {k!r}")
+    amplitude, width = params.get("amplitude", 1.0), params.get("width", 1.0)
     if not math.isfinite(amplitude):
         raise ConfigError(f"initial data amplitude must be finite, got {amplitude}")
     if not (math.isfinite(width) and width > 0):
         raise ConfigError(f"initial data width must be finite and > 0, got {width}")
     return amplitude, width
-
-
-def _plan_from_params(params: dict) -> ScalingPlan:
-    symbol = params["symbol"]
-    if symbol.kind == HOMOGENEOUS:
-        if params.get("omega") is None:
-            raise ConfigError(
-                f"symbol {symbol.spec_string()} is homogeneous: omega > 0 is required"
-            )
-        return compute_scaling(
-            params["d"], params["sigma"], params["s"], HOMOGENEOUS,
-            m=symbol.degree, omega=params["omega"],
-            theta=params["theta"], delta=params["delta"],
-        )
-    if params.get("omega") is not None:
-        raise ConfigError("omega applies to homogeneous symbols only")
-    return compute_scaling(
-        params["d"], params["sigma"], params["s"], BOUNDED,
-        theta=params["theta"], delta=params["delta"],
-    )
 
 
 def _simulate_args(p: dict) -> dict:
@@ -245,9 +207,11 @@ def _simulate_args(p: dict) -> dict:
 def _window_args(p: dict) -> dict:
     # the arguments run_norm_inflation and run_ode_approx share
     check_half_length(p["grid_L"], "grid_L")
+    symbol = p["symbol"]
     return {
-        "plan": _plan_from_params(p),
-        "symbol": p["symbol"],
+        "plan": compute_scaling(p["d"], p["sigma"], p["s"], symbol.kind, m=symbol.degree,
+                                omega=p["omega"], theta=p["theta"], delta=p["delta"]),
+        "symbol": symbol,
         "grid": Grid(p["d"], p["grid_n"], p["grid_L"]),
         "lam": p["lambda"],
     }
@@ -319,8 +283,7 @@ def parse_config(subcommand: str, text: str) -> RunConfig:
         args = build(params)
         if check is not None:
             check(**args)
-    except (ScalingError, SpectralError, SymbolError, ExperimentError,
-            SingularProbeError, EvolutionError) as exc:
+    except DRIVER_ERRORS as exc:
         raise ConfigError(str(exc)) from exc
 
     outdir = params.pop("dir")

@@ -103,23 +103,25 @@ def _phase_profiles(a0: np.ndarray, a0_2s: np.ndarray, kappa: float, lam: float,
 # The largest phase rotation, in rad, that either sub-flow may make in one
 # pilot step of a window (see _window_steps).
 ROTATION_BUDGET = 0.64
+# The fewest pilot steps of a window.
+MIN_PILOT_STEPS = 8
 
 
 def _window_steps(tau_star: float, eps: float, lam: float, kappa: float,
-                  sigma: float, p_max: float, min_steps: int = 8) -> int:
+                  sigma: float, p_max: float) -> int:
     """The pilot step count of a window: the first run of :func:`_certified_row`.
 
     It keeps each sub-flow's phase rotation per step of tau*/n below
     ROTATION_BUDGET rad: the kick turns the bump's peak by
     |lam|*kappa^(2*sigma)*dt/eps, the free flow turns a mode by at most
-    p_max*dt/eps.  At least ``min_steps``.  Step doubling then chooses the
+    p_max*dt/eps.  At least MIN_PILOT_STEPS.  Step doubling then chooses the
     step count the row reports, so the budget sets where doubling starts,
     not the time error.
     """
     rate = abs(lam) * kappa ** (2.0 * sigma) + p_max
     if rate <= 0:
-        return min_steps
-    return max(min_steps, math.ceil(tau_star * rate / (ROTATION_BUDGET * eps)))
+        return MIN_PILOT_STEPS
+    return max(MIN_PILOT_STEPS, math.ceil(tau_star * rate / (ROTATION_BUDGET * eps)))
 
 
 # A window row is certified in time when the step-doubling (Richardson)
@@ -236,9 +238,10 @@ def check_inflate_args(plan: ScalingPlan, symbol: Symbol, grid: Grid, h_list,
     return h_list
 
 
-def _window_config(plan: ScalingPlan, symbol: Symbol, grid: Grid, h: float, kappa: float,
-                   eps: float, lam: float):
-    """A row's initial data psi0 = kappa*a0 and its solver configs up to tau*(eps).
+def _window_config(plan: ScalingPlan, symbol: Symbol, grid: Grid, a0: np.ndarray, h: float,
+                   kappa: float, eps: float, lam: float):
+    """A row's initial data psi0 = kappa*a0, from the driver's envelope a0, and
+    its solver configs up to tau*(eps).
 
     Returns (psi0_hat, config, n0, p_max): psi0_hat = ``np.fft.fftn(psi0)``,
     tail-checked here once for every run of the row; ``config(n)`` is the
@@ -250,7 +253,7 @@ def _window_config(plan: ScalingPlan, symbol: Symbol, grid: Grid, h: float, kapp
     sym_h = symbol.rescaled(plan.window_amplitude(h), h)
     p_max = float(np.abs(sym_h.on_grid(grid)).max())
     n0 = _window_steps(tau_star, eps, lam, kappa, plan.sigma, p_max)
-    psi0 = kappa * _envelope(grid)
+    psi0 = kappa * a0
     psi0_hat = np.fft.fftn(psi0)
     _warn_initial_tails(psi0, psi0_hat, grid)
 
@@ -289,7 +292,8 @@ def run_ode_approx(plan: ScalingPlan, symbol: Symbol, grid: Grid, eps_list,
     for eps in eps_list:
         h = plan.h_for_eps(eps)
         kappa = plan.kappa(h)
-        psi0_hat, config, n0, p_max = _window_config(plan, symbol, grid, h, kappa, eps, lam)
+        psi0_hat, config, n0, p_max = _window_config(plan, symbol, grid, a0, h, kappa, eps,
+                                                     lam)
 
         def run(n):
             cfg = config(n)
@@ -365,12 +369,13 @@ def run_norm_inflation(plan: ScalingPlan, symbol: Symbol, grid: Grid, h_list,
     s > 0, and the verdict fails at any h; delta = 8 gives 1.95 at s = 0.25.
     """
     h_list = check_inflate_args(plan, symbol, grid, h_list, lam)
+    a0 = _envelope(grid)
 
     rows = []
     for h in h_list:
         eps = plan.eps(h)
         kappa = plan.kappa(h)
-        psi0_hat, config, n0, _ = _window_config(plan, symbol, grid, h, kappa, eps, lam)
+        psi0_hat, config, n0, _ = _window_config(plan, symbol, grid, a0, h, kappa, eps, lam)
         l2_0 = _coeff_sobolev_norm(psi0_hat, grid, 0.0)
         hs_0 = _coeff_sobolev_norm(psi0_hat, grid, plan.s, homogeneous=True)
         hs_scale = h**plan.s
@@ -446,8 +451,7 @@ def _check_N_list(N_list) -> list[float]:
 
 def check_strichartz_args(symbol: Symbol, p: float, q: float, k_grid, N_list,
                           interval=(0.0, 1.0), d: int = 1, box_L: float = 4.0,
-                          include_contrast=True,
-                          time_samples=None) -> tuple[list[float], list[float]]:
+                          include_contrast=True) -> tuple[list[float], list[float]]:
     """Reject every input :func:`run_strichartz_probe` cannot run, before any compute.
 
     Beyond the symbol's dimension, an admissible (p, q) and a valid N_list,
@@ -464,11 +468,6 @@ def check_strichartz_args(symbol: Symbol, p: float, q: float, k_grid, N_list,
     symbol.check_dims(d)
     _check_admissible_pair(p, q, d)
     N_list = _check_N_list(N_list)
-    if time_samples is not None and not (
-            isinstance(time_samples, (int, np.integer)) and time_samples >= 2):
-        raise ExperimentError(
-            f"time_samples must be None or an integer >= 2, got {time_samples!r}"
-        )
     t0, t1 = interval
     if not (math.isfinite(t1) and 0 <= t0 < t1):
         raise ExperimentError(
@@ -491,7 +490,7 @@ def check_strichartz_args(symbol: Symbol, p: float, q: float, k_grid, N_list,
         if not math.isfinite(N * N):
             raise ExperimentError(f"the probe data at N = {N} need a finite N^2, got {N * N}")
         for sym in symbols:
-            n_t = _probe_samples(sym, N, interval, time_samples)
+            n_t = _probe_samples(sym, N, interval)
             if not n_t <= _PROBE_MAX_SAMPLES:
                 raise ExperimentError(
                     f"probe of {sym.spec_string()} at N = {N} needs {n_t} time samples, "
@@ -525,17 +524,15 @@ _PROBE_MAX_SAMPLES = 2**24
 _PROBE_MAX_POINTS = 16384
 
 
-def _probe_samples(symbol: Symbol, N: float, interval, time_samples) -> int | float:
+def _probe_samples(symbol: Symbol, N: float, interval) -> int | float:
     """Uniform time samples of the probe row of ``symbol`` at N; inf when the count overflows.
 
-    An explicit ``time_samples`` serves every symbol.  A bounded symbol with
-    |P| <= M turns every mode by at most M*dt per sample, whatever N is, so
-    it gets max(1025, 2*ceil(128*M*|I|) + 1): an odd count whose spacing
-    turns the fastest mode by at most 2^-8 rad.  Every other symbol gets
-    max(1025, 4*N^2*|I| + 1), the Laplacian's rate at the data's frequencies.
+    A bounded symbol with |P| <= M turns every mode by at most M*dt per
+    sample, whatever N is, so it gets max(1025, 2*ceil(128*M*|I|) + 1): an
+    odd count whose spacing turns the fastest mode by at most 2^-8 rad.
+    Every other symbol gets max(1025, 4*N^2*|I| + 1), the Laplacian's rate
+    at the data's frequencies.
     """
-    if time_samples is not None:
-        return time_samples
     t0, t1 = interval
     if symbol.kind == BOUNDED and symbol.bound is not None:
         # half the sample intervals that keep M*dt <= 2^-8
@@ -634,7 +631,7 @@ def _probe_time_err(times: np.ndarray, lq: np.ndarray, p: float, Q: float) -> fl
 
 
 def _probe_sweep(symbols, p: float, q: float, k_grid, N_list, interval, d: int,
-                 box_L: float, time_samples) -> list:
+                 box_L: float) -> list:
     """One list of rows per symbol, in N_list order.
 
     The grid, the data, its transform and its H^k norms do not depend on the
@@ -648,7 +645,7 @@ def _probe_sweep(symbols, p: float, q: float, k_grid, N_list, interval, d: int,
         u0_hat = np.fft.fftn(_probe_data(grid, N))
         hk_norms = {f"hk_norm_{k:g}": _coeff_sobolev_norm(u0_hat, grid, k) for k in k_grid}
         for symbol, rows in zip(symbols, sweeps):
-            times = np.linspace(*interval, _probe_samples(symbol, N, interval, time_samples))
+            times = np.linspace(*interval, _probe_samples(symbol, N, interval))
             lq = _probe_lq(symbol.on_grid(grid), u0_hat, times, q, grid.cell)
             Q = spacetime_norm_from_samples(times, lq, p)
             if not (math.isfinite(Q) and Q > 0):
@@ -681,8 +678,7 @@ def _fit_slope(N_list, q_values) -> tuple[float, float]:
 
 def run_strichartz_probe(symbol: Symbol, p: float, q: float, k_grid, N_list,
                          interval=(0.0, 1.0), d: int = 1, box_L: float = 4.0,
-                         include_contrast: bool = True,
-                         time_samples: int | None = None) -> ExperimentReport:
+                         include_contrast: bool = True) -> ExperimentReport:
     """Fit the growth exponent of the free flow's space-time norm over dyadic N.
 
     Q(N) is the L^p(I; L^q) norm of S(t)u0_N for the concentrated modulated
@@ -691,11 +687,10 @@ def run_strichartz_probe(symbol: Symbol, p: float, q: float, k_grid, N_list,
     better than Sobolev embedding); the standard second-order multiplier is
     rerun as a dispersive contrast when ``include_contrast`` is set.
 
-    ``time_samples`` fixes the number of uniform samples of the interval per
-    N for every symbol; None lets :func:`_probe_samples` pick each row's
-    count from its symbol: max(1025, 2*ceil(128*M*|I|) + 1) for a bounded
-    symbol with |P| <= M, max(1025, 4*N^2*|I| + 1) for the others, the
-    contrast included.  Each row's ``time_err`` is the Richardson estimate
+    :func:`_probe_samples` picks each row's number of uniform samples of the
+    interval from its symbol: max(1025, 2*ceil(128*M*|I|) + 1) for a
+    bounded symbol with |P| <= M, max(1025, 4*N^2*|I| + 1) for the others,
+    the contrast included.  Each row's ``time_err`` is the Richardson estimate
     |Q - Q_sub|/3/Q of its relative time error, Q_sub the trapezoid over the
     even-indexed samples (nan for an even count); ``fitted.max_time_err``
     and ``fitted.max_time_err_contrast`` are the largest of each sweep.  The
@@ -713,10 +708,10 @@ def run_strichartz_probe(symbol: Symbol, p: float, q: float, k_grid, N_list,
     or more than MAX_GRID_NODES nodes, before any compute.
     """
     k_grid, N_list = check_strichartz_args(symbol, p, q, k_grid, N_list, interval, d, box_L,
-                                           include_contrast, time_samples)
+                                           include_contrast)
 
     symbols = _probe_symbols(symbol, include_contrast)
-    sweeps = _probe_sweep(symbols, p, q, k_grid, N_list, interval, d, box_L, time_samples)
+    sweeps = _probe_sweep(symbols, p, q, k_grid, N_list, interval, d, box_L)
     khat, residual = _fit_slope(N_list, [row["Q"] for row in sweeps[0]])
     # np.max, unlike max, returns nan when any row's estimate is nan
     fitted = {"khat": khat, "khat_residual": residual,

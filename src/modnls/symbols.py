@@ -24,6 +24,7 @@ __all__ = [
     "BOUNDED",
     "CATALOG_KEYS",
     "make_symbol",
+    "parse_spec",
     "parse_symbol_spec",
     "parse_number",
 ]
@@ -294,18 +295,24 @@ def parse_number(text: str) -> float:
 _SPEC_RE = re.compile(r"^(?P<name>[A-Za-z_][A-Za-z0-9_]*)(\((?P<params>.*)\))?$")
 
 
-def parse_symbol_spec(text: str) -> Symbol:
-    """Parse the config form ``key(param=value,...)`` into a catalog symbol."""
+def parse_spec(text: str, what: str) -> tuple[str, dict[str, float]]:
+    """Split the config form ``name(key=value,...)`` of a ``what`` into its
+    name and its numeric parameters; ``name`` and ``name()`` have none."""
     match = _SPEC_RE.match(text.strip())
     if not match:
-        raise SymbolError(f"cannot parse symbol spec {text!r}")
-    name = match.group("name")
+        raise SymbolError(f"cannot parse {what} spec {text!r}")
     params = {}
     inner = match.group("params")
     if inner is not None and inner.strip():
         for part in inner.split(","):
             if "=" not in part:
-                raise SymbolError(f"symbol parameter {part.strip()!r} is not of the form key=value")
+                raise SymbolError(f"{what} parameter {part.strip()!r} is not of the form key=value")
             key, _, value = part.partition("=")
             params[key.strip()] = parse_number(value)
+    return match.group("name"), params
+
+
+def parse_symbol_spec(text: str) -> Symbol:
+    """Parse the config form ``key(param=value,...)`` into a catalog symbol."""
+    name, params = parse_spec(text, "symbol")
     return make_symbol(name, **params)

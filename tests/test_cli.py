@@ -16,6 +16,7 @@ import modnls
 from modnls import Grid, SolveConfig, evolve, make_symbol, sobolev_norm
 from modnls import cli
 from modnls.cli import EXIT_ERROR, EXIT_FAIL, EXIT_PASS, main
+from modnls.config import SUBCOMMANDS
 from modnls.reports import ExperimentReport
 
 SINGULAR_CFG = """
@@ -263,6 +264,12 @@ class TestRejectedBeforeAnyCompute:
          "initial data amplitude must be finite"),
         ("simulate", "T = 0", "T = 0\ninitial = gaussian(width=inf)",
          "initial data width must be finite and > 0"),
+        ("simulate", "T = 0", "T = 0\ninitial = gauss(width=1)",
+         "cannot parse initial data spec 'gauss(width=1)'"),
+        ("simulate", "T = 0", "T = 0\ninitial = gaussian(width)",
+         "initial data parameter 'width' is not of the form key=value"),
+        ("simulate", "T = 0", "T = 0\ninitial = gaussian(sigma=1)",
+         "unknown initial data parameter 'sigma'"),
         ("strichartz", "p = 8\nq = 4", "p = inf\nq = 2", "the time exponent p must be finite"),
         ("strichartz", "N_list = 8, 16", "N_list = 8, 16, 512",
          "probe at N = 512.0 needs n = 32768 points per axis, above the ceiling 16384"),
@@ -304,7 +311,8 @@ class TestRejectedBeforeAnyCompute:
     ], ids=["t_end inf", "box_L nan", "box_L negative", "n_ceiling zero", "contrast 7",
             "T inf", "dt inf", "quad_tol below the floor", "min_ratio_growth nan",
             "min_ratio_growth negative", "k_grid nan", "initial amplitude nan",
-            "initial width inf", "p inf", "last N above n_ceiling", "N overflows the grid rule",
+            "initial width inf", "initial not gaussian", "initial parameter not key=value",
+            "initial parameter unknown", "p inf", "last N above n_ceiling", "N overflows the grid rule",
             "inflate lambda inf", "inflate lambda nan", "inflate delta inf", "inflate theta inf",
             "inflate transport in d = 2", "simulate sigma inf", "simulate lambda nan",
             "singular sigma inf", "singular t inf", "singular lambda nan", "singular quad_tol inf",
@@ -364,6 +372,12 @@ def test_cli_calls_the_driver_bound_on_its_module(tmp_path, monkeypatch, sub, na
     for key, value in expected.items():
         assert calls[0][key] == (pytest.approx(value, rel=1e-15)
                                  if isinstance(value, tuple) else value)
+
+
+def test_every_subcommand_names_a_driver_in_the_cli_module():
+    assert set(cli._DRIVERS) == set(SUBCOMMANDS)
+    for name in cli._DRIVERS.values():
+        assert callable(getattr(cli, name, None)), name
 
 
 def _modules_after_cli_import(package: str) -> str:

@@ -6,7 +6,14 @@ import warnings
 import pytest
 
 from modnls import BOUNDED, HOMOGENEOUS, Grid, SolveConfig, compute_scaling, make_symbol
-from modnls.config import ConfigError, _SCHEMAS, parse_config, parse_config_text, render_config
+from modnls.config import (
+    ConfigError,
+    _SCHEMAS,
+    parse_config,
+    parse_config_text,
+    parse_initial_spec,
+    render_config,
+)
 from modnls.evolution import EvolutionError
 from modnls.experiments import (
     ExperimentError,
@@ -176,6 +183,9 @@ INVALID_CASES = [
     ("initial amplitude nan", "simulate", SIMULATE_OK + "initial = gaussian(amplitude=nan)\n"),
     ("initial width inf", "simulate", SIMULATE_OK + "initial = gaussian(width=inf)\n"),
     ("initial width zero", "simulate", SIMULATE_OK + "initial = gaussian(amplitude=1,width=0)\n"),
+    ("initial not gaussian", "simulate", SIMULATE_OK + "initial = gauss(width=1)\n"),
+    ("initial parameter not key=value", "simulate", SIMULATE_OK + "initial = gaussian(width)\n"),
+    ("initial parameter unknown", "simulate", SIMULATE_OK + "initial = gaussian(sigma=1)\n"),
 ]
 
 # the plan, symbol, grid and sweeps INFLATE_OK and ODE_OK describe
@@ -319,6 +329,12 @@ DRIVER_CHECK_CASES = [
     ("inflate grid_n above the node cap", "inflate",
      INFLATE_OK + "grid_n = 1125899906842624\n",
      lambda: Grid(1, 1125899906842624, 8.0)),
+    ("homogeneous symbol without omega", "inflate",
+     "[equation]\nsymbol = laplacian\nsigma = 2\n"
+     "[inflate]\nd = 2\ns = 0.25\nh_list = e^-2, e^-3\n",
+     lambda: compute_scaling(2, 2.0, 0.25, HOMOGENEOUS, m=2.0)),
+    ("bounded symbol with omega", "ode-approx", ODE_OK + "omega = 1\n",
+     lambda: compute_scaling(1, 2.0, 0.25, BOUNDED, omega=1.0)),
 ]
 
 
@@ -411,3 +427,13 @@ class TestInvalidTable:
     def test_bounded_violation_message_names_the_bound(self):
         with pytest.raises(ConfigError, match="d/2"):
             parse_config("inflate", _swap(INFLATE_OK, "s = 0.25", "s = 0.6"))
+
+
+class TestInitialSpec:
+    @pytest.mark.parametrize("spec, expected", [
+        ("gaussian", (1.0, 1.0)),
+        ("gaussian()", (1.0, 1.0)),
+        ("gaussian(amplitude=2)", (2.0, 1.0)),
+    ])
+    def test_missing_parameters_take_their_defaults(self, spec, expected):
+        assert parse_initial_spec(spec) == expected

@@ -676,6 +676,14 @@ class TestRunNormInflation:
             run_ode_approx(bounded_plan, sym, grid, [0.1], r=1, lam=lam)
 
 
+@pytest.fixture
+def pin_probe_samples(monkeypatch):
+    """``pin_probe_samples(n)`` gives every probe row, the contrast's too, n time samples."""
+    def pin(n):
+        monkeypatch.setattr(experiments, "_probe_samples", lambda symbol, N, interval: n)
+    return pin
+
+
 class TestStrichartzProbe:
     def test_admissibility_checks(self):
         experiments._check_admissible_pair(8.0, 4.0, 1)
@@ -699,33 +707,38 @@ class TestStrichartzProbe:
         measured = math.log(norms[16.0] / norms[8.0]) / math.log(2.0)
         assert measured == pytest.approx(0.5, abs=0.05)
 
-    def test_zero_symbol_slope_is_pure_scaling(self):
+    def test_zero_symbol_slope_is_pure_scaling(self, pin_probe_samples):
+        pin_probe_samples(33)
         rep = run_strichartz_probe(
             make_symbol("constant", c=0.0), 8.0, 4.0, [0.25], [8, 16, 32],
-            include_contrast=False, time_samples=33,
+            include_contrast=False,
         )
         assert rep.fitted["khat"] == pytest.approx(0.25, abs=0.02)
         assert rep.verdict  # 0.25 >= 0.25 - 0.1
 
-    def test_time_constant_norms_for_zero_symbol(self):
+    def test_time_constant_norms_for_zero_symbol(self, pin_probe_samples):
+        pin_probe_samples(17)
         rep = run_strichartz_probe(
             make_symbol("constant", c=0.0), 8.0, 4.0, [0.0], [8, 16],
-            include_contrast=False, time_samples=17,
+            include_contrast=False,
         )
         for row in rep.rows:
             grid_n = row["grid_n"]
             assert grid_n >= 512
 
-    def test_contrast_rows_tagged_by_symbol(self):
+    def test_contrast_rows_tagged_by_symbol(self, pin_probe_samples):
+        pin_probe_samples(257)
         rep = run_strichartz_probe(
             make_symbol("arctan_step", h=1.0), 8.0, 4.0, [0.25], [8, 16],
-            include_contrast=True, time_samples=257,
+            include_contrast=True,
         )
         names = {row["symbol"] for row in rep.rows}
         assert names == {"arctan_step(h=1)", "laplacian"}
         assert "khat_contrast" in rep.fitted
 
-    def test_contrast_shares_each_N_s_data_and_matches_separate_runs(self, monkeypatch):
+    def test_contrast_shares_each_N_s_data_and_matches_separate_runs(self, monkeypatch,
+                                                                    pin_probe_samples):
+        pin_probe_samples(257)
         built = Counter()
         probe_data = experiments._probe_data
 
@@ -735,10 +748,10 @@ class TestStrichartzProbe:
 
         symbol = make_symbol("arctan_step", h=1.0)
         args = (8.0, 4.0, [0.0, 0.25], [8, 16])
-        alone = [run_strichartz_probe(s, *args, include_contrast=False, time_samples=257)
+        alone = [run_strichartz_probe(s, *args, include_contrast=False)
                  for s in (symbol, make_symbol("laplacian"))]
         monkeypatch.setattr(experiments, "_probe_data", counting_probe_data)
-        both = run_strichartz_probe(symbol, *args, include_contrast=True, time_samples=257)
+        both = run_strichartz_probe(symbol, *args, include_contrast=True)
         assert built == {8.0: 1, 16.0: 1}
         assert both.rows == alone[0].rows + alone[1].rows
         assert both.fitted["khat"] == alone[0].fitted["khat"]
@@ -790,32 +803,22 @@ class TestStrichartzProbe:
             run_strichartz_probe(make_symbol("constant", c=0.0), 4.0, 4.0, [0.0], [8, 128],
                                  d=2, include_contrast=False)
 
-    def test_sup_norm_pair_slope(self):
+    def test_sup_norm_pair_slope(self, pin_probe_samples):
+        pin_probe_samples(17)
         rep = run_strichartz_probe(
             make_symbol("constant", c=0.0), 4.0, np.inf, [0.5], [8, 16],
-            include_contrast=False, time_samples=17,
+            include_contrast=False,
         )
         assert rep.fitted["khat"] == pytest.approx(0.5, abs=1e-12)
 
-    def test_homogeneous_symbol_reports_na_claim(self):
+    def test_homogeneous_symbol_reports_na_claim(self, pin_probe_samples):
+        pin_probe_samples(257)
         rep = run_strichartz_probe(
             make_symbol("laplacian"), 8.0, 4.0, [0.0], [8, 16],
-            include_contrast=False, time_samples=257,
+            include_contrast=False,
         )
         assert rep.fitted["claim_applies"] == 0.0
         assert rep.verdict
-
-    @pytest.mark.parametrize("time_samples", [0, 1, -4, 2.5, 17.0])
-    def test_time_samples_rejected_before_any_sweep(self, time_samples, monkeypatch):
-        def no_sweep(*args, **kwargs):
-            raise AssertionError("the sweep ran before time_samples was checked")
-
-        monkeypatch.setattr(experiments, "_probe_sweep", no_sweep)
-        with pytest.raises(ExperimentError, match="integer >= 2"):
-            run_strichartz_probe(
-                make_symbol("constant", c=0.0), 8.0, 4.0, [0.0], [8, 16],
-                include_contrast=False, time_samples=time_samples,
-            )
 
     @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
     def test_k_grid_rejected_before_any_sweep(self, k, monkeypatch):
@@ -862,19 +865,18 @@ class TestProbeSamples:
         for name, params, interval in [("constant", {"c": 40.0}, (0.0, 1.0)),
                                        ("arctan_step", {"h": 0.01}, (0.5, 3.0))]:
             symbol = make_symbol(name, **params)
-            n_t = experiments._probe_samples(symbol, 8.0, interval, None)
+            n_t = experiments._probe_samples(symbol, 8.0, interval)
             assert n_t > 1025 and n_t % 2 == 1
             assert symbol.bound * (interval[1] - interval[0]) / (n_t - 1) <= 2.0**-8
-            # N does not enter a bounded symbol's count, and an explicit count wins
-            assert experiments._probe_samples(symbol, 1e6, interval, None) == n_t
-            assert experiments._probe_samples(symbol, 8.0, interval, 17) == 17
+            # N does not enter a bounded symbol's count
+            assert experiments._probe_samples(symbol, 1e6, interval) == n_t
 
-    def test_contrast_Q_equals_a_run_at_those_counts(self, probe_report):
+    def test_contrast_Q_equals_a_run_at_those_counts(self, probe_report, pin_probe_samples):
         contrast = [row for row in probe_report.rows if row["symbol"] == "laplacian"]
         for row in contrast:
+            pin_probe_samples(row["time_samples"])
             explicit, = experiments._probe_sweep(
-                [make_symbol("laplacian")], 8.0, 4.0, [0.25], [row["N"]], (0.0, 1.0), 1, 4.0,
-                row["time_samples"])
+                [make_symbol("laplacian")], 8.0, 4.0, [0.25], [row["N"]], (0.0, 1.0), 1, 4.0)
             assert explicit[0]["Q"] == row["Q"]
 
     def test_contrast_rows_above_N_8_are_flagged(self, probe_report):
@@ -884,26 +886,28 @@ class TestProbeSamples:
         assert probe_report.fitted["max_time_err_contrast"] > experiments.TIME_RTOL
         assert probe_report.fitted["max_time_err"] <= experiments.TIME_RTOL
 
-    def test_bounded_estimate_within_2x_of_the_true_error(self):
+    def test_bounded_estimate_within_2x_of_the_true_error(self, pin_probe_samples):
         symbol = make_symbol("arctan_step", h=1.0)
         rep = run_strichartz_probe(symbol, 8.0, 4.0, [0.0], [8, 16], include_contrast=False)
-        fine = run_strichartz_probe(symbol, 8.0, 4.0, [0.0], [8, 16], include_contrast=False,
-                                    time_samples=16 * 1024 + 1)
+        pin_probe_samples(16 * 1024 + 1)
+        fine = run_strichartz_probe(symbol, 8.0, 4.0, [0.0], [8, 16], include_contrast=False)
         for row, ref in zip(rep.rows, fine.rows):
             assert row["time_samples"] == 1025
             true_err = abs(row["Q"] - ref["Q"]) / ref["Q"]
             assert true_err / 2 <= row["time_err"] <= 2 * true_err
 
-    def test_even_count_gives_nan(self):
+    def test_even_count_gives_nan(self, pin_probe_samples):
+        pin_probe_samples(16)
         rep = run_strichartz_probe(make_symbol("arctan_step", h=1.0), 8.0, 4.0, [0.0], [8, 16],
-                                   include_contrast=True, time_samples=16)
+                                   include_contrast=True)
         assert all(math.isnan(row["time_err"]) for row in rep.rows)
         assert math.isnan(rep.fitted["max_time_err"])
         assert math.isnan(rep.fitted["max_time_err_contrast"])
 
-    def test_odd_count_estimate_is_the_even_subsample_difference(self):
+    def test_odd_count_estimate_is_the_even_subsample_difference(self, pin_probe_samples):
+        pin_probe_samples(33)
         rep = run_strichartz_probe(make_symbol("arctan_step", h=1.0), 8.0, 4.0, [0.0], [8, 16],
-                                   include_contrast=False, time_samples=33)
+                                   include_contrast=False)
         times = np.linspace(0.0, 1.0, 33)
         for row in rep.rows:
             grid, _, pvals, u0_hat = _probe_inputs(make_symbol("arctan_step", h=1.0), 1,
@@ -926,10 +930,10 @@ class TestProbeBatching:
         (2, 4.0, 4.0, [1, 2], 33),
     ])
     def test_batched_Q_matches_per_sample_reference(self, name, params, d, p, q, N_list,
-                                                     time_samples):
+                                                     time_samples, pin_probe_samples):
         symbol = make_symbol(name, **params)
-        rep = run_strichartz_probe(symbol, p, q, [0.0], N_list, d=d,
-                                   include_contrast=False, time_samples=time_samples)
+        pin_probe_samples(time_samples)
+        rep = run_strichartz_probe(symbol, p, q, [0.0], N_list, d=d, include_contrast=False)
         times = np.linspace(0.0, 1.0, time_samples)
         for row in rep.rows:
             grid = Grid(d, row["grid_n"], 4.0)
@@ -986,10 +990,12 @@ class TestProbeLanes:
         (2, 4.0, 4.0, [1, 2], 2, (0.0, 1.0)),
         (2, 4.0, 4.0, [1, 2], 17, (0.25, 1.0)),
     ])
-    def test_report_equals_the_serial_loop(self, d, p, q, N_list, time_samples, interval):
+    def test_report_equals_the_serial_loop(self, d, p, q, N_list, time_samples, interval,
+                                           pin_probe_samples):
         symbol = make_symbol("arctan_step", h=1.0)
+        pin_probe_samples(time_samples)
         rep = run_strichartz_probe(symbol, p, q, [0.0, 0.25], N_list, interval=interval, d=d,
-                                   include_contrast=False, time_samples=time_samples)
+                                   include_contrast=False)
         times = np.linspace(*interval, time_samples)
         for row in rep.rows:
             grid, u0, pvals, u0_hat = _probe_inputs(symbol, d, row["N"], row["grid_n"])
@@ -1012,7 +1018,8 @@ class TestProbeLanes:
         assert np.array_equal(lq, _serial_probe_lq(pvals, u0_hat, times, 4.0, grid.cell))
 
     @pytest.mark.parametrize("failing", ["helper", "caller"])
-    def test_lane_error_is_raised_and_no_thread_outlives_the_call(self, monkeypatch, failing):
+    def test_lane_error_is_raised_and_no_thread_outlives_the_call(self, monkeypatch, failing,
+                                                                   pin_probe_samples):
         def lq_norms(z, q, cell, axes=None):
             on_main = threading.current_thread() is threading.main_thread()
             if on_main == (failing == "caller"):
@@ -1020,8 +1027,9 @@ class TestProbeLanes:
             return _lq_norms(z, q, cell, axes)
 
         monkeypatch.setattr(experiments, "_lq_norms", lq_norms)
+        pin_probe_samples(1025)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match=f"lq failed in the {failing} lane"):
             run_strichartz_probe(make_symbol("arctan_step", h=1.0), 8.0, 4.0, [0.0], [8, 16],
-                                 include_contrast=False, time_samples=1025)
+                                 include_contrast=False)
         assert threading.active_count() == before
