@@ -549,14 +549,17 @@ def _probe_symbols(symbol: Symbol, include_contrast) -> list:
     return [symbol, make_symbol("laplacian")] if include_contrast else [symbol]
 
 
-# Elements per batch of the probe (rows x grid nodes): ~4 MB of complex128
-# keeps the phase table, the batch and its transform in cache.  The row floor
-# keeps large 2D grids from degrading to one-row batches, where the per-call
-# overhead of the FFT dominates.  Each of the _PROBE_LANES lanes transforms
-# its own slice of every batch's rows in a buffer of that slice's size, so
-# the lanes together hold one batch, as a single lane would.
+# Elements per batch of the probe (rows x grid nodes): ~4 MB of complex128.
+# A batch shares one start phase exp(i t_lo P) * u0_hat, so Q's bits depend
+# on the batch boundaries.  The row floor keeps large 2D grids from degrading
+# to one-row batches, where the per-call overhead of the FFT dominates.
 _PROBE_BATCH_ELEMENTS = 1 << 18
 _PROBE_MIN_ROWS = 8
+# Elements per chunk (1 MB of complex128, sized for an L2 cache of 2 MB per
+# core): each lane streams its rows of every batch through one reused buffer
+# of this many elements (at least one row), so the multiply, the inverse FFT
+# and the L^q reduction of a chunk all run on data still in cache.
+_PROBE_CHUNK_ELEMENTS = 1 << 16
 # The calling thread and one helper thread; numpy's FFTs and ufuncs release
 # the GIL, so the two lanes run on two cores.
 _PROBE_LANES = 2
@@ -570,28 +573,37 @@ def _probe_lq(pvals: np.ndarray, u0_hat: np.ndarray, times: np.ndarray, q: float
     one offset table serves every batch, and each lane pays one exp per node
     and batch for the start phase instead of one per sample and node.  Every
     batch's rows are split between _PROBE_LANES lanes, the calling thread and
-    helper threads started and joined here; an exception in a helper is raised
-    here after every helper has been joined.
+    helper threads started and joined here.  Each lane builds the table rows
+    of its own share and streams them, _PROBE_CHUNK_ELEMENTS at a time,
+    through one complex buffer and one real scratch array, which the L^q
+    reduction overwrites; the memory in flight is the table plus two small
+    buffers per lane.  Every value is bit-identical to a one-lane, unchunked
+    run.  An exception in a helper is raised here after every helper has been
+    joined.
     """
     n_t = times.size
     axes = tuple(range(1, u0_hat.ndim + 1))
     rows_per_batch = min(n_t, max(_PROBE_MIN_ROWS, _PROBE_BATCH_ELEMENTS // u0_hat.size))
     offsets = (times[-1] - times[0]) / (n_t - 1) * np.arange(rows_per_batch)
-    table = _propagator(pvals, offsets)
     lq = np.empty(n_t)
 
     def lane(first, stop):
-        # rows [first, stop) of every batch; one buffer per lane and N, since a
-        # fresh array per batch page-faults
-        buf = np.empty((stop - first,) + u0_hat.shape, dtype=table.dtype)
+        # rows [first, stop) of every batch
+        table = _propagator(pvals, offsets[first:stop])
+        rows = max(1, min(stop - first, _PROBE_CHUNK_ELEMENTS // u0_hat.size))
+        buf = np.empty((rows,) + u0_hat.shape, dtype=table.dtype)
+        scratch = np.empty(buf.shape)
         for lo in range(0, n_t, rows_per_batch):
             m = min(stop, n_t - lo) - first
             if m <= 0:  # only the last batch can be this short
                 break
             start = _propagator(pvals, times[lo]) * u0_hat
-            snaps = np.multiply(table[first:first + m], start, out=buf[:m])
-            np.fft.ifftn(snaps, axes=axes, out=snaps)
-            lq[lo + first:lo + first + m] = _lq_norms(snaps, q, cell, axes)
+            for c in range(0, m, rows):
+                k = min(rows, m - c)
+                snaps = np.multiply(table[c:c + k], start, out=buf[:k])
+                np.fft.ifftn(snaps, axes=axes, out=snaps)
+                row = lo + first + c
+                lq[row:row + k] = _lq_norms(snaps, q, cell, axes, out=scratch[:k])
 
     errors = []
 
@@ -694,18 +706,21 @@ def run_strichartz_probe(symbol: Symbol, p: float, q: float, k_grid, N_list,
     |Q - Q_sub|/3/Q of its relative time error, Q_sub the trapezoid over the
     even-indexed samples (nan for an even count); ``fitted.max_time_err``
     and ``fitted.max_time_err_contrast`` are the largest of each sweep.  The
-    verdict does not read them.  The samples are taken in
-    batches of about 2^18 complex values (at least 8 rows): each batch is
-    one offset table exp(i*j*dt*P), built once per N, times the batch's
-    start exp(i*t_lo*P)*u0_hat, followed by a batched inverse FFT.  The
-    rows of every batch are split between two lanes, the calling thread
-    and one helper thread started and joined once per N.  Each lane
-    transforms its half of the rows in its own half-batch buffer, so every
-    Q is bit-identical to a one-lane run and the memory in flight is one
-    batch.  The contrast shares each N's grid, data and H^k norms with
-    ``symbol``.  :func:`check_strichartz_args` checks every input, including
-    an N whose grid would need more than _PROBE_MAX_POINTS points per axis
-    or more than MAX_GRID_NODES nodes, before any compute.
+    verdict does not read them.  The samples are taken in batches of
+    about 2^18 complex values (at least 8 rows): each batch is one offset
+    table exp(i*j*dt*P), built once per report row, times the batch's start
+    exp(i*t_lo*P)*u0_hat, followed by a batched inverse FFT.  The rows of
+    every batch are split between two lanes, the calling thread and one
+    helper thread started and joined once per report row.  Each lane builds
+    the table rows of its half and transforms them in chunks of about 2^16
+    complex values through one reused buffer, reducing each chunk to its
+    L^q norms in place.  So every Q is bit-identical to a one-lane,
+    unchunked run, and the memory in flight is the table plus one chunk
+    buffer and its real scratch per lane.  The contrast shares each N's
+    grid, data and H^k norms with ``symbol``.  :func:`check_strichartz_args`
+    checks every input, including an N whose grid would need more than
+    _PROBE_MAX_POINTS points per axis or more than MAX_GRID_NODES nodes,
+    before any compute.
     """
     k_grid, N_list = check_strichartz_args(symbol, p, q, k_grid, N_list, interval, d, box_L,
                                            include_contrast)

@@ -153,7 +153,8 @@ def _coeff_mass(coeffs: np.ndarray, grid: Grid) -> np.ndarray:
 def _propagator(pvals: np.ndarray, t) -> np.ndarray:
     """exp(i*t*P) on lattice values ``pvals``; a 1-D ``t`` gives one leading row per time."""
     t = np.asarray(t)
-    return np.exp(1j * t.reshape(t.shape + (1,) * pvals.ndim) * pvals)
+    phase = 1j * t.reshape(t.shape + (1,) * pvals.ndim) * pvals
+    return np.exp(phase, out=phase)
 
 
 def _max_abs(coords) -> np.ndarray:
@@ -265,16 +266,24 @@ def _coeff_sobolev_norm(coeffs: np.ndarray, grid: Grid, s: float,
     return float(np.sqrt(np.sum(c2)))
 
 
-def _lq_norms(z: np.ndarray, q: float, cell: float, axes=None):
+def _lq_norms(z: np.ndarray, q: float, cell: float, axes=None, out=None):
     """Quadrature L^q norms of complex samples over ``axes`` (all axes by default).
 
     q = inf gives the max modulus.  Finite q raises |z|^2 = re^2 + im^2 to
-    q/2, which avoids hypot and, for q = 2 and 4, the general power.
+    q/2, which avoids hypot and, for q = 2 and 4, the general power.  With
+    ``out``, a C-contiguous float64 scratch array shaped like the C-contiguous
+    ``z``, finite q squares ``z``'s float64 view in place (overwriting ``z``)
+    and builds |z|^2 in ``out``: the same operations per element, so the same
+    bits, with no temporaries.
     """
     if q == np.inf:
         return np.abs(z).max(axis=axes)
-    a2 = z.real**2
-    a2 += z.imag**2
+    if out is not None:
+        parts = np.square(z.view(np.float64), out=z.view(np.float64))
+        a2 = np.add(parts[..., 0::2], parts[..., 1::2], out=out)
+    else:
+        a2 = z.real**2
+        a2 += z.imag**2
     a2 **= q / 2.0
     return (np.sum(a2, axis=axes) * cell) ** (1.0 / q)
 

@@ -308,7 +308,10 @@ def parse_spec(text: str, what: str) -> tuple[str, dict[str, float]]:
             if "=" not in part:
                 raise SymbolError(f"{what} parameter {part.strip()!r} is not of the form key=value")
             key, _, value = part.partition("=")
-            params[key.strip()] = parse_number(value)
+            key = key.strip()
+            if key in params:
+                raise SymbolError(f"{what} parameter {key!r} is given twice")
+            params[key] = parse_number(value)
     return match.group("name"), params
 
 

@@ -5,7 +5,7 @@ import warnings
 
 import pytest
 
-from modnls import BOUNDED, HOMOGENEOUS, Grid, SolveConfig, compute_scaling, make_symbol
+from modnls import BOUNDED, HOMOGENEOUS, Grid, SolveConfig, cli, compute_scaling, make_symbol
 from modnls.config import (
     ConfigError,
     _SCHEMAS,
@@ -186,6 +186,10 @@ INVALID_CASES = [
     ("initial not gaussian", "simulate", SIMULATE_OK + "initial = gauss(width=1)\n"),
     ("initial parameter not key=value", "simulate", SIMULATE_OK + "initial = gaussian(width)\n"),
     ("initial parameter unknown", "simulate", SIMULATE_OK + "initial = gaussian(sigma=1)\n"),
+    ("symbol parameter repeated", "inflate",
+     _swap(INFLATE_OK, "arctan_step(h=1)", "arctan_step(h=1,h=2)")),
+    ("initial parameter repeated", "simulate",
+     SIMULATE_OK + "initial = gaussian(width=1,width=3)\n"),
 ]
 
 # the plan, symbol, grid and sweeps INFLATE_OK and ODE_OK describe
@@ -437,3 +441,24 @@ class TestInitialSpec:
     ])
     def test_missing_parameters_take_their_defaults(self, spec, expected):
         assert parse_initial_spec(spec) == expected
+
+    # a repeated spec parameter is refused like a repeated config key: exit 2,
+    # the key named, before any compute
+    @pytest.mark.parametrize("sub, text, driver, message", [
+        ("inflate", _swap(INFLATE_OK, "arctan_step(h=1)", "arctan_step(h=1,h=2)"),
+         "run_norm_inflation", "symbol parameter 'h' is given twice"),
+        ("simulate", SIMULATE_OK + "initial = gaussian(width=1,width=3)\n",
+         "_run_simulate", "initial data parameter 'width' is given twice"),
+    ])
+    def test_repeated_parameter_exits_2_before_compute(self, tmp_path, capsys, monkeypatch,
+                                                       sub, text, driver, message):
+        def no_compute(**kwargs):
+            raise AssertionError(f"{sub} computed before rejecting a repeated parameter")
+
+        monkeypatch.setattr(cli, driver, no_compute)
+        path = tmp_path / "bad.cfg"
+        path.write_text(text)
+        out = tmp_path / "out"
+        assert cli.main([sub, "--config", str(path), "--out", str(out)]) == cli.EXIT_ERROR
+        assert message in capsys.readouterr().err
+        assert not out.exists()

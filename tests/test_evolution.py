@@ -25,7 +25,13 @@ from modnls import (
 )
 from modnls import evolution, spectral
 from modnls.cli import main
-from modnls.evolution import MAX_STEPS, _cumulative_trapezoid, _phase_kick, _warn_initial_tails
+from modnls.evolution import (
+    MAX_STEPS,
+    _all_finite,
+    _cumulative_trapezoid,
+    _phase_kick,
+    _warn_initial_tails,
+)
 from modnls.spectral import _coeff_sobolev_norm
 from conftest import (
     count_ffts,
@@ -242,6 +248,16 @@ class TestEvolve:
         cfg = SolveConfig(make_symbol("laplacian"), 1.0, 2.0, dt=0.01, T=0.1)
         with pytest.raises(EvolutionError, match="non-finite values at step 1 of 10"):
             evolve(np.fft.fftn(big), cfg, grid)
+
+    @pytest.mark.parametrize("values, finite", [
+        ([1e308, 1e308], True),  # the sum overflows, the entries are finite
+        ([np.inf], False),
+        ([np.nan], False),
+        ([np.inf, -np.inf], False),  # the sum is nan, not inf
+    ])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_finiteness_check_scans_only_a_non_finite_sum(self, values, finite, dtype):
+        assert _all_finite(np.array(values, dtype=dtype)) is finite
 
     def test_aborts_on_non_finite_with_step_index(self, grid):
         huge = np.full(grid.shape, 1e200 + 0j)

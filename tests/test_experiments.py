@@ -4,6 +4,7 @@ import math
 import re
 import sys
 import threading
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -972,13 +973,17 @@ class TestProbeLanes:
     """The two-lane probe against the one-lane batch loop: equal bit for bit."""
 
     # 1D N = 8 runs 512 rows per batch and 2D N = 2 runs 16, so 17 and 1025
-    # samples end on a one-row batch, and 2 samples are one batch of a row per lane
+    # samples end on a one-row batch, and 2 samples are one batch of a row per
+    # lane; a lane's 256 or 8 rows per batch are not a multiple of 3-row chunks
     @pytest.mark.parametrize("d, N, n", [(1, 8.0, 512), (2, 2.0, 128)])
-    @pytest.mark.parametrize("q", [4.0, np.inf])
+    @pytest.mark.parametrize("q", [2.0, 3.0, 4.0, np.inf])
     @pytest.mark.parametrize("time_samples", [2, 17, 1025])
     @pytest.mark.parametrize("interval", [(0.0, 1.0), (0.5, 1.5)])
-    def test_lq_equals_the_serial_loop(self, d, N, n, q, time_samples, interval):
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 1000])
+    def test_lq_equals_the_serial_loop(self, monkeypatch, d, N, n, q, time_samples, interval,
+                                       chunk_rows):
         grid, _, pvals, u0_hat = _probe_inputs(make_symbol("arctan_step", h=1.0), d, N, n)
+        monkeypatch.setattr(experiments, "_PROBE_CHUNK_ELEMENTS", chunk_rows * u0_hat.size)
         times = np.linspace(*interval, time_samples)
         lq = experiments._probe_lq(pvals, u0_hat, times, q, grid.cell)
         expected = _serial_probe_lq(pvals, u0_hat, times, q, grid.cell)
@@ -1020,7 +1025,7 @@ class TestProbeLanes:
     @pytest.mark.parametrize("failing", ["helper", "caller"])
     def test_lane_error_is_raised_and_no_thread_outlives_the_call(self, monkeypatch, failing,
                                                                    pin_probe_samples):
-        def lq_norms(z, q, cell, axes=None):
+        def lq_norms(z, q, cell, axes=None, out=None):
             on_main = threading.current_thread() is threading.main_thread()
             if on_main == (failing == "caller"):
                 raise RuntimeError(f"lq failed in the {failing} lane")
@@ -1033,3 +1038,23 @@ class TestProbeLanes:
             run_strichartz_probe(make_symbol("arctan_step", h=1.0), 8.0, 4.0, [0.0], [8, 16],
                                  include_contrast=False)
         assert threading.active_count() == before
+
+
+class TestProbeCost:
+    """The probe's memory in flight is the offset table and two chunk buffers per lane."""
+
+    @pytest.mark.parametrize("q", [4.0, np.inf])
+    def test_traced_peak_of_the_largest_1d_row(self, q):
+        # strichartz-probe's N = 64 contrast row: a 2^18-entry table (4.2 MB)
+        # and a 1 MB chunk with its 0.5 MB scratch per lane peak at 7.9 MB
+        # (q = 4) and 8.7 MB (q = inf); lanes with half-batch buffers and
+        # allocating reductions peaked at 12.9 and 10.8 MB
+        grid, _, pvals, u0_hat = _probe_inputs(make_symbol("laplacian"), 1, 64.0, 4096)
+        times = np.linspace(0.0, 1.0, 16385)
+        tracemalloc.start()
+        try:
+            experiments._probe_lq(pvals, u0_hat, times, q, grid.cell)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 9.5e6

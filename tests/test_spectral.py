@@ -239,6 +239,24 @@ class TestLebesgueNorm:
         f = gaussian_field(grid1d, amplitude=2.0)
         assert lq_norm(f, grid1d, np.inf) == pytest.approx(2.0, rel=1e-6)
 
+    @pytest.mark.parametrize("d, n", [(1, 64), (2, 16)])
+    @pytest.mark.parametrize("q", [2.0, 3.0, 4.0, np.inf])
+    def test_in_place_batch_norms_equal_the_allocating_ones(self, d, n, q):
+        grid = Grid(d, n, 2.0)
+        z = np.stack([random_smooth_field(grid, seed) for seed in range(5)])
+        axes = tuple(range(1, d + 1))
+        expected = _lq_norms(z.copy(), q, grid.cell, axes)
+        got = _lq_norms(z, q, grid.cell, axes, out=np.empty(z.shape))
+        assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("q", [2.0, 3.0, np.inf])
+    def test_without_out_the_samples_are_not_written(self, q):
+        grid = Grid(2, 16, 2.0)
+        z = np.stack([random_smooth_field(grid, seed) for seed in range(3)])
+        before = z.copy()
+        _lq_norms(z, q, grid.cell, (1, 2))
+        assert np.array_equal(z, before)
+
 
 def spacetime_norm(snapshots, grid: Grid, p: float, q: float) -> float:
     """L^p-in-time L^q-in-space norm of a time-sorted list of (t, samples on grid)."""

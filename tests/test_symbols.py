@@ -15,7 +15,7 @@ from modnls import (
     make_symbol,
     parse_symbol_spec,
 )
-from modnls.symbols import parse_number
+from modnls.symbols import parse_number, parse_spec
 
 
 def homogeneity_deviation(symbol, m: float, trials: int = 100, seed: int = 0) -> float:
@@ -214,6 +214,18 @@ class TestErrorsAndParsing:
             parse_symbol_spec("arctan_step(h)")
         with pytest.raises(SymbolError):
             parse_symbol_spec("3arctan()")
+
+    @pytest.mark.parametrize("spec, what, key", [
+        ("arctan_step(h=1,h=2)", "symbol", "h"),
+        ("gaussian(width=1, width=3)", "initial data", "width"),
+    ])
+    def test_parse_rejects_a_repeated_parameter(self, spec, what, key):
+        with pytest.raises(SymbolError, match=f"{what} parameter '{key}' is given twice"):
+            parse_spec(spec, what)
+
+    def test_symbol_spec_rejects_a_repeated_parameter(self):
+        with pytest.raises(SymbolError, match="symbol parameter 'h' is given twice"):
+            parse_symbol_spec("arctan_step(h=1,h=2)")
 
     def test_catalog_keys_complete(self):
         assert len(CATALOG_KEYS) == 10
