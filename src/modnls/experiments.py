@@ -510,10 +510,19 @@ def _probe_data(grid: Grid, N: float) -> np.ndarray:
 
 def _probe_points(N: float, box_L: float) -> int | float:
     """Points per axis of the probe grid at N: the least power of two >= 8 with
-    8 nodes per length 1/N (dx = 2*box_L/n <= 1/(8N)).  Then xi_max = 8*pi*N,
-    which also resolves frequencies up to ~12*N.  inf when 16*box_L*N overflows."""
+    8 nodes per length 1/N (dx = 2*box_L/n <= 1/(8N)).  The grid keeps every
+    frequency up to xi_max >= 8*pi*N per axis, and a q = 4 row's transforms
+    keep the central half, up to xi_max/2 >= 4*pi*N, beyond which the data's
+    Gaussian spectrum (centred at N, standard deviation sqrt(2)*N) is at most
+    3e-15 of its peak.  inf when 16*box_L*N overflows."""
     need = max(16.0 * box_L * N, 8.0)
     return 2 ** math.ceil(math.log2(need)) if math.isfinite(need) else math.inf
+
+
+def _central_half(n: int) -> np.ndarray:
+    """Indices of the central modes -n/4, ..., n/4 - 1 in the FFT order of an
+    n-point axis, listed in the FFT order of an (n/2)-point axis."""
+    return np.r_[:n // 4, n - n // 4:n]
 
 
 # The least time-sample count the rule of _probe_samples gives a row.
@@ -648,17 +657,36 @@ def _probe_sweep(symbols, p: float, q: float, k_grid, N_list, interval, d: int,
 
     The grid, the data, its transform and its H^k norms do not depend on the
     symbol, so each is built once per N and shared by every symbol's row;
-    each symbol samples time at its own :func:`_probe_samples` count.  A Q
-    of 0 or not finite, which has no logarithm to fit, raises ExperimentError.
+    each symbol samples time at its own :func:`_probe_samples` count.
+
+    A q = 4 row whose data have a top-octave mass (:func:`_coeff_tail_mass`)
+    of at most ROUNDING_FLOOR is sampled on every other node per axis: it
+    transforms only the central half of the modes per axis
+    (:func:`_central_half`) of u0_hat, scaled by 2^-d for the smaller
+    inverse FFT, and of the symbol's lattice values, with the cell 2^d times
+    the grid's.  The free flow keeps each mode's modulus, so those are the
+    modes the half grid drops at every time.  |z|^4 = (z*conj(z))^2 is a
+    trigonometric polynomial whose spectrum is bounded by the four-fold
+    convolution of the Gaussian |u0_hat|, so the trapezoid rule on the half
+    grid is exact for it up to aliases of relative weight e^(-4*pi^2), about
+    7e-18.  Every other row, and every row of another q, transforms the full
+    grid.
+
+    A Q of 0 or not finite, which has no logarithm to fit, raises
+    ExperimentError.
     """
     sweeps = [[] for _ in symbols]
     for N in N_list:
         grid = Grid(d, _probe_points(N, box_L), box_L)
         u0_hat = np.fft.fftn(_probe_data(grid, N))
         hk_norms = {f"hk_norm_{k:g}": _coeff_sobolev_norm(u0_hat, grid, k) for k in k_grid}
+        modes, probe_hat, cell = slice(None), u0_hat, grid.cell
+        if q == 4 and _coeff_tail_mass(u0_hat, grid) <= ROUNDING_FLOOR:
+            modes = np.ix_(*[_central_half(grid.n)] * d)
+            probe_hat, cell = u0_hat[modes] * 2.0**-d, cell * 2**d
         for symbol, rows in zip(symbols, sweeps):
             times = np.linspace(*interval, _probe_samples(symbol, N, interval))
-            lq = _probe_lq(symbol.on_grid(grid), u0_hat, times, q, grid.cell)
+            lq = _probe_lq(symbol.on_grid(grid)[modes], probe_hat, times, q, cell)
             Q = spacetime_norm_from_samples(times, lq, p)
             if not (math.isfinite(Q) and Q > 0):
                 raise ExperimentError(f"probe of {symbol.spec_string()} at N = {N} gives "
@@ -716,11 +744,15 @@ def run_strichartz_probe(symbol: Symbol, p: float, q: float, k_grid, N_list,
     complex values through one reused buffer, reducing each chunk to its
     L^q norms in place.  So every Q is bit-identical to a one-lane,
     unchunked run, and the memory in flight is the table plus one chunk
-    buffer and its real scratch per lane.  The contrast shares each N's
-    grid, data and H^k norms with ``symbol``.  :func:`check_strichartz_args`
-    checks every input, including an N whose grid would need more than
-    _PROBE_MAX_POINTS points per axis or more than MAX_GRID_NODES nodes,
-    before any compute.
+    buffer and its real scratch per lane.  A q = 4 row whose data have a
+    top-octave mass of at most ROUNDING_FLOOR transforms (n/2)^d nodes per
+    sample instead of n^d, the central half of the modes per axis, on which
+    the L^4 quadrature is exact to rounding (:func:`_probe_sweep`); its
+    ``grid_n`` and H^k norms are those of the full grid.  The contrast
+    shares each N's grid, data and H^k norms with ``symbol``.
+    :func:`check_strichartz_args` checks every input, including an N whose
+    grid would need more than _PROBE_MAX_POINTS points per axis or more than
+    MAX_GRID_NODES nodes, before any compute.
     """
     k_grid, N_list = check_strichartz_args(symbol, p, q, k_grid, N_list, interval, d, box_L,
                                            include_contrast)

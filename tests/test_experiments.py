@@ -719,13 +719,19 @@ class TestStrichartzProbe:
 
     def test_time_constant_norms_for_zero_symbol(self, pin_probe_samples):
         pin_probe_samples(17)
-        rep = run_strichartz_probe(
-            make_symbol("constant", c=0.0), 8.0, 4.0, [0.0], [8, 16],
-            include_contrast=False,
-        )
-        for row in rep.rows:
-            grid_n = row["grid_n"]
-            assert grid_n >= 512
+        # q = 4 takes the half-grid path and q = inf the full grid
+        for p, q in [(8.0, 4.0), (4.0, np.inf)]:
+            rep = run_strichartz_probe(
+                make_symbol("constant", c=0.0), p, q, [0.0], [8, 16], interval=(0.25, 2.25),
+                include_contrast=False,
+            )
+            for row in rep.rows:
+                grid_n = row["grid_n"]
+                assert grid_n >= 512
+                # Q = |I|^(1/p) |u0|_{L^q}, the norm on the full grid's nodes; measured 1.1e-16
+                grid = Grid(1, grid_n, 4.0)
+                norm = _lq_norms(experiments._probe_data(grid, row["N"]), q, grid.cell)
+                assert row["Q"] == pytest.approx(2.0 ** (1.0 / p) * norm, rel=1e-14, abs=0)
 
     def test_contrast_rows_tagged_by_symbol(self, pin_probe_samples):
         pin_probe_samples(257)
@@ -913,7 +919,8 @@ class TestProbeSamples:
         for row in rep.rows:
             grid, _, pvals, u0_hat = _probe_inputs(make_symbol("arctan_step", h=1.0), 1,
                                                    row["N"], row["grid_n"])
-            lq = _serial_probe_lq(pvals, u0_hat, times, 4.0, grid.cell)
+            pvals, u0_hat, cell = _transformed(grid, pvals, u0_hat, 4.0)
+            lq = _serial_probe_lq(pvals, u0_hat, times, 4.0, cell)
             q_sub = spacetime_norm_from_samples(times[::2], lq[::2], 8.0)
             assert row["time_err"] == abs(row["Q"] - q_sub) / 3.0 / row["Q"]
 
@@ -969,6 +976,21 @@ def _probe_inputs(symbol, d, N, n):
     return grid, u0, symbol.on_grid(grid), np.fft.fftn(u0)
 
 
+def _transformed(grid, pvals, u0_hat, q):
+    """The lattice values, coefficients and cell that the probe sweep transforms.
+
+    A q = 4 row whose data have a top-octave mass of at most ROUNDING_FLOOR
+    keeps the modes -n/4 <= k < n/4 per axis, its coefficients scaled for an
+    (n/2)-point inverse FFT, on the half grid's cell; every other row keeps
+    the full grid.
+    """
+    if q != 4 or _coeff_tail_mass(u0_hat, grid) > experiments.ROUNDING_FLOOR:
+        return pvals, u0_hat, grid.cell
+    k = np.fft.fftfreq(grid.n, 1.0 / grid.n)
+    keep = np.ix_(*[(k >= -grid.n / 4) & (k < grid.n / 4)] * grid.d)
+    return pvals[keep], u0_hat[keep] / 2**grid.d, grid.cell * 2**grid.d
+
+
 class TestProbeLanes:
     """The two-lane probe against the one-lane batch loop: equal bit for bit."""
 
@@ -994,6 +1016,10 @@ class TestProbeLanes:
         (1, 4.0, np.inf, [8, 16], 17, (0.5, 1.5)),
         (2, 4.0, 4.0, [1, 2], 2, (0.0, 1.0)),
         (2, 4.0, 4.0, [1, 2], 17, (0.25, 1.0)),
+        (1, 12.0, 3.0, [8, 16], 33, (0.0, 1.0)),
+        (1, 6.0, 6.0, [8, 16], 33, (0.5, 1.5)),
+        (2, 6.0, 3.0, [1, 2], 17, (0.0, 1.0)),
+        (2, 3.0, 6.0, [1, 2], 17, (0.25, 1.0)),
     ])
     def test_report_equals_the_serial_loop(self, d, p, q, N_list, time_samples, interval,
                                            pin_probe_samples):
@@ -1004,7 +1030,9 @@ class TestProbeLanes:
         times = np.linspace(*interval, time_samples)
         for row in rep.rows:
             grid, u0, pvals, u0_hat = _probe_inputs(symbol, d, row["N"], row["grid_n"])
-            lq = _serial_probe_lq(pvals, u0_hat, times, q, grid.cell)
+            # resolved q = 4 rows transform the central modes; q = 3 and 6 the full grid
+            pvals, u0_hat, cell = _transformed(grid, pvals, u0_hat, q)
+            lq = _serial_probe_lq(pvals, u0_hat, times, q, cell)
             assert row["Q"] == spacetime_norm_from_samples(times, lq, p)
             for k in (0.0, 0.25):
                 assert row[f"hk_norm_{k:g}"] == sobolev_norm(u0, grid, k)
@@ -1040,8 +1068,93 @@ class TestProbeLanes:
         assert threading.active_count() == before
 
 
+class TestProbeHalfModes:
+    """Resolved q = 4 rows, on the central half of the modes per axis, against the full grid."""
+
+    SYMBOLS = [("arctan_step", {"h": 1.0}), ("laplacian", {}), ("constant", {"c": 0.0})]
+
+    @staticmethod
+    def _half_and_full(name, params, d, N_box_L, box_L):
+        """The sweep's q = 4 row at N = N_box_L/box_L, 17 samples of [0, 1], and
+        the full-grid one-lane Q with the top-octave mass of the data."""
+        symbol = make_symbol(name, **params)
+        p, N, times = (8.0 if d == 1 else 4.0), N_box_L / box_L, np.linspace(0.0, 1.0, 17)
+        (row,), = experiments._probe_sweep([symbol], p, 4.0, [], [N], (0.0, 1.0), d, box_L)
+        grid = Grid(d, row["grid_n"], box_L)
+        u0_hat = np.fft.fftn(experiments._probe_data(grid, N))
+        lq = _serial_probe_lq(symbol.on_grid(grid), u0_hat, times, 4.0, grid.cell)
+        return row["Q"], spacetime_norm_from_samples(times, lq, p), _coeff_tail_mass(u0_hat, grid)
+
+    # measured relative deviations: up to 2.4e-13 at N*box_L = 3.5 (top-octave
+    # mass 6e-13), 2.9e-14 at 4 and 2.1e-16 from 8 to 256
+    @pytest.mark.parametrize("name, params", SYMBOLS)
+    @pytest.mark.parametrize("d, N_box_L, box_L, rtol", [
+        (1, 3.5, 4.0, 5e-13), (1, 3.5, 2.0, 5e-13), (1, 4.0, 4.0, 1e-13),
+        (1, 16.0, 4.0, 1e-15), (1, 64.0, 2.0, 1e-15), (1, 256.0, 4.0, 1e-15),
+        (2, 3.5, 4.0, 5e-13), (2, 4.0, 4.0, 1e-13), (2, 16.0, 4.0, 1e-15),
+        (2, 32.0, 2.0, 1e-15),
+    ])
+    def test_resolved_row_matches_the_full_grid(self, pin_probe_samples, name, params, d,
+                                                N_box_L, box_L, rtol):
+        pin_probe_samples(17)
+        Q, full, tail = self._half_and_full(name, params, d, N_box_L, box_L)
+        assert tail <= experiments.ROUNDING_FLOOR
+        assert Q == pytest.approx(full, rel=rtol, abs=0)
+
+    # top-octave mass 1.9e-5 (d = 1) and 2.1e-5 (d = 2) at N*box_L = 2, 8e-11 and 1.6e-10 at 3
+    @pytest.mark.parametrize("name, params", SYMBOLS)
+    @pytest.mark.parametrize("d, N_box_L", [(1, 2.0), (1, 3.0), (2, 2.0), (2, 3.0)])
+    def test_unresolved_row_is_the_full_grid_bit_for_bit(self, pin_probe_samples, name, params,
+                                                         d, N_box_L):
+        pin_probe_samples(17)
+        Q, full, tail = self._half_and_full(name, params, d, N_box_L, 4.0)
+        assert tail > experiments.ROUNDING_FLOOR
+        assert Q == full
+
+
 class TestProbeCost:
-    """The probe's memory in flight is the offset table and two chunk buffers per lane."""
+    """The probe's memory in flight is the offset table and two chunk buffers per lane;
+    a resolved q = 4 row inverse-transforms (n/2)^d nodes per sample."""
+
+    # N = 0.5 on box_L = 4 is unresolved (top-octave mass 2e-5); q = 3 and inf keep the full grid
+    @pytest.mark.parametrize("d, p, q, N_list, half", [
+        (1, 8.0, 4.0, [0.5, 1.0, 8.0], [False, True, True]),
+        (2, 4.0, 4.0, [0.5, 1.0, 2.0], [False, True, True]),
+        (1, 12.0, 3.0, [1.0, 8.0], [False, False]),
+        (1, 4.0, np.inf, [1.0, 8.0], [False, False]),
+    ])
+    def test_inverse_transform_elements_per_row(self, monkeypatch, pin_probe_samples, d, p, q,
+                                               N_list, half):
+        pin_probe_samples(33)
+        calls = count_ffts(monkeypatch)
+        sizes, rows, built = [], [], Counter()
+        ifftn, probe_lq, probe_data = np.fft.ifftn, experiments._probe_lq, experiments._probe_data
+
+        def sized_ifftn(a, *args, **kwargs):
+            sizes.append(a.size)  # one append per call, from either lane
+            return ifftn(a, *args, **kwargs)
+
+        def row_probe_lq(*args):
+            first = len(sizes)
+            lq = probe_lq(*args)  # every lane has joined when it returns
+            rows.append(sum(sizes[first:]))
+            return lq
+
+        def counting_probe_data(grid, N):
+            built[N] += 1
+            return probe_data(grid, N)
+
+        monkeypatch.setattr(np.fft, "ifftn", sized_ifftn)
+        monkeypatch.setattr(experiments, "_probe_lq", row_probe_lq)
+        monkeypatch.setattr(experiments, "_probe_data", counting_probe_data)
+        run_strichartz_probe(make_symbol("arctan_step", h=1.0), p, q, [0.0], N_list, d=d,
+                             include_contrast=True)
+        nodes = [(experiments._probe_points(N, 4.0) // (2 if h else 1)) ** d
+                 for N, h in zip(N_list, half)]
+        # the probed symbol's row, then the contrast's, at each N
+        assert rows == [33 * n for n in nodes for _ in range(2)]
+        assert built == {N: 1 for N in N_list}
+        assert calls.count("fftn") == len(N_list)
 
     @pytest.mark.parametrize("q", [4.0, np.inf])
     def test_traced_peak_of_the_largest_1d_row(self, q):
