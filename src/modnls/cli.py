@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -83,7 +84,10 @@ def main(argv=None) -> int:
         return EXIT_ERROR
 
     try:
-        cfg = parse_config(args.subcommand, path.read_text())
+        with warnings.catch_warnings():
+            # the driver runs the same input check first, and warns again
+            warnings.simplefilter("ignore")
+            cfg = parse_config(args.subcommand, path.read_text())
         outdir = Path(args.out) if args.out else Path(cfg.outdir)
         report = globals()[_DRIVERS[args.subcommand]](**cfg.args)
     except (ConfigError, *DRIVER_ERRORS) as exc:

@@ -460,8 +460,10 @@ def check_strichartz_args(symbol: Symbol, p: float, q: float, k_grid, N_list,
     include_contrast (the config key ``contrast``) other than 0 or 1, an N
     whose grid needs more than _PROBE_MAX_POINTS points per axis or more
     than MAX_GRID_NODES nodes, an N whose N^2 is not finite, a row whose
-    :func:`_probe_samples` count is not finite or above _PROBE_MAX_SAMPLES,
-    and a non-finite k.  Returns (k_grid, N_list) as floats.
+    odd :func:`_probe_samples` count max(1025, 2*ceil(r*|I|) + 1), with
+    r = 128*M for a bounded symbol with |P| <= M and r = 2*N^2 otherwise, is
+    not finite or above _PROBE_MAX_SAMPLES, and a non-finite k.  Returns
+    (k_grid, N_list) as floats.
     """
     if d not in (1, 2):
         raise ExperimentError(f"spatial dimension must be 1 or 2, got {d}")
@@ -536,21 +538,21 @@ _PROBE_MAX_POINTS = 16384
 def _probe_samples(symbol: Symbol, N: float, interval) -> int | float:
     """Uniform time samples of the probe row of ``symbol`` at N; inf when the count overflows.
 
-    A bounded symbol with |P| <= M turns every mode by at most M*dt per
-    sample, whatever N is, so it gets max(1025, 2*ceil(128*M*|I|) + 1): an
-    odd count whose spacing turns the fastest mode by at most 2^-8 rad.
-    Every other symbol gets max(1025, 4*N^2*|I| + 1), the Laplacian's rate
-    at the data's frequencies.
+    The count is max(1025, 2*ceil(r*|I|) + 1), odd so that every row has a
+    Richardson estimate (:func:`_probe_time_err`).  A bounded symbol with
+    |P| <= M turns every mode by at most M*dt per sample, whatever N is, so
+    r = 128*M: the spacing turns the fastest mode by at most 2^-8 rad.
+    Every other symbol gets r = 2*N^2, half the Laplacian's rate 4*N^2 at
+    the data's frequencies, so it keeps 4*N^2*|I| + 1 samples wherever
+    that is odd.
     """
     t0, t1 = interval
-    if symbol.kind == BOUNDED and symbol.bound is not None:
-        # half the sample intervals that keep M*dt <= 2^-8
-        half_intervals = 128.0 * symbol.bound * (t1 - t0)
-        if not math.isfinite(half_intervals):
-            return math.inf
-        return max(_PROBE_MIN_SAMPLES, 2 * math.ceil(half_intervals) + 1)
-    rate = 4.0 * N * N * (t1 - t0)
-    return max(_PROBE_MIN_SAMPLES, int(rate) + 1) if math.isfinite(rate) else math.inf
+    bounded = symbol.kind == BOUNDED and symbol.bound is not None
+    # half the number of sample intervals
+    half_intervals = (128.0 * symbol.bound if bounded else 2.0 * N * N) * (t1 - t0)
+    if not math.isfinite(half_intervals):
+        return math.inf
+    return max(_PROBE_MIN_SAMPLES, 2 * math.ceil(half_intervals) + 1)
 
 
 def _probe_symbols(symbol: Symbol, include_contrast) -> list:
@@ -570,7 +572,7 @@ _PROBE_MIN_ROWS = 8
 # and the L^q reduction of a chunk all run on data still in cache.
 _PROBE_CHUNK_ELEMENTS = 1 << 16
 # The calling thread and one helper thread; numpy's FFTs and ufuncs release
-# the GIL, so the two lanes run on two cores.
+# the GIL, so the two lanes can run on two cores.
 _PROBE_LANES = 2
 
 
@@ -578,60 +580,56 @@ def _probe_lq(pvals: np.ndarray, u0_hat: np.ndarray, times: np.ndarray, q: float
               cell: float) -> np.ndarray:
     """|exp(i t P) u0|_{L^q} at every time of the uniform grid ``times``.
 
-    On the uniform time grid exp(i t_{lo+j} P) = exp(i j dt P) * exp(i t_lo P):
-    one offset table serves every batch, and each lane pays one exp per node
-    and batch for the start phase instead of one per sample and node.  Every
-    batch's rows are split between _PROBE_LANES lanes, the calling thread and
-    helper threads started and joined here.  Each lane builds the table rows
-    of its own share and streams them, _PROBE_CHUNK_ELEMENTS at a time,
-    through one complex buffer and one real scratch array, which the L^q
-    reduction overwrites; the memory in flight is the table plus two small
-    buffers per lane.  Every value is bit-identical to a one-lane, unchunked
-    run.  An exception in a helper is raised here after every helper has been
-    joined.
+    The samples are taken in batches of _PROBE_BATCH_ELEMENTS complex values
+    (at least _PROBE_MIN_ROWS rows).  On the uniform time grid
+    exp(i t_{lo+j} P) = exp(i j dt P) * exp(i t_lo P), so one offset table
+    exp(i j dt P) serves every batch, and a batch is the table times its
+    start phase exp(i t_lo P) * u0_hat, followed by a batched inverse FFT.
+    Every batch's rows are split between _PROBE_LANES lanes: the calling
+    thread and helper threads started and joined once per call.  Each lane
+    builds the table rows of its own share and streams them,
+    _PROBE_CHUNK_ELEMENTS at a time (at least one row), through one complex
+    buffer and one real scratch array, which the L^q reduction overwrites;
+    the memory in flight is the table plus these two buffers per lane.
+    Every value is bit-identical to a one-lane, unchunked run.  An exception
+    in any lane is raised here after every helper has been joined.
     """
     n_t = times.size
     axes = tuple(range(1, u0_hat.ndim + 1))
     rows_per_batch = min(n_t, max(_PROBE_MIN_ROWS, _PROBE_BATCH_ELEMENTS // u0_hat.size))
     offsets = (times[-1] - times[0]) / (n_t - 1) * np.arange(rows_per_batch)
     lq = np.empty(n_t)
+    errors = []
 
     def lane(first, stop):
         # rows [first, stop) of every batch
-        table = _propagator(pvals, offsets[first:stop])
-        rows = max(1, min(stop - first, _PROBE_CHUNK_ELEMENTS // u0_hat.size))
-        buf = np.empty((rows,) + u0_hat.shape, dtype=table.dtype)
-        scratch = np.empty(buf.shape)
-        for lo in range(0, n_t, rows_per_batch):
-            m = min(stop, n_t - lo) - first
-            if m <= 0:  # only the last batch can be this short
-                break
-            start = _propagator(pvals, times[lo]) * u0_hat
-            for c in range(0, m, rows):
-                k = min(rows, m - c)
-                snaps = np.multiply(table[c:c + k], start, out=buf[:k])
-                np.fft.ifftn(snaps, axes=axes, out=snaps)
-                row = lo + first + c
-                lq[row:row + k] = _lq_norms(snaps, q, cell, axes, out=scratch[:k])
-
-    errors = []
-
-    def helper(first, stop):
         try:
-            lane(first, stop)
-        except BaseException as exc:  # raised again in the calling thread
+            table = _propagator(pvals, offsets[first:stop])
+            rows = max(1, min(stop - first, _PROBE_CHUNK_ELEMENTS // u0_hat.size))
+            buf = np.empty((rows,) + u0_hat.shape, dtype=table.dtype)
+            scratch = np.empty(buf.shape)
+            for lo in range(0, n_t, rows_per_batch):
+                m = min(stop, n_t - lo) - first
+                if m <= 0:  # only the last batch can be this short
+                    break
+                start = _propagator(pvals, times[lo]) * u0_hat
+                for c in range(0, m, rows):
+                    k = min(rows, m - c)
+                    snaps = np.multiply(table[c:c + k], start, out=buf[:k])
+                    np.fft.ifftn(snaps, axes=axes, out=snaps)
+                    row = lo + first + c
+                    lq[row:row + k] = _lq_norms(snaps, q, cell, axes, out=scratch[:k])
+        except BaseException as exc:  # raised again once every lane is done
             errors.append(exc)
 
     bounds = [rows_per_batch * k // _PROBE_LANES for k in range(_PROBE_LANES + 1)]
-    helpers = [threading.Thread(target=helper, args=rows, name="modnls-probe-lane")
+    helpers = [threading.Thread(target=lane, args=rows, name="modnls-probe-lane")
                for rows in zip(bounds[1:-1], bounds[2:])]
     for thread in helpers:
         thread.start()
-    try:
-        lane(bounds[0], bounds[1])
-    finally:
-        for thread in helpers:
-            thread.join()
+    lane(bounds[0], bounds[1])
+    for thread in helpers:
+        thread.join()
     if errors:
         raise errors[0]
     return lq
@@ -642,8 +640,9 @@ def _probe_time_err(times: np.ndarray, lq: np.ndarray, p: float, Q: float) -> fl
 
     Q_sub is the trapezoid over the even-indexed samples, the same interval
     at twice the spacing, so the estimate costs no transform.  nan when the
-    count is even (the subsample misses t_end); an odd count is at least 3,
-    since the check admits no fewer than 2 samples.  Q is positive.
+    count is even (the subsample misses t_end), which :func:`_probe_samples`
+    never picks; an odd count is at least 3, since a uniform grid on I has
+    at least 2 samples.  Q is positive.
     """
     if times.size % 2 == 0:
         return math.nan
@@ -725,55 +724,38 @@ def run_strichartz_probe(symbol: Symbol, p: float, q: float, k_grid, N_list,
     family, so |u0_N|_{H^k} grows like N^k.  For bounded multipliers the
     fitted exponent khat must reach d/2 - d/q - SLOPE_MARGIN (no estimate
     better than Sobolev embedding); the standard second-order multiplier is
-    rerun as a dispersive contrast when ``include_contrast`` is set.
+    rerun as a dispersive contrast, fitted as ``khat_contrast``, when
+    ``include_contrast`` is set; it shares each N's grid, data and H^k norms.
 
-    :func:`_probe_samples` picks each row's number of uniform samples of the
-    interval from its symbol: max(1025, 2*ceil(128*M*|I|) + 1) for a
-    bounded symbol with |P| <= M, max(1025, 4*N^2*|I| + 1) for the others,
-    the contrast included.  Each row's ``time_err`` is the Richardson estimate
-    |Q - Q_sub|/3/Q of its relative time error, Q_sub the trapezoid over the
-    even-indexed samples (nan for an even count); ``fitted.max_time_err``
+    Each row's Q is the trapezoid over the odd number of uniform samples of
+    the interval that :func:`_probe_samples` picks from its symbol, each
+    sample an L^q norm from :func:`_probe_lq`.  Its ``time_err`` is the
+    Richardson estimate |Q - Q_sub|/3/Q of Q's relative time error, Q_sub
+    the trapezoid over the even-indexed samples; ``fitted.max_time_err``
     and ``fitted.max_time_err_contrast`` are the largest of each sweep.  The
-    verdict does not read them.  The samples are taken in batches of
-    about 2^18 complex values (at least 8 rows): each batch is one offset
-    table exp(i*j*dt*P), built once per report row, times the batch's start
-    exp(i*t_lo*P)*u0_hat, followed by a batched inverse FFT.  The rows of
-    every batch are split between two lanes, the calling thread and one
-    helper thread started and joined once per report row.  Each lane builds
-    the table rows of its half and transforms them in chunks of about 2^16
-    complex values through one reused buffer, reducing each chunk to its
-    L^q norms in place.  So every Q is bit-identical to a one-lane,
-    unchunked run, and the memory in flight is the table plus one chunk
-    buffer and its real scratch per lane.  A q = 4 row whose data have a
-    top-octave mass of at most ROUNDING_FLOOR transforms (n/2)^d nodes per
-    sample instead of n^d, the central half of the modes per axis, on which
-    the L^4 quadrature is exact to rounding (:func:`_probe_sweep`); its
-    ``grid_n`` and H^k norms are those of the full grid.  The contrast
-    shares each N's grid, data and H^k norms with ``symbol``.
-    :func:`check_strichartz_args` checks every input, including an N whose
-    grid would need more than _PROBE_MAX_POINTS points per axis or more than
-    MAX_GRID_NODES nodes, before any compute.
+    verdict does not read them.  A row's ``grid_n`` and H^k norms are those
+    of the full grid, also where a q = 4 row transforms only its central
+    half (:func:`_probe_sweep`).  :func:`check_strichartz_args` checks every
+    input before any compute.
     """
     k_grid, N_list = check_strichartz_args(symbol, p, q, k_grid, N_list, interval, d, box_L,
                                            include_contrast)
 
     symbols = _probe_symbols(symbol, include_contrast)
     sweeps = _probe_sweep(symbols, p, q, k_grid, N_list, interval, d, box_L)
-    khat, residual = _fit_slope(N_list, [row["Q"] for row in sweeps[0]])
-    # np.max, unlike max, returns nan when any row's estimate is nan
-    fitted = {"khat": khat, "khat_residual": residual,
-              "max_time_err": float(np.max([row["time_err"] for row in sweeps[0]]))}
-    if include_contrast:
-        khat_contrast, res_contrast = _fit_slope(N_list, [row["Q"] for row in sweeps[1]])
-        fitted["khat_contrast"] = khat_contrast
-        fitted["khat_contrast_residual"] = res_contrast
-        fitted["max_time_err_contrast"] = float(np.max([row["time_err"] for row in sweeps[1]]))
+    fitted = {}
+    for suffix, sweep in zip(("", "_contrast"), sweeps):
+        khat, residual = _fit_slope(N_list, [row["Q"] for row in sweep])
+        fitted[f"khat{suffix}"] = khat
+        fitted[f"khat{suffix}_residual"] = residual
+        # np.max, unlike max, returns nan when any row's estimate is nan
+        fitted[f"max_time_err{suffix}"] = float(np.max([row["time_err"] for row in sweep]))
     rows = [row for sweep in sweeps for row in sweep]
 
     inv_q = 0.0 if q == np.inf else 1.0 / q
     threshold = d / 2.0 - d * inv_q - SLOPE_MARGIN
     claim_applies = symbol.kind == BOUNDED
     fitted["claim_applies"] = float(claim_applies)
-    verdict = (khat >= threshold) if claim_applies else True
+    verdict = (fitted["khat"] >= threshold) if claim_applies else True
     return ExperimentReport("strichartz", rows, fitted, verdict,
                             tolerances={"khat_min": threshold, "slope_margin": SLOPE_MARGIN})

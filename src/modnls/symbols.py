@@ -265,13 +265,19 @@ CATALOG_KEYS = tuple(sorted(_CATALOG))
 
 
 def make_symbol(name: str, **params) -> Symbol:
-    """Build a catalog symbol, validating the key and its parameters."""
+    """Build a catalog symbol, validating the key and its parameters.
+
+    Every parameter must be finite; that is checked before the builder runs.
+    """
     if name not in _CATALOG:
         raise SymbolError(f"unknown symbol {name!r}; known keys: {', '.join(CATALOG_KEYS)}")
     builder, allowed = _CATALOG[name]
     unexpected = set(params) - set(allowed)
     if unexpected:
         raise SymbolError(f"{name} does not take parameters {sorted(unexpected)}")
+    for key, value in params.items():
+        if not math.isfinite(value):
+            raise SymbolError(f"{name} parameter {key} must be finite, got {value}")
     return builder(params)
 
 

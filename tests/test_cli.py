@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -400,6 +401,44 @@ def test_probe_whose_Q_underflows_is_an_error(tmp_path, capsys):
     assert main(["strichartz", "--config", str(cfg), "--out", str(out)]) == EXIT_ERROR
     assert "probe of constant(c=0) at N = 1e-300 gives Q = 0.0" in capsys.readouterr().err
     assert not (out / "report.csv").exists()
+
+
+@pytest.mark.parametrize("spec, message", [
+    ("odd_power_1d(j=inf)", "odd_power_1d parameter j must be finite, got inf"),
+    ("odd_power_1d(j=nan)", "odd_power_1d parameter j must be finite, got nan"),
+    ("arctan_step(h=nan)", "arctan_step parameter h must be finite, got nan"),
+])
+def test_non_finite_symbol_parameter_is_an_error(tmp_path, capsys, spec, message):
+    cfg = write(tmp_path, "bad.cfg", STRICHARTZ_CFG.replace("constant(c=0)", spec))
+    out = tmp_path / "out"
+    assert main(["strichartz", "--config", str(cfg), "--out", str(out)]) == EXIT_ERROR
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+README_INFLATE_CFG = """
+[equation]
+symbol = arctan_step(h=1)
+lambda = 1.0
+sigma = 2
+
+[inflate]
+d = 1
+s = 0.25
+theta = 0.05
+delta = 0.1
+h_list = e^-2, e^-3, e^-4
+"""
+
+
+def test_a_run_warns_once_about_the_phase_ode_exponent(tmp_path):
+    # config and the driver run the same check; a run reports its warning once
+    cfg = write(tmp_path, "readme.cfg", README_INFLATE_CFG)
+    with warnings.catch_warnings(record=True) as record:
+        warnings.simplefilter("always")
+        assert main(["inflate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_FAIL
+    messages = [str(w.message) for w in record]
+    assert len([m for m in messages if "phase-ODE exponent" in m]) == 1, messages
 
 
 def test_cli_import_loads_no_scipy():

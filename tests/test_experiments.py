@@ -868,6 +868,22 @@ class TestProbeSamples:
         assert counts == {"arctan_step(h=1)": [1025] * 4,
                           "laplacian": [1025, 1025, 4097, 16385]}
 
+    def test_contrast_counts_of_the_criterion_6_sweep(self):
+        laplacian = make_symbol("laplacian")
+        assert [experiments._probe_samples(laplacian, N, (0.0, 1.0))
+                for N in (8.0, 16.0, 32.0, 64.0)] == [1025, 1025, 4097, 16385]
+
+    def test_every_count_is_odd_and_every_estimate_finite(self):
+        # 4*N^2*|I| = 2133.3 at N = 40 on [0, 1/3]: the count rounds up to an odd 2135
+        rep = run_strichartz_probe(make_symbol("arctan_step", h=1.0), 8.0, 4.0, [0.0], [20, 40],
+                                   interval=(0.0, 1.0 / 3.0), include_contrast=True)
+        assert [row["time_samples"] for row in rep.rows] == [1025, 1025, 1025, 2135]
+        for row in rep.rows:
+            assert row["time_samples"] % 2 == 1
+            assert math.isfinite(row["time_err"])
+        assert math.isfinite(rep.fitted["max_time_err"])
+        assert math.isfinite(rep.fitted["max_time_err_contrast"])
+
     def test_bounded_count_turns_the_fastest_mode_by_at_most_2_to_the_minus_8(self):
         for name, params, interval in [("constant", {"c": 40.0}, (0.0, 1.0)),
                                        ("arctan_step", {"h": 0.01}, (0.5, 3.0))]:
