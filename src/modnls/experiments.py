@@ -460,10 +460,11 @@ def check_strichartz_args(symbol: Symbol, p: float, q: float, k_grid, N_list,
     include_contrast (the config key ``contrast``) other than 0 or 1, an N
     whose grid needs more than _PROBE_MAX_POINTS points per axis or more
     than MAX_GRID_NODES nodes, an N whose N^2 is not finite, a row whose
-    odd :func:`_probe_samples` count max(1025, 2*ceil(r*|I|) + 1), with
-    r = 128*M for a bounded symbol with |P| <= M and r = 2*N^2 otherwise, is
-    not finite or above _PROBE_MAX_SAMPLES, and a non-finite k.  Returns
-    (k_grid, N_list) as floats.
+    first :func:`_probe_samples` count, max(17, 2*ceil(M*|I|) + 1) for a
+    bounded symbol with |P| <= M and max(1025, 2*ceil(2*N^2*|I|) + 1)
+    otherwise, is not finite or above _PROBE_MAX_SAMPLES, and a non-finite
+    k.  Doublings of a bounded row stop at the cap with a warning, never
+    with an error.  Returns (k_grid, N_list) as floats.
     """
     if d not in (1, 2):
         raise ExperimentError(f"spatial dimension must be 1 or 2, got {d}")
@@ -527,7 +528,8 @@ def _central_half(n: int) -> np.ndarray:
     return np.r_[:n // 4, n - n // 4:n]
 
 
-# The least time-sample count the rule of _probe_samples gives a row.
+# The least first count of a bounded probe row, and of every other row.
+_PROBE_BOUNDED_MIN_SAMPLES = 17
 _PROBE_MIN_SAMPLES = 1025
 # The most a row may take: its times and L^q norms then stay within 256 MB.
 _PROBE_MAX_SAMPLES = 2**24
@@ -535,24 +537,32 @@ _PROBE_MAX_SAMPLES = 2**24
 _PROBE_MAX_POINTS = 16384
 
 
-def _probe_samples(symbol: Symbol, N: float, interval) -> int | float:
-    """Uniform time samples of the probe row of ``symbol`` at N; inf when the count overflows.
+def _probe_bound(symbol: Symbol) -> float | None:
+    """The sup bound M of a bounded symbol with |P| <= M, else None."""
+    return symbol.bound if symbol.kind == BOUNDED else None
 
-    The count is max(1025, 2*ceil(r*|I|) + 1), odd so that every row has a
-    Richardson estimate (:func:`_probe_time_err`).  A bounded symbol with
-    |P| <= M turns every mode by at most M*dt per sample, whatever N is, so
-    r = 128*M: the spacing turns the fastest mode by at most 2^-8 rad.
-    Every other symbol gets r = 2*N^2, half the Laplacian's rate 4*N^2 at
-    the data's frequencies, so it keeps 4*N^2*|I| + 1 samples wherever
-    that is odd.
+
+def _probe_samples(symbol: Symbol, N: float, interval) -> int | float:
+    """First count of uniform time samples of the probe row of ``symbol`` at N; inf when it overflows.
+
+    The count is odd, so that every row has a Richardson estimate
+    (:func:`_probe_time_err`).  A bounded symbol with |P| <= M turns every
+    mode by at most M*dt per sample, whatever N is, so its first count is
+    max(17, 2*ceil(M*|I|) + 1): a sample turns the fastest mode by at most
+    1/2 rad, and :func:`_probe_sweep` doubles the count on nested grids
+    until the estimate certifies the row.  Every other symbol gets
+    max(1025, 2*ceil(2*N^2*|I|) + 1), half the Laplacian's rate 4*N^2 at the
+    data's frequencies, so it keeps 4*N^2*|I| + 1 samples wherever that is
+    odd, and is never doubled.
     """
     t0, t1 = interval
-    bounded = symbol.kind == BOUNDED and symbol.bound is not None
-    # half the number of sample intervals
-    half_intervals = (128.0 * symbol.bound if bounded else 2.0 * N * N) * (t1 - t0)
+    M = _probe_bound(symbol)
+    least, rate = ((_PROBE_MIN_SAMPLES, 2.0 * N * N) if M is None
+                   else (_PROBE_BOUNDED_MIN_SAMPLES, M))
+    half_intervals = rate * (t1 - t0)
     if not math.isfinite(half_intervals):
         return math.inf
-    return max(_PROBE_MIN_SAMPLES, 2 * math.ceil(half_intervals) + 1)
+    return max(least, 2 * math.ceil(half_intervals) + 1)
 
 
 def _probe_symbols(symbol: Symbol, include_contrast) -> list:
@@ -656,7 +666,16 @@ def _probe_sweep(symbols, p: float, q: float, k_grid, N_list, interval, d: int,
 
     The grid, the data, its transform and its H^k norms do not depend on the
     symbol, so each is built once per N and shared by every symbol's row;
-    each symbol samples time at its own :func:`_probe_samples` count.
+    each symbol first samples time at its own :func:`_probe_samples` count n.
+    While a bounded symbol's row has a Richardson estimate
+    (:func:`_probe_time_err`) above TIME_RTOL, its count doubles to 2n - 1
+    on the nested grid: :func:`_probe_lq` runs on the n - 1 midpoints only,
+    themselves a uniform grid, and their norms are interleaved with the old
+    ones, so no sample is transformed twice and the new estimate compares
+    Q with the previous Q.  The doubling stops when the row is certified,
+    or with one warning that names the estimate when 2n - 1 would exceed
+    _PROBE_MAX_SAMPLES; a nan estimate (an even count) stops it at once.
+    Every other row keeps its first count.
 
     A q = 4 row whose data have a top-octave mass (:func:`_coeff_tail_mass`)
     of at most ROUNDING_FLOOR is sampled on every other node per axis: it
@@ -684,12 +703,33 @@ def _probe_sweep(symbols, p: float, q: float, k_grid, N_list, interval, d: int,
             modes = np.ix_(*[_central_half(grid.n)] * d)
             probe_hat, cell = u0_hat[modes] * 2.0**-d, cell * 2**d
         for symbol, rows in zip(symbols, sweeps):
+            pvals = symbol.on_grid(grid)[modes]
             times = np.linspace(*interval, _probe_samples(symbol, N, interval))
-            lq = _probe_lq(symbol.on_grid(grid)[modes], probe_hat, times, q, cell)
-            Q = spacetime_norm_from_samples(times, lq, p)
-            if not (math.isfinite(Q) and Q > 0):
-                raise ExperimentError(f"probe of {symbol.spec_string()} at N = {N} gives "
-                                      f"Q = {Q}, which has no logarithm to fit")
+            lq = _probe_lq(pvals, probe_hat, times, q, cell)
+            while True:
+                Q = spacetime_norm_from_samples(times, lq, p)
+                if not (math.isfinite(Q) and Q > 0):
+                    raise ExperimentError(f"probe of {symbol.spec_string()} at N = {N} gives "
+                                          f"Q = {Q}, which has no logarithm to fit")
+                time_err = _probe_time_err(times, lq, p, Q)
+                # nan > TIME_RTOL is false, so an even count is never doubled
+                if _probe_bound(symbol) is None or not time_err > TIME_RTOL:
+                    break
+                n_t = 2 * times.size - 1
+                if n_t > _PROBE_MAX_SAMPLES:
+                    warnings.warn(
+                        f"probe of {symbol.spec_string()} at N = {N} is not certified in "
+                        f"time: its Richardson estimate {time_err:.3e} (relative) at "
+                        f"{times.size} samples exceeds TIME_RTOL = {TIME_RTOL:g}, and "
+                        f"{n_t} samples exceed _PROBE_MAX_SAMPLES = {_PROBE_MAX_SAMPLES}",
+                        stacklevel=3,
+                    )
+                    break
+                # the nested grid keeps every old sample and transforms only the midpoints
+                times = np.linspace(*interval, n_t)
+                coarse, lq = lq, np.empty(n_t)
+                lq[::2] = coarse
+                lq[1::2] = _probe_lq(pvals, probe_hat, times[1::2], q, cell)
             rows.append({
                 "symbol": symbol.spec_string(),
                 "N": N,
@@ -697,7 +737,7 @@ def _probe_sweep(symbols, p: float, q: float, k_grid, N_list, interval, d: int,
                 "time_samples": times.size,
                 "Q": Q,
                 **hk_norms,
-                "time_err": _probe_time_err(times, lq, p, Q),
+                "time_err": time_err,
             })
     return sweeps
 
@@ -727,16 +767,20 @@ def run_strichartz_probe(symbol: Symbol, p: float, q: float, k_grid, N_list,
     rerun as a dispersive contrast, fitted as ``khat_contrast``, when
     ``include_contrast`` is set; it shares each N's grid, data and H^k norms.
 
-    Each row's Q is the trapezoid over the odd number of uniform samples of
-    the interval that :func:`_probe_samples` picks from its symbol, each
-    sample an L^q norm from :func:`_probe_lq`.  Its ``time_err`` is the
-    Richardson estimate |Q - Q_sub|/3/Q of Q's relative time error, Q_sub
-    the trapezoid over the even-indexed samples; ``fitted.max_time_err``
-    and ``fitted.max_time_err_contrast`` are the largest of each sweep.  The
-    verdict does not read them.  A row's ``grid_n`` and H^k norms are those
-    of the full grid, also where a q = 4 row transforms only its central
-    half (:func:`_probe_sweep`).  :func:`check_strichartz_args` checks every
-    input before any compute.
+    Each row's Q is the trapezoid over an odd number of uniform samples of
+    the interval, each sample an L^q norm from :func:`_probe_lq`.  Its
+    ``time_err`` is the Richardson estimate |Q - Q_sub|/3/Q of Q's relative
+    time error, Q_sub the trapezoid over the even-indexed samples.  A
+    bounded symbol's row starts at the :func:`_probe_samples` count, which
+    turns its fastest mode by at most 1/2 rad per sample, and doubles it on
+    nested grids until ``time_err <= TIME_RTOL`` or the count would exceed
+    _PROBE_MAX_SAMPLES, which warns (:func:`_probe_sweep`); every other
+    row, the contrast's included, keeps its first count.
+    ``fitted.max_time_err`` and ``fitted.max_time_err_contrast`` are the
+    largest ``time_err`` of each sweep.  The verdict does not read them.  A
+    row's ``grid_n`` and H^k norms are those of the full grid, also where a
+    q = 4 row transforms only its central half (:func:`_probe_sweep`).
+    :func:`check_strichartz_args` checks every input before any compute.
     """
     k_grid, N_list = check_strichartz_args(symbol, p, q, k_grid, N_list, interval, d, box_L,
                                            include_contrast)

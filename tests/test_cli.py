@@ -232,6 +232,24 @@ class TestRejectedBeforeAnyCompute:
                 "MAX_GRID_NODES = 16777216 nodes") in capsys.readouterr().err
         assert not (out / "report.csv").exists()
 
+    # a bounded row starts at 2*ceil(M*|I|) + 1 samples: 16777217 for M = 2^23 on
+    # [0, 1], one above _PROBE_MAX_SAMPLES = 2^24, and 16777215 for M = 2^23 - 1
+    def test_bounded_first_count_above_the_cap_exits_2(self, tmp_path, capsys, monkeypatch):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("the probe ran before its first counts were checked")
+
+        monkeypatch.setattr("modnls.experiments._probe_sweep", no_sweep)
+        text = STRICHARTZ_CFG.replace("constant(c=0)", "constant(c=8388608)")
+        cfg = write(tmp_path, "bounded.cfg", text)
+        out = tmp_path / "out"
+        assert main(["strichartz", "--config", str(cfg), "--out", str(out)]) == EXIT_ERROR
+        assert ("probe of constant(c=8388608) at N = 8.0 needs 16777217 time samples, "
+                "above the ceiling 16777216") in capsys.readouterr().err
+        assert not (out / "report.csv").exists()
+        below = make_symbol("constant", c=8388607.0)
+        assert modnls.experiments.check_strichartz_args(
+            below, 8.0, 4.0, [0.0], [8, 16], include_contrast=0) == ([0.0], [8.0, 16.0])
+
     @pytest.mark.parametrize("N_list", ["0, 2, 4", "-2, 4", "8, inf"])
     def test_N_list_entries_must_be_finite_and_positive(self, tmp_path, capsys, N_list):
         cfg = write(tmp_path, "bad.cfg", STRICHARTZ_CFG.replace("N_list = 8, 16",
@@ -298,7 +316,7 @@ class TestRejectedBeforeAnyCompute:
          "probe of laplacian at N = 8.0 needs inf time samples"),
         ("strichartz", "symbol = constant(c=0)\n\n[strichartz]",
          "symbol = arctan_step(h=1)\n\n[strichartz]\nt_end = 1e12",
-         "probe of arctan_step(h=1) at N = 8.0 needs 402123859659495 time samples, "
+         "probe of arctan_step(h=1) at N = 8.0 needs 3141592653591 time samples, "
          "above the ceiling 16777216"),
         ("strichartz", "p = 8\nq = 4\nN_list = 8, 16",
          "d = 2\np = 4\nq = 4\nN_list = 8, 1024\nbox_L = 1",

@@ -865,7 +865,8 @@ class TestProbeSamples:
         counts = {name: [row["time_samples"] for row in probe_report.rows
                          if row["symbol"] == name]
                   for name in ("arctan_step(h=1)", "laplacian")}
-        assert counts == {"arctan_step(h=1)": [1025] * 4,
+        # the bounded rows' first count, max(17, 2*ceil(M*|I|) + 1) at M = pi/2, certifies them
+        assert counts == {"arctan_step(h=1)": [17] * 4,
                           "laplacian": [1025, 1025, 4097, 16385]}
 
     def test_contrast_counts_of_the_criterion_6_sweep(self):
@@ -877,22 +878,26 @@ class TestProbeSamples:
         # 4*N^2*|I| = 2133.3 at N = 40 on [0, 1/3]: the count rounds up to an odd 2135
         rep = run_strichartz_probe(make_symbol("arctan_step", h=1.0), 8.0, 4.0, [0.0], [20, 40],
                                    interval=(0.0, 1.0 / 3.0), include_contrast=True)
-        assert [row["time_samples"] for row in rep.rows] == [1025, 1025, 1025, 2135]
+        assert [row["time_samples"] for row in rep.rows] == [17, 17, 1025, 2135]
         for row in rep.rows:
             assert row["time_samples"] % 2 == 1
             assert math.isfinite(row["time_err"])
         assert math.isfinite(rep.fitted["max_time_err"])
         assert math.isfinite(rep.fitted["max_time_err_contrast"])
 
-    def test_bounded_count_turns_the_fastest_mode_by_at_most_2_to_the_minus_8(self):
-        for name, params, interval in [("constant", {"c": 40.0}, (0.0, 1.0)),
-                                       ("arctan_step", {"h": 0.01}, (0.5, 3.0))]:
-            symbol = make_symbol(name, **params)
-            n_t = experiments._probe_samples(symbol, 8.0, interval)
-            assert n_t > 1025 and n_t % 2 == 1
-            assert symbol.bound * (interval[1] - interval[0]) / (n_t - 1) <= 2.0**-8
-            # N does not enter a bounded symbol's count
-            assert experiments._probe_samples(symbol, 1e6, interval) == n_t
+    @pytest.mark.parametrize("name, params, interval, n_t", [
+        ("constant", {"c": 40.0}, (0.0, 1.0), 81),
+        ("arctan_step", {"h": 0.01}, (0.5, 3.0), 787),
+        ("arctan_step", {"h": 1.0}, (0.0, 1.0), 17),
+        ("constant", {"c": 0.0}, (0.0, 1.0), 17),
+    ])
+    def test_bounded_first_count_turns_the_fastest_mode_by_at_most_half_a_radian(
+            self, name, params, interval, n_t):
+        symbol = make_symbol(name, **params)
+        assert experiments._probe_samples(symbol, 8.0, interval) == n_t
+        assert symbol.bound * (interval[1] - interval[0]) / (n_t - 1) <= 0.5
+        # N does not enter a bounded symbol's count
+        assert experiments._probe_samples(symbol, 1e6, interval) == n_t
 
     def test_contrast_Q_equals_a_run_at_those_counts(self, probe_report, pin_probe_samples):
         contrast = [row for row in probe_report.rows if row["symbol"] == "laplacian"]
@@ -915,7 +920,7 @@ class TestProbeSamples:
         pin_probe_samples(16 * 1024 + 1)
         fine = run_strichartz_probe(symbol, 8.0, 4.0, [0.0], [8, 16], include_contrast=False)
         for row, ref in zip(rep.rows, fine.rows):
-            assert row["time_samples"] == 1025
+            assert row["time_samples"] == 17
             true_err = abs(row["Q"] - ref["Q"]) / ref["Q"]
             assert true_err / 2 <= row["time_err"] <= 2 * true_err
 
@@ -939,6 +944,86 @@ class TestProbeSamples:
             lq = _serial_probe_lq(pvals, u0_hat, times, 4.0, cell)
             q_sub = spacetime_norm_from_samples(times[::2], lq[::2], 8.0)
             assert row["time_err"] == abs(row["Q"] - q_sub) / 3.0 / row["Q"]
+
+
+class TestProbeDoubling:
+    """A bounded row doubles its samples on nested grids until its estimate certifies it."""
+
+    @staticmethod
+    def _row(symbol, d, p, q, N, interval=(0.0, 1.0)):
+        (row,), = experiments._probe_sweep([symbol], p, q, [], [N], interval, d, 4.0)
+        return row
+
+    @pytest.mark.parametrize("d, p, q, N", [(1, 8.0, 4.0, 8.0), (1, 4.0, np.inf, 8.0),
+                                            (2, 4.0, 4.0, 2.0)])
+    def test_doubled_row_equals_a_run_at_its_final_count(self, monkeypatch, d, p, q, N):
+        monkeypatch.setattr(experiments, "TIME_RTOL", 1e-8)
+        symbol = make_symbol("arctan_step", h=1.0)
+        row = self._row(symbol, d, p, q, N)
+        n_t = row["time_samples"]
+        # 17 samples read about 2e-5; each doubling divides the estimate by about 4
+        assert n_t > 17 and (n_t - 1) % 16 == 0 and ((n_t - 1) // 16).bit_count() == 1
+        assert row["time_err"] <= 1e-8
+        grid, _, pvals, u0_hat = _probe_inputs(symbol, d, N, row["grid_n"])
+        pvals, u0_hat, cell = _transformed(grid, pvals, u0_hat, q)
+        times = np.linspace(0.0, 1.0, n_t)
+        lq = experiments._probe_lq(pvals, u0_hat, times, q, cell)
+        direct = spacetime_norm_from_samples(times, lq, p)
+        assert row["Q"] == pytest.approx(direct, rel=1e-13, abs=0)
+
+    def test_no_sample_is_transformed_twice(self, monkeypatch):
+        monkeypatch.setattr(experiments, "TIME_RTOL", 1e-8)
+        rows = []
+        ifftn = np.fft.ifftn
+
+        def counting_ifftn(a, *args, **kwargs):
+            rows.append(a.shape[0])  # one append per call, from either lane
+            return ifftn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifftn", counting_ifftn)
+        row = self._row(make_symbol("arctan_step", h=1.0), 1, 8.0, 4.0, 8.0)
+        assert row["time_samples"] > 17
+        assert sum(rows) == row["time_samples"]
+
+    def test_uncertified_row_at_the_cap_warns_once(self, monkeypatch):
+        monkeypatch.setattr(experiments, "TIME_RTOL", 1e-15)
+        monkeypatch.setattr(experiments, "_PROBE_MAX_SAMPLES", 40)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            row = self._row(make_symbol("arctan_step", h=1.0), 1, 8.0, 4.0, 8.0)
+        # 17 -> 33 samples; 65 would exceed the cap
+        assert row["time_samples"] == 33
+        assert row["time_err"] > 1e-15
+        assert len(caught) == 1
+        message = str(caught[0].message)
+        assert "not certified in time" in message
+        assert f"estimate {row['time_err']:.3e}" in message
+        assert "at 33 samples" in message and "65 samples exceed _PROBE_MAX_SAMPLES = 40" in message
+
+    def test_even_count_is_not_doubled(self, monkeypatch, pin_probe_samples):
+        monkeypatch.setattr(experiments, "TIME_RTOL", 1e-15)
+        pin_probe_samples(16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            row = self._row(make_symbol("arctan_step", h=1.0), 1, 8.0, 4.0, 8.0)
+        assert row["time_samples"] == 16 and math.isnan(row["time_err"])
+
+    def test_contrast_is_not_doubled(self, monkeypatch):
+        monkeypatch.setattr(experiments, "TIME_RTOL", 1e-15)
+        row = self._row(make_symbol("laplacian"), 1, 8.0, 4.0, 8.0)
+        assert row["time_samples"] == 1025 and row["time_err"] > 1e-15
+
+    # measured: estimate 1.06e-6 against a true error of 1.04e-6 at N = 8
+    def test_first_count_resolves_a_fast_bounded_symbol(self, pin_probe_samples):
+        symbol, interval = make_symbol("arctan_step", h=0.01), (0.5, 3.0)
+        row = self._row(symbol, 1, 8.0, 4.0, 8.0, interval)
+        n_t = row["time_samples"]
+        assert n_t >= 2 * math.ceil(symbol.bound * (interval[1] - interval[0])) + 1
+        # the former rule's count, 2*ceil(128*M*|I|) + 1
+        pin_probe_samples(100533)
+        ref = self._row(symbol, 1, 8.0, 4.0, 8.0, interval)
+        true_err = abs(row["Q"] - ref["Q"]) / ref["Q"]
+        assert true_err / 2 <= row["time_err"] <= 2 * true_err
 
 
 class TestProbeBatching:
