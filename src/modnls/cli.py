@@ -10,6 +10,7 @@ configuration with defaults filled).  Exit codes: 0 on a passing verdict,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import warnings
 from pathlib import Path
@@ -57,6 +58,9 @@ _DRIVERS = {
 }
 
 
+# built once per process: parse_args returns a fresh namespace on every call
+# and leaves the parser as it was, so repeated main calls share one parser
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modnls",
@@ -68,6 +72,10 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument("--config", required=True, help="path to the config file")
         s.add_argument("--out", default=None, help="output directory (overrides [output] dir)")
     return parser
+
+
+def _reason(exc: Exception) -> str:
+    return getattr(exc, "strerror", None) or str(exc)
 
 
 def main(argv=None) -> int:
@@ -82,19 +90,37 @@ def main(argv=None) -> int:
         print(f"error: config file not found: {path}", file=sys.stderr)
         print(parser.format_usage(), file=sys.stderr, end="")
         return EXIT_ERROR
+    try:
+        text = path.read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"error: cannot read config file {path}: {_reason(exc)}", file=sys.stderr)
+        return EXIT_ERROR
 
     try:
         with warnings.catch_warnings():
             # the driver runs the same input check first, and warns again
             warnings.simplefilter("ignore")
-            cfg = parse_config(args.subcommand, path.read_text())
-        outdir = Path(args.out) if args.out else Path(cfg.outdir)
-        report = globals()[_DRIVERS[args.subcommand]](**cfg.args)
+            cfg = parse_config(args.subcommand, text)
     except (ConfigError, *DRIVER_ERRORS) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    outdir.mkdir(parents=True, exist_ok=True)
+    # made before the driver runs, so an unusable --out costs no compute; a
+    # driver error below leaves the directory empty
+    outdir = Path(args.out) if args.out else Path(cfg.outdir)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"error: cannot create output directory {outdir}: {_reason(exc)}",
+              file=sys.stderr)
+        return EXIT_ERROR
+
+    try:
+        report = globals()[_DRIVERS[args.subcommand]](**cfg.args)
+    except DRIVER_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+
     (outdir / "resolved.cfg").write_text(render_config(cfg))
     write_report(report, outdir)
     print(f"{report.kind}: {'pass' if report.verdict else 'fail'} ({outdir / 'report.csv'})")

@@ -399,15 +399,19 @@ def test_every_subcommand_names_a_driver_in_the_cli_module():
         assert callable(getattr(cli, name, None)), name
 
 
+def _env_with_this_source() -> dict:
+    # a fresh interpreter imports the same modnls source as these tests
+    src = str(Path(modnls.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def _modules_after_cli_import(package: str) -> str:
     # a fresh interpreter, so modules that this test session loaded do not count
-    src = str(Path(modnls.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import modnls.cli, sys; "
             f"print(sorted(m for m in sys.modules if m.split('.')[0] == {package!r}))")
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
+    done = subprocess.run([sys.executable, "-c", code], env=_env_with_this_source(),
+                          capture_output=True, text=True, timeout=120, check=True)
     return done.stdout.strip()
 
 
@@ -469,3 +473,60 @@ def test_cli_import_loads_no_concurrent_futures():
     # importing concurrent.futures costs about 6 ms, about 5% of start-up; the
     # probe's lanes use threading, which numpy already imports
     assert _modules_after_cli_import("concurrent") == "[]"
+
+
+def test_the_parser_is_built_once_per_process():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def _main_in_a_fresh_interpreter(argv):
+    code = "import sys, modnls.cli; sys.exit(modnls.cli.main(sys.argv[1:]))"
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=_env_with_this_source(),
+                          capture_output=True, text=True, timeout=120)
+    return done.returncode, done.stderr
+
+
+def test_repeated_main_calls_match_fresh_interpreters(tmp_path, capsys, monkeypatch):
+    # one process runs the sequence; every call must behave as if it ran alone,
+    # so nothing the shared parser or an earlier call left behind shows
+    monkeypatch.setenv("COLUMNS", "80")  # the usage text wraps at the terminal width
+    singular = write(tmp_path, "sing.cfg", SINGULAR_CFG)
+    strichartz = write(tmp_path, "str.cfg", STRICHARTZ_CFG)
+    calls = [
+        ("singular", ["singular", "--config", str(singular)], EXIT_PASS),
+        ("no config", ["singular"], EXIT_ERROR),
+        ("missing", ["singular", "--config", str(tmp_path / "nope.cfg")], EXIT_ERROR),
+        ("strichartz", ["strichartz", "--config", str(strichartz)], EXIT_PASS),
+    ]
+    for name, argv, expected in calls:
+        here, fresh = tmp_path / "here" / name, tmp_path / "fresh" / name
+        writes = expected == EXIT_PASS
+        code = main(argv + ["--out", str(here)] if writes else argv)
+        err = capsys.readouterr().err
+        assert code == expected, name
+        assert name != "no config" or "usage" in err
+        assert _main_in_a_fresh_interpreter(
+            argv + ["--out", str(fresh)] if writes else argv) == (code, err), name
+        for file in ("report.csv", "summary.txt", "resolved.cfg") if writes else ():
+            assert (here / file).read_bytes() == (fresh / file).read_bytes(), (name, file)
+
+
+def test_out_that_cannot_be_created_exits_2_before_the_driver(tmp_path, capsys, monkeypatch):
+    def no_compute(*args, **kwargs):
+        raise AssertionError("the driver ran although --out cannot be created")
+
+    monkeypatch.setattr(cli, "run_singular_probe", no_compute)
+    cfg = write(tmp_path, "sing.cfg", SINGULAR_CFG)
+    taken = write(tmp_path, "taken", "a file, not a directory\n")
+    assert main(["singular", "--config", str(cfg), "--out", str(taken)]) == EXIT_ERROR
+    assert f"error: cannot create output directory {taken}" in capsys.readouterr().err
+    assert taken.read_text() == "a file, not a directory\n"
+
+
+def test_config_that_cannot_be_decoded_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "binary.cfg"
+    cfg.write_bytes(b"[singular]\nsigma = 1\xff\n")
+    out = tmp_path / "out"
+    assert main(["singular", "--config", str(cfg), "--out", str(out)]) == EXIT_ERROR
+    assert f"error: cannot read config file {cfg}" in capsys.readouterr().err
+    assert not out.exists()
