@@ -11,7 +11,9 @@ by :func:`quad` only on the chi transition 1/2 < r < 3/4; beyond r = 3/4
 both vanish.  :func:`quad` applies Gauss-Legendre rules in u with 32, 64,
 128, ... nodes to both integrands at once, each rule evaluating the profile
 once on an array, and stops when two successive rules agree to
-``quad_tol`` relative on both.
+``quad_tol`` relative on both.  Each rule is built once per process, on
+first use, by Newton's method on the Legendre three-term recurrence in numpy
+alone, without ``numpy.polynomial``.
 """
 
 from __future__ import annotations
@@ -104,16 +106,55 @@ def log_singular_profile(delta_amp: float, sigma: float, r_values):
 # by 1024 nodes is reported as a failure
 _FIRST_NODES = 32
 _MAX_NODES = 1024
-# the tightest quad_tol the rules reach: on the transition, rounding moves
-# successive rules by up to 2e-13 relative (measured for sigma from 0.05 to
-# 50 and amplitudes from 1e-3 to 50)
+# the tightest quad_tol the rules reach: on the transition, every rule from
+# 128 nodes on is resolved, and rounding moves successive rules by up to
+# 1.4e-14 relative (1.8e-14 with numpy's leggauss weights; measured for sigma
+# from 0.05 to 50, amplitudes from 1e-3 to 50 of either sign and
+# lambda * t from 0.7 to 3, where |u0|^(4*sigma) stays finite)
 QUAD_TOL_MIN = 1e-12
 
 
 @functools.cache
 def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only nodes and weights of the n-point Gauss-Legendre rule on [-1, 1]."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+    """Read-only nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], n even.
+
+    Newton's method finds the n/2 positive roots of P_n, all at once, from
+    Tricomi's estimate (as in Hale & Townsend, SIAM J. Sci. Comput. 35,
+    2013); the weights 2 / ((1 - x^2) * P_n'(x)^2) come from the last
+    evaluation, and the negative half mirrors the positive one.  P_n is
+    evaluated by its three-term recurrence scaled to q_j = s_j * P_j with
+    s_j * s_(j+1) = j + 1 (s_0 = s_1 = 1), which reads
+    q_(j+1) = (2j + 1) / s_j^2 * x * q_j - q_(j-1): one multiply and one
+    subtract per degree.
+    """
+    k = np.arange(1, n // 2 + 1)
+    x = (1.0 - 1.0 / (8 * n**2) + 1.0 / (8 * n**3)) * np.cos(math.pi * (4 * k - 1) / (4 * n + 2))
+    alphas = []  # (2j + 1) / s_j^2 for j = 1 ... n - 1
+    s_sq = 1.0
+    for j in range(1, n):
+        alphas.append((2 * j + 1) / s_sq)
+        s_sq = (j + 1) ** 2 / s_sq
+    s_n = math.sqrt(s_sq)
+    # the largest correction falls as about 9e-6, 1e-8, 3e-14 (n = 32) or
+    # 9e-9, 1e-11, 6e-17 (n = 1024); Newton's error after a correction c is
+    # about 0.2 * n^2 * c^2, so c <= 1e-12 leaves the nodes at rounding level,
+    # and 8 steps only bound the loop
+    for _ in range(8):
+        q_prev, q = np.ones_like(x), x
+        for row in np.outer(alphas, x):
+            q_prev, q = q, row * q - q_prev
+        # (1 - x^2) * P_n'(x) = n * (P_(n-1)(x) - x * P_n(x)), with s_(n-1) = n / s_n
+        slope = q_prev * s_n - n * x * q / s_n
+        step = (1.0 - x) * (1.0 + x) * q / (s_n * slope)
+        x = x - step
+        if np.max(np.abs(step)) <= 1e-12:
+            break
+    # the slope's derivative, -n * (n + 1) * P_n, vanishes at the roots, so the
+    # last slope needs no new evaluation: it is off by about n^4 * step^2 / 6
+    # relative, below 2e-13
+    half_weights = 2.0 * (1.0 - x) * (1.0 + x) / slope**2
+    nodes = np.concatenate((-x, x[::-1]))
+    weights = np.concatenate((half_weights, half_weights[::-1]))
     nodes.flags.writeable = weights.flags.writeable = False
     return nodes, weights
 
@@ -123,8 +164,9 @@ def quad(fn, r_lo: float, r_hi: float, rel_tol: float):
 
     ``fn`` maps an array of radii to an array of values, or to a stack of
     such arrays, one row per integrand; the result is a scalar or one
-    integral per row.  The rules have 32, 64, 128, ... nodes and each calls
-    ``fn`` once; the first result whose every component changes by at most
+    integral per row.  The rules have 32, 64, 128, ... nodes, are built on
+    first use by :func:`_gauss_legendre`, and each calls ``fn`` once; the
+    first result whose every component changes by at most
     ``rel_tol`` relative from the previous rule's is returned.  Raises
     SingularProbeError if no rule has settled by 1024 nodes.
     """

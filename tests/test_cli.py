@@ -475,6 +475,18 @@ def test_cli_import_loads_no_concurrent_futures():
     assert _modules_after_cli_import("concurrent") == "[]"
 
 
+def test_singular_run_loads_no_numpy_polynomial(tmp_path):
+    # importing numpy.polynomial costs about 2 ms, and its leggauss runs one
+    # eigen-solve per Gauss-Legendre rule; the probe builds its rules itself
+    cfg = write(tmp_path, "sing.cfg", SINGULAR_CFG)
+    argv = ["singular", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    code = ("import modnls.cli, sys; code = modnls.cli.main(sys.argv[1:]); "
+            "print(code, sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=_env_with_this_source(),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.splitlines()[-1] == f"{EXIT_PASS} []"
+
+
 def test_the_parser_is_built_once_per_process():
     assert cli.build_parser() is cli.build_parser()
 

@@ -171,6 +171,60 @@ class TestProfile:
 
 # the benchmark's decade sweep (perfbench/configs/singular-quad.cfg)
 DECADES = [10.0 ** (-k) for k in range(3, 13)]
+# every rule size the doubling in singular.quad can reach
+RULE_SIZES = [32, 64, 128, 256, 512, 1024]
+EPS = np.finfo(np.float64).eps
+
+
+def jacobi_matrix(n):
+    """The symmetric tridiagonal matrix whose eigenvalues are the roots of P_n."""
+    k = np.arange(1, n)
+    beta = k / np.sqrt(4.0 * k * k - 1.0)
+    return np.diag(beta, 1) + np.diag(beta, -1)
+
+
+class TestGaussLegendreRule:
+    @pytest.mark.parametrize("n", RULE_SIZES)
+    def test_nodes_are_the_jacobi_eigenvalues(self, n):
+        nodes, _ = singular._gauss_legendre(n)
+        assert np.all(np.diff(nodes) > 0)
+        assert np.array_equal(nodes, -nodes[::-1])
+        # the eigensolver's own error dominates: measured up to 1.7e-15
+        # (n = 1024), while the nodes lie within 1.1e-16 of 40-digit roots
+        assert np.max(np.abs(nodes - np.linalg.eigvalsh(jacobi_matrix(n)))) <= 4e-15
+
+    @pytest.mark.parametrize("n", RULE_SIZES)
+    def test_weights_match_golub_welsch(self, n):
+        # Golub & Welsch: the weights are 2 * (first eigenvector component)^2.
+        # Rounding the end node alone moves its weight by about
+        # ulp/2 * 2 / (1 - x^2), or 0.2 * n^2 * eps; measured: 3.0e-14 (n = 32)
+        # up to 8.2e-12 (n = 1024), where 40-digit weights put the rule within
+        # 2.3e-12 and Golub-Welsch within 9.5e-12
+        _, weights = singular._gauss_legendre(n)
+        vectors = np.linalg.eigh(jacobi_matrix(n))[1]
+        assert np.array_equal(weights, weights[::-1])
+        assert np.max(np.abs(weights / (2.0 * vectors[0] ** 2) - 1.0)) <= 0.5 * n**2 * EPS
+
+    @pytest.mark.parametrize("n", RULE_SIZES)
+    def test_integrates_every_monomial_up_to_degree_2n_minus_1(self, n):
+        # measured: at most 8.9e-16 (n = 128); numpy's leggauss, the oracle,
+        # errs by 1.3e-15 (n = 32) up to 2.0e-14 (n = 1024)
+        k = np.arange(2 * n)
+        exact = np.where(k % 2 == 0, 2.0 / (k + 1), 0.0)
+
+        def worst_error(nodes, weights):
+            return np.max(np.abs((nodes[None, :] ** k[:, None]) @ weights - exact))
+
+        error = worst_error(*singular._gauss_legendre(n))
+        assert error <= 2e-15
+        assert error <= worst_error(*np.polynomial.legendre.leggauss(n))
+
+    def test_rules_are_read_only_and_built_once(self):
+        nodes, weights = singular._gauss_legendre(64)
+        assert singular._gauss_legendre(64) is singular._gauss_legendre(64)
+        for array in (nodes, weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
 
 
 class TestQuadRule:
