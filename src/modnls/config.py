@@ -24,6 +24,7 @@ from .experiments import (
     check_ode_approx_args,
     check_strichartz_args,
 )
+from .reports import format_number
 from .scaling import ScalingError, compute_scaling
 from .singular import SingularProbeError, check_probe_args
 from .spectral import Grid, SpectralError, check_half_length
@@ -163,7 +164,8 @@ def _convert(key: _Key, raw: str, lineno: int):
             value = parse_number(raw)
             if not (math.isfinite(value) and value == int(value)):
                 raise ConfigError(f"line {lineno}: {key.name} must be an integer, got {raw!r}")
-            return int(value)
+            # plain digits are read exactly, also above 2**53
+            return int(raw) if raw.isdecimal() else int(value)
         if key.kind == "float":
             return parse_number(raw)
         if key.kind == "float_list":
@@ -294,12 +296,8 @@ def _render_value(key: _Key, value) -> str:
     if key.kind == "symbol":
         return value.spec_string()
     if key.kind == "float_list":
-        return ", ".join(format(float(v), ".17g") for v in value)
-    if key.kind == "int":
-        return str(int(value))
-    if key.kind == "float":
-        return format(float(value), ".17g")
-    return str(value)
+        return ", ".join(map(format_number, value))
+    return format_number(value)
 
 
 def render_config(cfg: RunConfig) -> str:

@@ -185,8 +185,15 @@ def _check_h_list(plan: ScalingPlan, h_list) -> list[float]:
     """Return h_list as floats; reject it unless a decreasing sweep valid for the plan."""
     h_list = _check_decreasing_sweep(h_list, "h_list")
     for h in h_list:
-        plan.validate_h(h)
+        _check_window_row(plan, h, plan.eps(h))
     return h_list
+
+
+def _check_window_row(plan: ScalingPlan, h: float, eps: float) -> None:
+    """Reject a window row whose h, kappa_h or tau*(eps) the plan rejects:
+    h outside (0, e^-1], kappa_h underflowing to 0, tau* overflowing."""
+    plan.kappa(h)
+    plan.tau_star_of_eps(eps)
 
 
 def _check_window_args(plan: ScalingPlan, symbol: Symbol, grid: Grid, lam: float) -> None:
@@ -214,7 +221,7 @@ def check_ode_approx_args(plan: ScalingPlan, symbol: Symbol, grid: Grid, eps_lis
         )
     eps_list = _check_decreasing_sweep(eps_list, "eps_list")
     for eps in eps_list:
-        plan.validate_h(plan.h_for_eps(eps))
+        _check_window_row(plan, plan.h_for_eps(eps), eps)
     return eps_list, r
 
 

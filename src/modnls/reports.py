@@ -16,7 +16,10 @@ __all__ = ["ExperimentReport", "format_number", "write_report"]
 
 
 def format_number(value) -> str:
-    """Render a numeric value with full double precision (17 significant digits)."""
+    """Render a value as every output file and symbol spec writes it: a string
+    as it is, a number with full double precision (17 significant digits)."""
+    if isinstance(value, str):
+        return value
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):
@@ -25,10 +28,8 @@ def format_number(value) -> str:
 
 
 def _csv_cell(value) -> str:
-    if isinstance(value, str):
-        if any(ch in value for ch in ',"\n'):
-            return '"' + value.replace('"', '""') + '"'
-        return value
+    if isinstance(value, str) and any(ch in value for ch in ',"\n'):
+        return '"' + value.replace('"', '""') + '"'
     return format_number(value)
 
 

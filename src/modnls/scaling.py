@@ -61,9 +61,14 @@ class ScalingPlan:
             )
 
     def kappa(self, h: float) -> float:
-        """Amplitude damping kappa_h = log(1/h)^(-theta)."""
+        """Amplitude damping kappa_h = log(1/h)^(-theta); rejected if it underflows to 0."""
         self.validate_h(h)
-        return math.log(1.0 / h) ** (-self.theta)
+        kappa = math.log(1.0 / h) ** (-self.theta)
+        if kappa == 0.0:
+            raise ScalingError(
+                f"kappa_h = log(1/h)^(-theta) underflows to 0 at h = {h} with theta = {self.theta}"
+            )
+        return kappa
 
     def eps(self, h: float) -> float:
         """Small parameter eps = h^(2*sigma*(d/2-s) - 2 - alpha)."""
@@ -76,10 +81,16 @@ class ScalingPlan:
         return eps ** (1.0 / self.eps_exponent)
 
     def tau_star_of_eps(self, eps: float) -> float:
-        """Rescaled window end tau* = eps * log(1/eps)^delta."""
+        """Rescaled window end tau* = eps * log(1/eps)^delta; rejected if it overflows."""
         if not 0.0 < eps < 1.0:
             raise ScalingError(f"eps must lie in (0, 1), got {eps}")
-        return eps * math.log(1.0 / eps) ** self.delta
+        try:
+            return eps * math.log(1.0 / eps) ** self.delta
+        except OverflowError:
+            raise ScalingError(
+                f"the window end tau* = eps*log(1/eps)^delta overflows at eps = {eps} "
+                f"with delta = {self.delta}"
+            ) from None
 
     def tau_star(self, h: float) -> float:
         return self.tau_star_of_eps(self.eps(h))

@@ -190,13 +190,44 @@ def quad(fn, r_lo: float, r_hi: float, rel_tol: float):
     )
 
 
+def _probe_constants(sigma: float, lam: float, t: float, delta_amp: float):
+    """(alpha, factor, c0, rate) of :func:`run_singular_probe`: the phase
+    factor 4*sigma^2*lambda^2*t^2, the data's plateau constant
+    c0 = 2*pi*delta^2*alpha^2 and the log-log rate c0*factor*|delta|^(4*sigma).
+
+    Raises SingularProbeError, naming the inputs, when one of them overflows.
+    """
+    alpha = singular_alpha(sigma)
+    try:
+        factor = 4.0 * sigma**2 * lam**2 * t**2
+    except OverflowError:
+        factor = math.inf
+    if not math.isfinite(factor):
+        raise SingularProbeError(
+            f"the phase factor 4*sigma^2*lambda^2*t^2 must be finite, got sigma = {sigma}, "
+            f"lambda = {lam}, t = {t}"
+        )
+    try:
+        c0 = 2.0 * math.pi * delta_amp**2 * alpha**2
+        rate = c0 * factor * abs(delta_amp) ** (4.0 * sigma)
+    except OverflowError:
+        c0 = rate = math.inf
+    if not (math.isfinite(c0) and math.isfinite(rate)):
+        raise SingularProbeError(
+            f"the log-log rate 2*pi*alpha^2*amplitude^2*factor*|amplitude|^(4*sigma) must be "
+            f"finite, got amplitude = {delta_amp}, sigma = {sigma}, factor = {factor}"
+        )
+    return alpha, factor, c0, rate
+
+
 def check_probe_args(sigma: float, lam: float, t: float, rho_list,
                      quad_tol: float = 1e-9, delta_amp: float = 1.0) -> list[float]:
     """Reject every input :func:`run_singular_probe` cannot run, before any quadrature.
 
     Returns rho_list as floats.  Rejects a sigma that :func:`singular_alpha`
     rejects, a non-finite lambda, t or quad_tol, t < 0, a bad rho sweep,
-    quad_tol below QUAD_TOL_MIN, and a zero or non-finite amplitude.
+    quad_tol below QUAD_TOL_MIN, a zero or non-finite amplitude, and inputs
+    whose phase factor or log-log rate overflows (see :func:`_probe_constants`).
 
     The fitted ratios divide each increment by the one before it, so the
     sweep needs three radii, and the first increment, over
@@ -212,6 +243,7 @@ def check_probe_args(sigma: float, lam: float, t: float, rho_list,
         raise SingularProbeError(f"time t must be finite, got {t}")
     if not (math.isfinite(delta_amp) and delta_amp != 0):
         raise SingularProbeError(f"amplitude must be finite and nonzero, got {delta_amp}")
+    _probe_constants(sigma, lam, t, delta_amp)
     rho_list = [float(rho) for rho in rho_list]
     if len(rho_list) < 3 or not all(b < a for a, b in zip(rho_list, rho_list[1:])):
         raise SingularProbeError(
@@ -251,11 +283,7 @@ def run_singular_probe(sigma: float, lam: float, t: float, rho_list,
     [0.5, 1.0] (harmonic-type decay, never geometric).
     """
     rho_list = check_probe_args(sigma, lam, t, rho_list, quad_tol, delta_amp)
-    alpha = singular_alpha(sigma)
-
-    factor = 4.0 * sigma**2 * lam**2 * t**2
-    c0 = 2.0 * math.pi * delta_amp**2 * alpha**2
-    rate = c0 * factor * abs(delta_amp) ** (4.0 * sigma)
+    alpha, factor, c0, rate = _probe_constants(sigma, lam, t, delta_amp)
     e = 2.0 * alpha - 1.0
 
     def integrands(r):

@@ -15,6 +15,7 @@ import weakref
 
 import numpy as np
 
+from .reports import format_number
 from .spectral import Grid, check_lattice_values
 
 __all__ = [
@@ -112,19 +113,11 @@ class Symbol:
         """Render as the config-file form, e.g. ``arctan_step(h=1)``."""
         if not self.params:
             return str(self.name)
-        inner = ",".join(f"{k}={_render_number(v)}" for k, v in self.params.items())
+        inner = ",".join(f"{k}={format_number(v)}" for k, v in self.params.items())
         return f"{self.name}({inner})"
 
     def __repr__(self) -> str:
         return f"Symbol({self.spec_string()}, {self.kind})"
-
-
-def _render_number(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (int, np.integer)) or float(v).is_integer():
-        return str(int(v))
-    return format(float(v), ".17g")
 
 
 def _sumsq(*xi):
@@ -289,7 +282,10 @@ def parse_number(text: str) -> float:
     text = text.strip()
     match = _NUMBER_RE.match(text)
     if match:
-        return math.exp(float(match.group("exp")))
+        try:
+            return math.exp(float(match.group("exp")))
+        except OverflowError:  # reads inf, as float("1e400") does
+            return math.inf
     if text in ("inf", "Inf", "INF"):
         return math.inf
     try:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import csv
 import dataclasses
 import inspect
@@ -521,6 +522,78 @@ def test_repeated_main_calls_match_fresh_interpreters(tmp_path, capsys, monkeypa
             argv + ["--out", str(fresh)] if writes else argv) == (code, err), name
         for file in ("report.csv", "summary.txt", "resolved.cfg") if writes else ():
             assert (here / file).read_bytes() == (fresh / file).read_bytes(), (name, file)
+
+
+# finite inputs whose arithmetic overflows: each run exits 2 with one error
+# line that names the key, and prints no traceback
+OVERFLOW_CASES = [
+    ("singular", SINGULAR_CFG, "t = 1.0", "t = 1e300",
+     "4*sigma^2*lambda^2*t^2 must be finite, got sigma = 1.0, lambda = 1.0, t = 1e+300"),
+    ("singular", SINGULAR_CFG, "t = 1.0", "t = 1.0\nlambda = 1e300",
+     "4*sigma^2*lambda^2*t^2 must be finite, got sigma = 1.0, lambda = 1e+300, t = 1.0"),
+    ("singular", SINGULAR_CFG, "t = 1.0", "t = 1.0\namplitude = 1e100",
+     "must be finite, got amplitude = 1e+100"),
+    ("inflate", INFLATE_LAM0_CFG, "h_list", "delta = 1e300\nh_list",
+     "tau* = eps*log(1/eps)^delta overflows at eps = 0.22313016014842985 with delta = 1e+300"),
+    ("ode-approx", ODE_CFG, "eps_list", "delta = 1e300\neps_list",
+     "tau* = eps*log(1/eps)^delta overflows at eps = 0.1 with delta = 1e+300"),
+    ("inflate", INFLATE_LAM0_CFG, "h_list", "theta = 1e300\nh_list",
+     "kappa_h = log(1/h)^(-theta) underflows to 0 at h = 0.1353352832366127 with "
+     "theta = 1e+300"),
+    ("ode-approx", ODE_CFG, "eps_list", "theta = 1e300\neps_list",
+     "kappa_h = log(1/h)^(-theta) underflows to 0 at h = "),
+    ("singular", SINGULAR_CFG, "t = 1.0", "t = e^1000", "time t must be finite, got inf"),
+    ("strichartz", STRICHARTZ_CFG, "N_list = 8, 16", "N_list = 8, e^1000",
+     "every N in N_list must be finite and > 0, got [8.0, inf]"),
+    ("strichartz", STRICHARTZ_CFG, "constant(c=0)", "arctan_step(h=e^1000)",
+     "arctan_step parameter h must be finite, got inf"),
+]
+
+
+@pytest.mark.parametrize("sub,text,old,new,message", OVERFLOW_CASES,
+                         ids=["singular t", "singular lambda", "singular amplitude",
+                              "inflate delta", "ode-approx delta", "inflate theta",
+                              "ode-approx theta",
+                              "e^1000 scalar", "e^1000 in N_list", "e^1000 symbol parameter"])
+def test_an_overflowing_input_exits_2_naming_its_key(tmp_path, sub, text, old, new, message):
+    assert old in text
+    cfg = write(tmp_path, "bad.cfg", text.replace(old, new))
+    out = tmp_path / "out"
+    code, err = _main_in_a_fresh_interpreter([sub, "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_ERROR, err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err, err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_help_lists_every_subcommand(capsys):
+    assert main(["--help"]) == EXIT_PASS
+    text = capsys.readouterr().out
+    assert text.startswith("usage: modnls")
+    assert all(name in text for name in SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulat", "--config", "x.cfg"], "argument subcommand: invalid choice: 'simulat'"),
+    (["inflate"], "the following arguments are required: --config"),
+])
+def test_a_bad_command_line_exits_2_with_the_usage_line(capsys, argv, message):
+    assert main(argv) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("usage: modnls")
+    assert message in err
+
+
+def test_options_may_come_before_the_subcommand():
+    args = cli.build_parser().parse_args(["--config", "x.cfg", "inflate"])
+    assert (args.subcommand, args.config, args.out) == ("inflate", "x.cfg", None)
+
+
+def test_the_parser_has_no_subparsers():
+    # one parser: the subcommand is a positional choice and the options are shared
+    parser = cli.build_parser()
+    assert not any(isinstance(a, argparse._SubParsersAction) for a in parser._actions)
+    assert next(a for a in parser._actions if a.dest == "subcommand").choices == SUBCOMMANDS
 
 
 def test_out_that_cannot_be_created_exits_2_before_the_driver(tmp_path, capsys, monkeypatch):

@@ -9,6 +9,9 @@ from modnls import BOUNDED, HOMOGENEOUS, Grid, SolveConfig, cli, compute_scaling
 from modnls.config import (
     ConfigError,
     _SCHEMAS,
+    _Key,
+    _convert,
+    _render_value,
     parse_config,
     parse_config_text,
     parse_initial_spec,
@@ -118,6 +121,16 @@ class TestValidation:
         assert render_config(again) == text
         assert again.params["h_list"] == cfg.params["h_list"]
         assert again.params["symbol"].spec_string() == cfg.params["symbol"].spec_string()
+
+    @pytest.mark.parametrize("kind, value", [
+        ("float", 1.0), ("float", 1.5), ("float", 1e17), ("float", -0.0),
+        ("int", 1), ("int", 2**53 + 1),
+        ("float_list", (1.0, 1.5, 1e17, -0.0, float(2**53 + 1))),
+    ])
+    def test_rendered_numbers_reparse_to_equal_values(self, kind, value):
+        key = _Key("section", "key", kind)
+        again = _convert(key, _render_value(key, value), 1)
+        assert (type(again), repr(again)) == (type(value), repr(value))
 
     def test_round_trip_all_subcommands(self):
         for sub, text in (("inflate", INFLATE_OK), ("ode-approx", ODE_OK), ("simulate", SIMULATE_OK)):
@@ -339,6 +352,28 @@ DRIVER_CHECK_CASES = [
      lambda: compute_scaling(2, 2.0, 0.25, HOMOGENEOUS, m=2.0)),
     ("bounded symbol with omega", "ode-approx", ODE_OK + "omega = 1\n",
      lambda: compute_scaling(1, 2.0, 0.25, BOUNDED, omega=1.0)),
+    # finite inputs whose derived constants overflow
+    ("singular phase factor overflows in t", "singular",
+     "[singular]\nsigma = 1\nt = 1e300\nrho_list = 1e-3, 1e-4, 1e-5\n",
+     lambda: check_probe_args(1.0, 1.0, 1e300, [1e-3, 1e-4, 1e-5])),
+    ("singular phase factor overflows in lambda", "singular",
+     "[singular]\nsigma = 1\nlambda = 1e300\nt = 1\nrho_list = 1e-3, 1e-4, 1e-5\n",
+     lambda: check_probe_args(1.0, 1e300, 1.0, [1e-3, 1e-4, 1e-5])),
+    ("singular rate overflows in the amplitude", "singular",
+     "[singular]\nsigma = 1\nt = 1\nrho_list = 1e-3, 1e-4, 1e-5\namplitude = 1e100\n",
+     lambda: check_probe_args(1.0, 1.0, 1.0, [1e-3, 1e-4, 1e-5], delta_amp=1e100)),
+    ("inflate tau* overflows", "inflate", INFLATE_OK + "delta = 1e300\n",
+     lambda: check_inflate_args(compute_scaling(1, 2.0, 0.25, BOUNDED, delta=1e300),
+                                _ARCTAN, _GRID, _H_LIST)),
+    ("ode-approx tau* overflows", "ode-approx", ODE_OK + "delta = 1e300\n",
+     lambda: check_ode_approx_args(compute_scaling(1, 2.0, 0.25, BOUNDED, delta=1e300),
+                                   _ARCTAN, _GRID, _EPS_LIST, 1)),
+    ("inflate kappa underflows", "inflate", INFLATE_OK + "theta = 1e300\n",
+     lambda: check_inflate_args(compute_scaling(1, 2.0, 0.25, BOUNDED, theta=1e300),
+                                _ARCTAN, _GRID, _H_LIST)),
+    ("ode-approx kappa underflows", "ode-approx", ODE_OK + "theta = 1e300\n",
+     lambda: check_ode_approx_args(compute_scaling(1, 2.0, 0.25, BOUNDED, theta=1e300),
+                                   _ARCTAN, _GRID, _EPS_LIST, 1)),
 ]
 
 

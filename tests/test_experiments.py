@@ -600,6 +600,29 @@ class TestInflateExponentWarning:
                                    [math.exp(-2)])
 
 
+# a tau* = eps*log(1/eps)^delta that overflows, or a kappa_h = log(1/h)^(-theta)
+# that underflows to 0, used to fail only in the sweep, after the first rows ran
+@pytest.mark.parametrize("plan_kw, match", [
+    ({"delta": 1e300}, r"tau\* = eps\*log\(1/eps\)\^delta overflows at eps = .* "
+                       r"with delta = 1e\+300"),
+    ({"theta": 1e300}, r"kappa_h = log\(1/h\)\^\(-theta\) underflows to 0 at h = .* "
+                       r"with theta = 1e\+300"),
+], ids=["tau* overflows", "kappa underflows"])
+@pytest.mark.parametrize("run", [
+    lambda plan, sym, grid: run_norm_inflation(plan, sym, grid, [math.exp(-2), math.exp(-3)]),
+    lambda plan, sym, grid: run_ode_approx(plan, sym, grid, [0.1, 0.05], r=1),
+], ids=["inflate", "ode-approx"])
+def test_window_constants_are_checked_before_any_evolution(grid, monkeypatch, run, plan_kw,
+                                                           match):
+    def no_evolve(*args, **kwargs):
+        raise AssertionError("evolve ran before the window constants were checked")
+
+    monkeypatch.setattr(experiments, "evolve", no_evolve)
+    plan = compute_scaling(1, 2.0, 0.25, BOUNDED, **plan_kw)
+    with pytest.raises(ScalingError, match=match):
+        run(plan, make_symbol("arctan_step", h=1.0), grid)
+
+
 class TestRunNormInflation:
     def test_lambda_zero_control_fails_with_unit_ratios(self, bounded_plan, grid):
         hs = [math.exp(-2), math.exp(-3)]

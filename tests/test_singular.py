@@ -375,6 +375,21 @@ class TestProbe:
         with pytest.raises(SingularProbeError, match="amplitude must be finite and nonzero"):
             run_singular_probe(1.0, 1.0, 1.0, RHOS, delta_amp=amp)
 
+    @pytest.mark.parametrize("lam, t, amp, match", [
+        (1.0, 1e300, 1.0, r"4\*sigma\^2\*lambda\^2\*t\^2 must be finite, .* t = 1e\+300"),
+        (1e300, 1.0, 1.0, r"4\*sigma\^2\*lambda\^2\*t\^2 must be finite, .* lambda = 1e\+300"),
+        (1.0, 1.0, 1e100, r"log-log rate .* must be finite, got amplitude = 1e\+100"),
+        (0.0, 1.0, 1e200, r"log-log rate .* must be finite, got amplitude = 1e\+200"),
+    ], ids=["t", "lambda", "amplitude", "amplitude at lambda = 0"])
+    def test_rejects_overflowing_constants(self, lam, t, amp, match, monkeypatch):
+        # each used to raise OverflowError from the driver's own arithmetic
+        def no_compute(*args, **kwargs):
+            raise AssertionError("quadrature ran before the constants were checked")
+
+        monkeypatch.setattr("modnls.singular.quad", no_compute)
+        with pytest.raises(SingularProbeError, match=match):
+            run_singular_probe(1.0, lam, t, RHOS, delta_amp=amp)
+
     @pytest.mark.parametrize("rhos,match", [
         ([1e-3, 1e-4], "strictly decreasing with >= 3 entries"),
         ([0.9, 0.8, 1e-3], "below the cutoff radius 0.75"),

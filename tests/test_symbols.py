@@ -201,6 +201,19 @@ class TestErrorsAndParsing:
         again = parse_symbol_spec(sym.spec_string())
         assert again.spec_string() == sym.spec_string()
 
+    # an integral float prints as .17g gives it (1e+17), -0.0 keeps its sign,
+    # and an int above 2**53 reaches the symbol as the float it rounds to
+    @pytest.mark.parametrize("value", [1, 1.5, 1e17, -0.0, 2**53 + 1])
+    def test_spec_string_reparses_to_equal_parameters(self, value):
+        sym = make_symbol("constant", c=value)
+        again = parse_symbol_spec(sym.spec_string())
+        assert repr(again.params) == repr(sym.params)
+
+    def test_spec_string_forms(self):
+        assert make_symbol("constant", c=1e17).spec_string() == "constant(c=1e+17)"
+        assert make_symbol("constant", c=-0.0).spec_string() == "constant(c=-0)"
+        assert make_symbol("odd_power_1d", j=3).spec_string() == "odd_power_1d(j=3)"
+
     def test_parse_plain_name(self):
         assert parse_symbol_spec("regularized_laplacian").kind == BOUNDED
 
@@ -208,6 +221,11 @@ class TestErrorsAndParsing:
         assert parse_number("e^-2") == pytest.approx(math.exp(-2), rel=1e-15)
         sym = parse_symbol_spec("constant(c=e^-1)")
         assert sym.params["c"] == pytest.approx(math.exp(-1), rel=1e-15)
+
+    def test_an_overflowing_exponent_form_reads_inf(self):
+        # as float("1e400") does, so each caller's finiteness check names the key
+        assert parse_number("e^1000") == math.inf == float("1e400")
+        assert parse_number("e^-1000") == 0.0
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(SymbolError):
